@@ -64,42 +64,96 @@ def is_fundamental_discriminant(d: int) -> bool:
     if d in (0, 1):
         return False
     if d % 4 == 1:
-        return _is_squarefree(abs(d))
+        return _is_squarefree(d)
     if d % 4 == 0:
         m = d // 4
-        return m % 4 in (2, 3) and _is_squarefree(abs(m))
+        return m % 4 in (2, 3) and _is_squarefree(m)
     return False
 
 
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of |n| >= 1 as ascending (p, e) pairs, by trial
+    division."""
+    n = abs(n)
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def _is_squarefree(n: int) -> bool:
-    if n % 4 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % (i * i) == 0:
-            return False
-        i += 2
-    return True
+    return all(e == 1 for _, e in factorize(n))
 
 
 def squarefree_kernel(n: int) -> int:
-    """Squarefree part of n (sign preserved), by trial division."""
+    """Squarefree part of n (sign preserved)."""
     if n == 0:
         raise ValueError("kernel of zero")
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    kernel = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if e % 2:
-                kernel *= d
-        d += 1 if d == 2 else 2
-    return sign * kernel * n
+    return (-1 if n < 0 else 1) * math.prod(p for p, e in factorize(n) if e % 2)
+
+
+def divisors(n: int) -> list[int]:
+    """Positive divisors of n >= 1, ascending."""
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0, by integer Newton iteration from above."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        return 0
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def squarefree_products(primes, bound, state, fold, options=None):
+    """Every product of distinct primes from the ascending list `primes` that
+    is at most `bound`, as (product, state) pairs: the empty product (1, state)
+    first, the rest in no promised order.
+
+    options(p) lists the (factor, tag) choices prime p contributes, ascending
+    by factor, with least factors nondecreasing along `primes` (default: the
+    single factor p).  A child's state is fold(parent_state, p, tag).
+    """
+    if bound < 1:
+        return
+    choices = [options(p) if options else ((p, None),) for p in primes]
+    choices.append(((bound + 1, None),))  # nothing grows past the last prime
+    yield 1, state
+    stack = [(1, state, 0)]  # nodes that can still take a prime from index k on
+    while stack:
+        prod, st, start = stack.pop()
+        for k in range(start, len(primes)):
+            if prod * choices[k][0][0] > bound:
+                break
+            p, least_next = primes[k], choices[k + 1][0][0]
+            for factor, tag in choices[k]:
+                q = prod * factor
+                if q > bound:
+                    break
+                child = fold(st, p, tag)
+                yield q, child
+                if q * least_next <= bound:
+                    stack.append((q, child, k + 1))
+
+
+def add_prime(chosen: tuple, p: int, _tag) -> tuple:
+    """squarefree_products fold recording the chosen primes."""
+    return chosen + (p,)
 
 
 class SieveTable:
@@ -265,19 +319,6 @@ def _cf_sqrt_unit(m: int) -> tuple[int, int, int]:
         q, q_prev = a * q + q_prev, q
 
 
-def _icbrt(n: int) -> int:
-    if n < 0:
-        raise ValueError
-    if n == 0:
-        return 0
-    x = 1 << ((n.bit_length() + 2) // 3)
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            return x
-        x = y
-
-
 def pell_fundamental(delta: int) -> PellSolution:
     """Fundamental solution of t^2 - delta*u^2 = +-4 for a positive
     fundamental discriminant, by continued fractions (brute force is kept as
@@ -305,7 +346,7 @@ def pell_fundamental(delta: int) -> PellSolution:
 
 def _half_unit_cube_root(delta, big_x, big_y):
     target = 2 * big_x
-    base = _icbrt(target)
+    base = iroot(target, 3)
     for n in (-1, 1):
         for t in range(max(1, base - 2), base + 3):
             if t % 2 == 1 and t ** 3 - 3 * n * t == target:

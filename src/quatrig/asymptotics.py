@@ -18,7 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .arith import dirichlet_L, kronecker_symbol, shared_sieve, squarefree_kernel
+from .arith import (
+    dirichlet_L,
+    divisors,
+    factorize,
+    kronecker_symbol,
+    shared_sieve,
+    squarefree_kernel,
+)
 from .brauer import QuaternionAlgebraQ
 from .census import CountTable, check_independent
 
@@ -46,31 +53,18 @@ def _prime_tail_bound(cutoff: int, exponent: float, coeff: float) -> float:
     return coeff * cutoff ** (1 - exponent) / (exponent - 1)
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _least_prime_factor(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
-
-
 def delta_mn(m: int, n: int, cutoff: int) -> EulerProductValue:
     """The constant in front of x^(1/(n^2(1-1/l))) (log x)^(l-2) for the
     census of degree-n algebras with division degree dividing m; l is the
     least prime factor of n.  Structurally zero when l does not divide m."""
     if n % m != 0:
         raise ValueError("m must divide n")
-    ell = _least_prime_factor(n)
+    ell = factorize(n)[0][0]  # least prime factor
     if m % ell != 0:
         return EulerProductValue(0.0, cutoff, 0.0)
     from .arith import ramanujan_sum
 
-    extra = [(d, (1 - 1 / d) / (1 - 1 / ell)) for d in _divisors(m) if d > ell]
+    extra = [(d, (1 - 1 / d) / (1 - 1 / ell)) for d in divisors(m) if d > ell]
     primes = shared_sieve(cutoff).primes_upto(cutoff)
     total = 0.0
     tail = 0.0
@@ -106,7 +100,7 @@ def delta_n(n: int, cutoff: int) -> EulerProductValue:
     table = shared_sieve(n)
     total = 0.0
     tail = 0.0
-    for m in _divisors(n):
+    for m in divisors(n):
         mu = table.mu(n // m)
         if mu == 0:
             continue
@@ -178,7 +172,7 @@ def embed_constant_general(deltas, cutoff: int = 10 ** 6) -> EulerProductValue:
     if r == 0:
         raise ValueError("need at least one field")
     r1p = 1 if all(d < 0 for d in deltas) else 0
-    ram_primes = sorted({p for d in deltas for p in _prime_factors(abs(d))})
+    ram_primes = sorted({p for d in deltas for p, _ in factorize(d)})
     subsets = [t for k in range(1, r + 1) for t in combinations(range(r), k)]
     d_t = {t: _fundamental_of_product([deltas[i] for i in t]) for t in subsets}
 
@@ -226,24 +220,10 @@ def embed_constant_general(deltas, cutoff: int = 10 ** 6) -> EulerProductValue:
     return EulerProductValue(value, cutoff, tail * inv2r)
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 # -- ratio reports -----------------------------------------------------------
 
 def model_division(n: int, x: float, constant: EulerProductValue) -> float:
-    ell = _least_prime_factor(n)
+    ell = factorize(n)[0][0]  # least prime factor
     return constant.value * x ** (1.0 / (n * n * (1 - 1 / ell))) * math.log(x) ** (ell - 2)
 
 

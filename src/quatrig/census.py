@@ -3,24 +3,34 @@ side of every counting theorem, and the Dirichlet-coefficient oracle that
 reproduces them through an entirely independent route (exact multiplication
 of Euler factors).
 
-Enumeration order is deterministic: ramification data is generated by a
-bounded product-of-primes DFS over ascending primes, and shard partitions
-(keyed by the largest ramified prime) merge by addition, so sharded and
-unsharded runs are identical.
+Ramification data is generated by one bounded product-of-primes enumerator
+(arith.squarefree_products) over ascending primes; each census folds its own
+state along the way (a residue distribution of local invariants, or a
+parity) and sums per-node weights into threshold slots, so counts never
+depend on enumeration order.  Each census kind builds its spec in one
+function, shared by its CountTable and the CLI cache key.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, isqrt, lcm
 
 import numpy as np
 
 from . import arith
-from .arith import kronecker_symbol, ramanujan_sum, shared_sieve
+from .arith import (
+    divisors,
+    iroot,
+    kronecker_symbol,
+    ramanujan_sum,
+    shared_sieve,
+    squarefree_products,
+)
 from .brauer import QuaternionAlgebraQ
 from .fields import (
     PlaceQ,
@@ -61,149 +71,142 @@ class CountTable:
         return list(zip(self.thresholds, self.counts))
 
 
-def _counts_at_thresholds(sorted_discs: list[int], weights: list[int], thresholds) -> list[int]:
-    prefix = [0]
-    for w in weights:
-        prefix.append(prefix[-1] + w)
-    out = []
-    for x in thresholds:
-        idx = bisect.bisect_right(sorted_discs, x)
-        out.append(prefix[idx])
-    return out
+def csa_spec(m: int, n: int) -> dict:
+    return {"kind": "csa", "m": m, "n": n}
+
+
+def division_spec(n: int) -> dict:
+    return {"kind": "division", "n": n}
+
+
+def embed_quads_spec(algebra: QuaternionAlgebraQ, not_totally_complex: bool) -> dict:
+    return {"kind": "embed_quads", "ram": sorted(map(repr, algebra.ramification)),
+            "not_totally_complex": not_totally_complex}
+
+
+def quat_subfields_spec(deltas) -> dict:
+    return {"kind": "quat_subfields", "deltas": [int(d) for d in deltas]}
+
+
+def _ascending(thresholds) -> list[int]:
+    """Census thresholds, sorted; every one must be >= 1."""
+    thresholds = sorted(int(x) for x in thresholds)
+    if not thresholds or thresholds[0] < 1:
+        raise ValueError("x must be >= 1")
+    return thresholds
+
+
+def _counts_at_thresholds(weighted_discs, thresholds) -> list[int]:
+    """Total weight of the (disc, weight) pairs with disc <= x, for each
+    ascending threshold x; no disc may exceed the last threshold."""
+    slots = [0] * len(thresholds)
+    for disc, w in weighted_discs:
+        slots[bisect_left(thresholds, disc)] += w
+    return list(accumulate(slots))
 
 
 # -- central simple algebra enumeration ------------------------------------
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+def _csa_nodes(m: int, n: int, bound: int):
+    """(disc, (dist, lcm)) for every choice of finite local invariants of a
+    degree-n algebra over Q with denominators dividing m and |disc| <= bound.
 
-
-def _csa_disc_counts(m: int, n: int, bound: int, division_only: bool = False,
-                     shards: int = 1) -> list[tuple[int, int]]:
-    """Sorted (disc, multiplicity) pairs for central simple algebras of
-    degree n over Q whose local denominators all divide m and |disc| <= bound.
-
-    Each finite ramified prime chooses a denominator d | m (d > 1) and a
-    numerator coprime to d; the real place may carry 1/2 when m is even.  The
-    integrality of the invariant sum is tracked exactly as a distribution of
-    residues mod m.
+    Each ramified prime p picks a denominator d | m (d > 1), contributing
+    p^(n^2 - n^2/d) to the discriminant, and a numerator coprime to d.
+    dist[r] counts the numerator choices whose invariant sum is r/m mod 1,
+    tracked exactly; lcm is the lcm of the chosen denominators.
     """
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be >= 1")
     if n % m != 0:
         raise ValueError("m must divide n")
-    if bound < 1:
-        return []
-    opts = []
-    for d in _divisors(m):
-        if d == 1:
-            continue
-        weight = n * n - n * n // d
-        residues = tuple((a * (m // d)) % m for a in range(1, d) if gcd(a, d) == 1)
-        opts.append((d, weight, residues))
+    options = [(n * n - n * n // d, (d, [a * (m // d) for a in range(1, d) if gcd(a, d) == 1]))
+               for d in divisors(m)[1:]]
 
-    shard_counts: list[dict[int, int]] = [dict() for _ in range(max(1, shards))]
+    def fold(state, p, option):
+        dist, lcm_f = state
+        d, residues = option
+        ndist = [0] * m
+        for r, cnt in enumerate(dist):
+            if cnt:
+                for s in residues:
+                    ndist[(r + s) % m] += cnt
+        return ndist, lcm(lcm_f, d)
 
-    def ways(dist, lcm_f):
-        total = 0
-        if not division_only or lcm_f == n:
-            total += dist[0]
-        if m % 2 == 0:
-            if not division_only or lcm(lcm_f, 2) == n:
-                total += dist[m // 2]
-        return total
+    # m = 1 has no options: the matrix algebra alone
+    max_p = iroot(max(bound, 0), options[0][0]) if options else 0
+    primes = [int(p) for p in shared_sieve(max(max_p, 2)).primes_upto(max_p)]
+    return squarefree_products(primes, bound, ([1] + [0] * (m - 1), 1), fold,
+                               lambda p: [(p ** w, opt) for w, opt in options])
 
-    def emit(disc, dist, lcm_f, largest):
-        w = ways(dist, lcm_f)
+
+def _completions(node, exact: int | None = None) -> int:
+    """Ways to complete the finite local data (dist, lcm) of a node by the
+    real place (invariant 0, or 1/2 when m = len(dist) is even) to an
+    integral invariant sum; with `exact`, only completions of division degree
+    exactly `exact`."""
+    dist, lcm_f = node
+    m = len(dist)
+    ways = dist[0] if exact in (None, lcm_f) else 0
+    if m % 2 == 0 and exact in (None, lcm(lcm_f, 2)):
+        ways += dist[m // 2]
+    return ways
+
+
+def _csa_disc_counts(m: int, n: int, bound: int) -> list[tuple[int, int]]:
+    """Sorted (disc, multiplicity) pairs of the N_{m,n} census, |disc| <= bound."""
+    counts: dict[int, int] = {}
+    for disc, node in _csa_nodes(m, n, bound):
+        w = _completions(node)
         if w:
-            bucket = shard_counts[largest % max(1, shards)]
-            bucket[disc] = bucket.get(disc, 0) + w
-
-    if not opts:
-        # m = 1: the matrix algebra alone
-        counts = {1: 1} if (not division_only or n == 1) else {}
-        items = sorted(counts.items())
-        return items
-
-    min_weight = min(w for _, w, _ in opts)
-    max_prime = 1
-    while (max_prime + 1) ** min_weight <= bound:
-        max_prime += 1
-    primes = [int(p) for p in shared_sieve(max(max_prime, 2)).primes_upto(max(max_prime, 2))]
-
-    init = [0] * m
-    init[0] = 1
-    emit(1, init, 1, 0)
-
-    def rec(start, disc, dist, lcm_f, largest):
-        for k in range(start, len(primes)):
-            p = primes[k]
-            if disc * p ** min_weight > bound:
-                break
-            for d, weight, residues in opts:
-                nd = disc * p ** weight
-                if nd > bound:
-                    continue
-                ndist = [0] * m
-                for r, cnt in enumerate(dist):
-                    if cnt:
-                        for s in residues:
-                            ndist[(r + s) % m] += cnt
-                nl = lcm(lcm_f, d)
-                emit(nd, ndist, nl, p)
-                rec(k + 1, nd, ndist, nl, p)
-
-    rec(0, 1, init, 1, 0)
-
-    merged: dict[int, int] = {}
-    for bucket in shard_counts:
-        for disc, cnt in bucket.items():
-            merged[disc] = merged.get(disc, 0) + cnt
-    return sorted(merged.items())
+            counts[disc] = counts.get(disc, 0) + w
+    return sorted(counts.items())
 
 
-def census_csa(m: int, n: int, thresholds, shards: int = 1) -> CountTable:
+def census_csa(m: int, n: int, thresholds) -> CountTable:
     """N_{m,n}(x): central simple algebras of dimension n^2 whose division
     degree divides m, counted by exhaustive generation of Hasse data."""
-    thresholds = sorted(int(x) for x in thresholds)
-    pairs = _csa_disc_counts(m, n, thresholds[-1], shards=shards)
-    discs = [d for d, _ in pairs]
-    weights = [w for _, w in pairs]
-    counts = _counts_at_thresholds(discs, weights, thresholds)
-    return CountTable(tuple(thresholds), tuple(counts),
-                      {"kind": "csa", "m": m, "n": n})
+    thresholds = _ascending(thresholds)
+    nodes = _csa_nodes(m, n, thresholds[-1])
+    counts = _counts_at_thresholds(((disc, _completions(node)) for disc, node in nodes),
+                                   thresholds)
+    return CountTable(tuple(thresholds), tuple(counts), csa_spec(m, n))
 
 
-def count_csa(m: int, n: int, x: int, shards: int = 1) -> int:
-    return census_csa(m, n, [x], shards=shards).counts[0]
+def count_csa(m: int, n: int, x: int) -> int:
+    return census_csa(m, n, [x]).counts[0]
 
 
-def census_division(n: int, thresholds, shards: int = 1) -> CountTable:
+def census_division(n: int, thresholds) -> CountTable:
     """Division algebras of dimension n^2, counted two independent ways: a
-    direct enumeration requiring division degree exactly n, and the Moebius
-    inclusion-exclusion over the N_{m,n}.  Raises InternalInconsistency if
-    the routes disagree anywhere."""
+    direct count of the Hasse data of division degree exactly n, and the
+    Moebius inclusion-exclusion over the N_{m,n}.  The m = n term weighs the
+    same nodes as the direct count, in the same pass.  Raises
+    InternalInconsistency if the routes disagree anywhere."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    thresholds = sorted(int(x) for x in thresholds)
-    bound = thresholds[-1]
-    pairs = _csa_disc_counts(n, n, bound, division_only=True, shards=shards)
-    direct = _counts_at_thresholds([d for d, _ in pairs], [w for _, w in pairs], thresholds)
-
-    table = shared_sieve(n)
+    thresholds = _ascending(thresholds)
+    direct = [0] * len(thresholds)
     incl_excl = [0] * len(thresholds)
-    for m in _divisors(n):
+    for disc, node in _csa_nodes(n, n, thresholds[-1]):
+        slot = bisect_left(thresholds, disc)
+        direct[slot] += _completions(node, exact=n)
+        incl_excl[slot] += _completions(node)
+    direct, incl_excl = list(accumulate(direct)), list(accumulate(incl_excl))
+    table = shared_sieve(n)
+    for m in divisors(n)[:-1]:
         mu = table.mu(n // m)
-        if mu == 0:
-            continue
-        sub = census_csa(m, n, thresholds, shards=shards)
-        incl_excl = [a + mu * b for a, b in zip(incl_excl, sub.counts)]
+        if mu:
+            sub = census_csa(m, n, thresholds)
+            incl_excl = [a + mu * b for a, b in zip(incl_excl, sub.counts)]
     if direct != incl_excl:
         raise InternalInconsistency(
             f"division census mismatch: direct {direct} vs inclusion-exclusion {incl_excl}")
-    return CountTable(tuple(thresholds), tuple(direct), {"kind": "division", "n": n})
+    return CountTable(tuple(thresholds), tuple(direct), division_spec(n))
 
 
-def count_division(n: int, x: int, shards: int = 1) -> int:
-    return census_division(n, [x], shards=shards).counts[0]
+def count_division(n: int, x: int) -> int:
+    return census_division(n, [x]).counts[0]
 
 
 # -- fundamental discriminants (vectorized) ---------------------------------
@@ -273,18 +276,12 @@ def count_embedding_quads(algebra: QuaternionAlgebraQ, x: int,
                           not_totally_complex: bool = False) -> int:
     """Number of quadratic fields with |delta| <= x embedding into the
     algebra (no ramified place splits); the option restricts to real fields."""
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    deltas = fundamental_discriminants(x)
-    ok = _embeds_mask(algebra, deltas)
-    if not_totally_complex:
-        ok &= deltas > 0
-    return int(ok.sum())
+    return census_embedding_quads(algebra, [x], not_totally_complex).counts[0]
 
 
 def census_embedding_quads(algebra: QuaternionAlgebraQ, thresholds,
                            not_totally_complex: bool = False) -> CountTable:
-    thresholds = sorted(int(x) for x in thresholds)
+    thresholds = _ascending(thresholds)
     deltas = fundamental_discriminants(thresholds[-1])
     ok = _embeds_mask(algebra, deltas)
     if not_totally_complex:
@@ -292,8 +289,7 @@ def census_embedding_quads(algebra: QuaternionAlgebraQ, thresholds,
     admissible = np.sort(np.abs(deltas[ok]))
     counts = [int(np.searchsorted(admissible, x, side="right")) for x in thresholds]
     return CountTable(tuple(thresholds), tuple(counts),
-                      {"kind": "embed_quads", "ram": sorted(map(repr, algebra.ramification)),
-                       "not_totally_complex": not_totally_complex})
+                      embed_quads_spec(algebra, not_totally_complex))
 
 
 # -- quaternion algebras with prescribed subfields ---------------------------
@@ -305,32 +301,12 @@ def _nonsplit_primes(deltas: tuple[int, ...], limit: int) -> list[int]:
     primes = shared_sieve(limit).primes_upto(limit)
     keep = np.ones(len(primes), dtype=bool)
     for d in deltas:
-        vals = np.array([kronecker_symbol(d, int(p)) for p in primes], dtype=np.int8)
-        keep &= vals != 1
+        # (d|p) is a character of p mod |d|: evaluate it once per class met,
+        # class 0 at |d| itself (kronecker_symbol needs a positive modulus)
+        classes, where = np.unique(primes % abs(d), return_inverse=True)
+        chi = np.array([kronecker_symbol(d, int(c) or abs(d)) for c in classes])
+        keep &= chi[where] != 1
     return [int(p) for p in primes[keep]]
-
-
-def _subfield_census_products(deltas: tuple[int, ...], y: int, shards: int = 1):
-    """Squarefree products q <= y of primes nonsplit in every field, as
-    (q, parity) pairs; q = 1 included."""
-    qs = _nonsplit_primes(deltas, y)
-    buckets: list[list[tuple[int, int]]] = [[] for _ in range(max(1, shards))]
-    buckets[0].append((1, 0))
-
-    def rec(i, prod, t):
-        for k in range(i, len(qs)):
-            p = qs[k]
-            nxt = prod * p
-            if nxt > y:
-                break
-            buckets[p % max(1, shards)].append((nxt, (t + 1) % 2))
-            rec(k + 1, nxt, t + 1)
-
-    rec(0, 1, 0)
-    out = []
-    for b in buckets:
-        out.extend(b)
-    return out
 
 
 def check_independent(deltas) -> None:
@@ -342,29 +318,25 @@ def check_independent(deltas) -> None:
             f"discriminants {tuple(deltas)} satisfy a multiplicative relation mod squares")
 
 
-def census_quat_with_subfields(deltas, thresholds, shards: int = 1) -> CountTable:
+def census_quat_with_subfields(deltas, thresholds) -> CountTable:
     """Quaternion algebras over Q admitting every field Q(sqrt(delta_i)) as a
     maximal subfield, with |disc| <= x.  Ramification stays inside the places
-    nonsplit in every field; when the real place qualifies (all delta_i < 0)
-    it absorbs either parity of the finite part, otherwise only even sets
-    count."""
+    nonsplit in every field, and |disc| = q^2 for the product q of the finite
+    ones; when the real place qualifies (all delta_i < 0) it absorbs either
+    parity of the finite part, otherwise only even sets count."""
     deltas = tuple(int(d) for d in deltas)
     check_independent(deltas)
-    thresholds = sorted(int(x) for x in thresholds)
+    thresholds = _ascending(thresholds)
     y = isqrt(thresholds[-1])
-    infinity_available = all(d < 0 for d in deltas)
-    pairs = _subfield_census_products(deltas, y, shards=shards)
-    if infinity_available:
-        discs = sorted(q * q for q, _ in pairs)
-    else:
-        discs = sorted(q * q for q, t in pairs if t == 0)
-    counts = _counts_at_thresholds(discs, [1] * len(discs), thresholds)
-    return CountTable(tuple(thresholds), tuple(counts),
-                      {"kind": "quat_subfields", "deltas": list(deltas)})
+    any_parity = all(d < 0 for d in deltas)
+    products = squarefree_products(_nonsplit_primes(deltas, y), y, 0, lambda odd, p, _: 1 - odd)
+    counts = _counts_at_thresholds(
+        ((q * q, 1) for q, odd in products if any_parity or not odd), thresholds)
+    return CountTable(tuple(thresholds), tuple(counts), quat_subfields_spec(deltas))
 
 
-def count_quat_with_subfields(deltas, x: int, shards: int = 1) -> int:
-    return census_quat_with_subfields(deltas, [x], shards=shards).counts[0]
+def count_quat_with_subfields(deltas, x: int) -> int:
+    return census_quat_with_subfields(deltas, [x]).counts[0]
 
 
 # -- Dirichlet-coefficient oracle -------------------------------------------
@@ -386,16 +358,14 @@ def dirichlet_coefficients_csa(m: int, n: int, n_max: int) -> list[int]:
     Euler products, with Ramanujan sums as the closed-form numerators."""
     if n % m != 0:
         raise ValueError("m must divide n")
-    weights = [(d, n * n - n * n // d) for d in _divisors(m) if d > 1]
+    weights = [(d, n * n - n * n // d) for d in divisors(m) if d > 1]
     min_w = min((w for _, w in weights), default=None)
     acc = [0] * (n_max + 1)
     for j in range(m):
         arr = [0] * (n_max + 1)
         arr[1] = 1
         if min_w is not None:
-            max_p = int(round(n_max ** (1.0 / min_w))) + 1
-            while max_p ** min_w > n_max:
-                max_p -= 1
+            max_p = iroot(n_max, min_w)
             if max_p >= 2:
                 for p in shared_sieve(max_p).primes_upto(max_p):
                     p = int(p)
@@ -483,7 +453,3 @@ def smallest_inert_stats(x: int) -> dict:
         if ratio > best[0]:
             best = (ratio, int(d), p)
     return {"max_ratio": best[0], "delta": best[1], "prime": best[2], "x": x}
-
-
-def count_squarefree(x: int) -> int:
-    return arith.count_squarefree(x)

@@ -43,12 +43,9 @@ class RunConfig:
     format: str
     out: str | None
     cache_dir: str | None
-    shards: int
     precision: int
 
     def __post_init__(self):
-        if self.shards < 1:
-            raise ValueError("--shards must be >= 1")
         if self.precision < 64:
             raise ValueError("--precision must be >= 64 bits")
 
@@ -93,12 +90,16 @@ def _table_payload(table: CountTable):
     }
 
 
-def _cached_census(cfg: RunConfig, spec: dict, compute):
+def _cached_census(cfg: RunConfig, spec: dict, thresholds: list[int], compute):
+    """The census table for spec at thresholds, from the cache when warm; the
+    cache key is the spec plus the thresholds."""
     cache = CensusCache(cfg.cache_dir)
-    table = cache.load(spec)
-    if table is None:
-        table = compute()
-        cache.store(spec, table)
+    key = {**spec, "thresholds": thresholds}
+    cached = cache.load(key)
+    if cached is not None:
+        return CountTable(cached.thresholds, cached.counts, spec)
+    table = compute()
+    cache.store(key, table)
     return table
 
 
@@ -111,31 +112,23 @@ def _thresholds(args) -> list[int]:
 # -- subcommand handlers -----------------------------------------------------
 
 def _cmd_census(args, cfg: RunConfig) -> int:
+    xs = _thresholds(args)
     if args.census_cmd == "csa":
-        spec = {"kind": "csa", "m": args.m, "n": args.n, "thresholds": _thresholds(args)}
-        table = _cached_census(cfg, spec,
-                               lambda: census.census_csa(args.m, args.n,
-                                                         _thresholds(args), cfg.shards))
+        table = _cached_census(cfg, census.csa_spec(args.m, args.n), xs,
+                               lambda: census.census_csa(args.m, args.n, xs))
     elif args.census_cmd == "division":
-        spec = {"kind": "division", "n": args.n, "thresholds": _thresholds(args)}
-        table = _cached_census(cfg, spec,
-                               lambda: census.census_division(args.n, _thresholds(args),
-                                                              cfg.shards))
+        table = _cached_census(cfg, census.division_spec(args.n), xs,
+                               lambda: census.census_division(args.n, xs))
     elif args.census_cmd == "embed-quads":
         b = parse_ram_set(args.b)
-        spec = {"kind": "embed_quads", "ram": format_ram_set(b.ramification),
-                "ntc": args.not_totally_complex, "thresholds": _thresholds(args)}
-        table = _cached_census(cfg, spec,
-                               lambda: census.census_embedding_quads(
-                                   b, _thresholds(args), args.not_totally_complex))
+        ntc = args.not_totally_complex
+        table = _cached_census(cfg, census.embed_quads_spec(b, ntc), xs,
+                               lambda: census.census_embedding_quads(b, xs, ntc))
     elif args.census_cmd == "quat-subfields":
         deltas = _parse_int_list(args.fields)
-        spec = {"kind": "quat_subfields", "deltas": deltas, "thresholds": _thresholds(args)}
-        table = _cached_census(cfg, spec,
-                               lambda: census.census_quat_with_subfields(
-                                   deltas, _thresholds(args), cfg.shards))
+        table = _cached_census(cfg, census.quat_subfields_spec(deltas), xs,
+                               lambda: census.census_quat_with_subfields(deltas, xs))
     else:  # fund-disc
-        xs = _thresholds(args)
         counts = [census.fundamental_discriminant_count(x) for x in xs]
         table = CountTable(tuple(xs), tuple(counts), {"kind": "fund_disc"})
     _emit(_table_payload(table), cfg, csv_rows=table.rows(), csv_header="x,count")
@@ -160,11 +153,11 @@ def _cmd_predict(args, cfg: RunConfig) -> int:
         xs = _thresholds(args)
         if kind == "division":
             n = int(rest)
-            table = census.census_division(n, xs, cfg.shards)
+            table = census.census_division(n, xs)
             rows = asymptotics.prediction_report(table, ("division", n), args.cutoff)
         elif kind == "embed":
             deltas = _parse_int_list(rest)
-            table = census.census_quat_with_subfields(deltas, xs, cfg.shards)
+            table = census.census_quat_with_subfields(deltas, xs)
             rows = asymptotics.prediction_report(table, ("embed", deltas), args.cutoff)
         elif kind == "quads":
             b = parse_ram_set(rest)
@@ -295,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json"), default=None)
     parser.add_argument("--out", default=None)
     parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--shards", type=int, default=1)
     parser.add_argument("--precision", type=int, default=80,
                         help="working precision in bits (>= 64)")
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -432,7 +424,7 @@ def main(argv=None) -> int:
     try:
         fmt = args.format or ("csv" if args.cmd in _CSV_DEFAULT else "json")
         cfg = RunConfig(format=fmt, out=args.out, cache_dir=args.cache_dir,
-                        shards=args.shards, precision=args.precision)
+                        precision=args.precision)
         mp.prec = max(mp.prec, cfg.precision)
         return _HANDLERS[args.cmd](args, cfg)
     except (InternalInconsistency, NotFoundWithinBound) as exc:

@@ -15,14 +15,22 @@ from dataclasses import dataclass
 
 from mpmath import mp
 
-from .arith import PRECISION_BITS, InvalidDiscriminant, pell_fundamental, zeta_k_at_2
+from .arith import (
+    PRECISION_BITS,
+    InvalidDiscriminant,
+    add_prime,
+    pell_fundamental,
+    shared_sieve,
+    squarefree_products,
+    zeta_k_at_2,
+)
 from .brauer import (
     QuaternionAlgebraL,
     QuaternionAlgebraQ,
     descends,
     is_restriction,
 )
-from .census import fundamental_discriminants, _embeds_mask
+from .census import _embeds_mask, _nonsplit_primes, fundamental_discriminants
 from .fields import QuadraticField, regulator
 
 
@@ -200,30 +208,11 @@ class CommensurabilityClass:
 def _indefinite_algebras_by_coarea_bound(prod_bound: float):
     """All indefinite quaternion algebras over Q whose ramified primes p have
     prod(p - 1) <= prod_bound, as sorted prime tuples (even cardinality)."""
-    if prod_bound < 1:
-        return []
-    limit = int(prod_bound) + 1
-    from .arith import shared_sieve
-
-    primes = [int(p) for p in shared_sieve(max(limit, 4)).primes_upto(max(limit, 4))
-              if p - 1 <= prod_bound]
-    out = []
-
-    def rec(start, prod, chosen):
-        if len(chosen) % 2 == 0:
-            out.append(tuple(chosen))
-        for k in range(start, len(primes)):
-            p = primes[k]
-            if prod * (p - 1) > prod_bound:
-                if p > 2:
-                    break
-                continue
-            chosen.append(p)
-            rec(k + 1, prod * (p - 1), chosen)
-            chosen.pop()
-
-    rec(0, 1.0, [])
-    return sorted(out)
+    limit = max(int(prod_bound) + 1, 4)
+    primes = [int(p) for p in shared_sieve(limit).primes_upto(limit)]
+    return sorted(chosen for _, chosen in squarefree_products(
+        primes, prod_bound, (), add_prime, lambda p: ((p - 1, None),))
+        if len(chosen) % 2 == 0)
 
 
 def fuchsian_classes(volume: float) -> list[CommensurabilityClass]:
@@ -318,31 +307,12 @@ def surface_census(algebra_l: QuaternionAlgebraL, x: int, volume: float = 1.0,
         base_disc *= p
     if base_disc ** 2 > x:
         return []
-    from .arith import kronecker_symbol, shared_sieve
-
-    y = math.isqrt(x)
-    rest = y // base_disc
-    pool = [int(p) for p in shared_sieve(max(rest, 4)).primes_upto(max(rest, 2))
-            if p not in desc and kronecker_symbol(field.delta, int(p)) != 1]
-    need_parity = len(base) % 2
-    found: list[tuple[int, tuple[int, ...]]] = []
-    if need_parity == 0:
-        found.append((base_disc, tuple(base)))
-
-    def rec(start, prod, chosen):
-        for k in range(start, len(pool)):
-            p = pool[k]
-            nxt = prod * p
-            if nxt > rest:
-                break
-            chosen.append(p)
-            if len(chosen) % 2 == need_parity:
-                found.append((base_disc * nxt, tuple(sorted(base + chosen))))
-            rec(k + 1, nxt, chosen)
-            chosen.pop()
-
-    rec(0, 1, [])
-    found.sort()
+    rest = math.isqrt(x) // base_disc
+    pool = [p for p in _nonsplit_primes((field.delta,), rest) if p not in desc]
+    # the added primes must make the ramified set even
+    found = sorted((base_disc * q, tuple(sorted(base + list(chosen))))
+                   for q, chosen in squarefree_products(pool, rest, (), add_prime)
+                   if len(chosen) % 2 == len(base) % 2)
     out = []
     ecv = math.exp(const_c * volume)
     for disc, primes in found:

@@ -17,7 +17,14 @@ from itertools import combinations
 
 from mpmath import mp
 
-from .arith import chebyshev_theta, kronecker_symbol, shared_sieve
+from .arith import (
+    add_prime,
+    chebyshev_theta,
+    kronecker_symbol,
+    shared_sieve,
+    squarefree_products,
+    squarefree_kernel,
+)
 from .brauer import (
     QuaternionAlgebraL,
     QuaternionAlgebraQ,
@@ -168,23 +175,8 @@ def _all_quaternion_algebras(x: int) -> list[QuaternionAlgebraQ]:
     q; the parity of the finite part fixes the real place)."""
     y = math.isqrt(x)
     primes = [int(p) for p in shared_sieve(max(y, 4)).primes_upto(max(y, 2))]
-    qs: list[tuple[int, tuple[int, ...]]] = [(1, ())]
-
-    def rec(start, prod, chosen):
-        for k in range(start, len(primes)):
-            p = primes[k]
-            nxt = prod * p
-            if nxt > y:
-                break
-            chosen.append(p)
-            qs.append((nxt, tuple(chosen)))
-            rec(k + 1, nxt, chosen)
-            chosen.pop()
-
-    rec(0, 1, [])
-    qs.sort()
     return [QuaternionAlgebraQ.from_primes(fs, include_infinity=len(fs) % 2 == 1)
-            for _, fs in qs]
+            for _, fs in sorted(squarefree_products(primes, y, (), add_prime))]
 
 
 def rigidity_scan(x: int, delta_max: int = 10 ** 6,
@@ -306,8 +298,6 @@ def length_preserving_family(algebra: QuaternionAlgebraQ, deltas, count: int
             raise ValueError(f"field {d} does not embed in {algebra}")
     # infinitude of common nonsplit primes fails exactly on an odd-order
     # square relation among the discriminants
-    from .arith import squarefree_kernel
-
     for k in range(1, len(deltas) + 1, 2):
         for combo in combinations(deltas, k):
             if squarefree_kernel(math.prod(combo)) == 1:

@@ -196,14 +196,14 @@ def test_criterion_12_limit_pairs():
     _report(12, f"limit pairs for m = 2..13 replay exactly, {elapsed:.1f}s")
 
 
-def test_criterion_13_surface_census_cross_check():
+def test_criterion_13_surface_census_cross_check(brute_quaternion_algebras):
     x = 10 ** 8
     qi = make_field(-4)
     bl = parse_ram_set_l("5.1,5.2", qi)
     rows = surface_census(bl, x)
     count = len(rows)
     # independent enumeration: restrict-and-compare over all indefinite algebras
-    brute = sum(1 for b in _all_quaternion_algebras(x)
+    brute = sum(1 for b in brute_quaternion_algebras(x)
                 if not b.ramified_at_infinity and is_restriction(b, qi, bl))
     assert count == brute
     # engine-based prediction: the subfield census at the 5-scaled threshold,

@@ -1,8 +1,11 @@
+import itertools
 import math
 import random
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from quatrig import arith
@@ -13,12 +16,16 @@ from quatrig.arith import (
     class_number_imaginary,
     count_squarefree,
     dirichlet_L,
+    divisors,
+    factorize,
+    iroot,
     is_fundamental_discriminant,
     kronecker_symbol,
     pell_fundamental,
     ramanujan_sum,
     sieve,
     squarefree_kernel,
+    squarefree_products,
     zeta_k_at_2,
 )
 
@@ -277,3 +284,55 @@ def test_pell_identities_full_range():
             s = pell_fundamental(delta)
             assert s.t * s.t - delta * s.u * s.u == 4 * s.norm
             assert s.t1 * s.t1 - delta * s.u1 * s.u1 == 4
+
+
+def _brute_factor_count(q, allowed):
+    """Number of prime factors of q if q is squarefree with every prime
+    factor in `allowed`, else None; plain trial division."""
+    count, p = 0, 2
+    while q > 1:
+        if q % p == 0:
+            q //= p
+            if q % p == 0 or p not in allowed:
+                return None
+            count += 1
+        p += 1
+    return count
+
+
+@settings(max_examples=60, deadline=None)
+@given(bound=st.integers(-3, 3000), allowed=st.sets(st.sampled_from(
+    [p for p in range(2, 60) if all(p % d for d in range(2, p))] + [1999, 2003, 2999])))
+def test_squarefree_products_match_brute_filter(bound, allowed):
+    primes = sorted(allowed)
+    got = sorted(squarefree_products(primes, bound, 0, lambda odd, p, _: 1 - odd))
+    want = [(q, c % 2) for q in range(1, bound + 1)
+            if (c := _brute_factor_count(q, allowed)) is not None]
+    assert got == want
+
+
+def test_squarefree_products_options_and_state():
+    # each prime contributes p (tag 1) or p^2 (tag 2); the state records the choices
+    primes, bound = [2, 3, 5, 7], 200
+    got = sorted(squarefree_products(primes, bound, (), lambda c, p, tag: c + ((p, tag),),
+                                     lambda p: ((p, 1), (p * p, 2))))
+    want = []
+    for tags in itertools.product((0, 1, 2), repeat=len(primes)):
+        chosen = tuple((p, t) for p, t in zip(primes, tags) if t)
+        q = math.prod(p ** t for p, t in chosen)
+        if q <= bound:
+            want.append((q, chosen))
+    assert got == sorted(want)
+
+
+def test_factorize_and_derived_helpers():
+    assert factorize(1) == []
+    assert factorize(-360) == [(2, 3), (3, 2), (5, 1)]
+    assert factorize(999983) == [(999983, 1)]
+    for n in range(1, 500):
+        assert math.prod(p ** e for p, e in factorize(n)) == n
+    assert divisors(12) == [1, 2, 3, 4, 6, 12]
+    for n in (0, 1, 7, 8, 26, 27, 10 ** 15, 10 ** 15 - 1, 3 ** 40):
+        for k in (2, 3, 6):
+            r = iroot(n, k)
+            assert r ** k <= n < (r + 1) ** k

@@ -156,31 +156,9 @@ def test_no_complex_ramification():
         parse_ram_set_l("inf.1,inf.2", qi)  # no real places to name
 
 
-def _all_quaternions(max_disc):
-    import math
-
-    out = [QuaternionAlgebraQ(frozenset())]
-    y = math.isqrt(max_disc)
-    primes = [p for p in range(2, y + 1) if all(p % d for d in range(2, p))]
-
-    def rec(start, prod, chosen):
-        for k in range(start, len(primes)):
-            p = primes[k]
-            if prod * p > y:
-                break
-            chosen.append(p)
-            out.append(QuaternionAlgebraQ.from_primes(
-                chosen, include_infinity=len(chosen) % 2 == 1))
-            rec(k + 1, prod * p, chosen)
-            chosen.pop()
-
-    rec(0, 1, [])
-    return out
-
-
-def test_abhn_triple_equivalence_small():
+def test_abhn_triple_equivalence_small(brute_quaternion_algebras):
     # module-scale version; the acceptance suite runs the full range
-    algebras = _all_quaternions(900)
+    algebras = brute_quaternion_algebras(900)
     deltas = [d for d in range(-80, 80) if is_fundamental_discriminant(d)]
     for b in algebras:
         for d in deltas:
@@ -192,8 +170,8 @@ def test_abhn_triple_equivalence_small():
             assert via_embeds == via_restrict == via_scan
 
 
-def test_descent_roundtrip_small():
-    algebras = _all_quaternions(900)
+def test_descent_roundtrip_small(brute_quaternion_algebras):
+    algebras = brute_quaternion_algebras(900)
     deltas = [d for d in range(-60, 60) if is_fundamental_discriminant(d)]
     for b in algebras:
         for d in deltas:
@@ -224,7 +202,7 @@ def test_invariant_sum_and_disc_structure():
             assert d % place.p ** e == 0
 
 
-def test_quaternion_self_opposite():
-    for b in _all_quaternions(400):
+def test_quaternion_self_opposite(brute_quaternion_algebras):
+    for b in brute_quaternion_algebras(400):
         csa = b.as_csa()
         assert iso(csa, opposite(csa))

@@ -3,7 +3,7 @@ import pytest
 
 from quatrig import census
 from quatrig.arith import count_squarefree, is_fundamental_discriminant
-from quatrig.brauer import QuaternionAlgebraQ, parse_ram_set
+from quatrig.brauer import parse_ram_set
 from quatrig.census import (
     CountTable,
     DependentDiscriminants,
@@ -109,33 +109,14 @@ def test_count_quat_with_subfields_spec_values():
         count_quat_with_subfields([-3, 5, -15], 100)
 
 
-def test_quat_subfields_brute_oracle():
+def test_quat_subfields_brute_oracle(brute_quaternion_algebras):
     # brute force over all quaternion algebras with |disc| <= x
     from quatrig.brauer import embeds
     from quatrig.fields import QuadraticField
 
     x = 40000
     fields = [QuadraticField(-4)]
-    brute = 0
-    y = math.isqrt(x)
-    primes = [p for p in range(2, y + 1) if all(p % d for d in range(2, p))]
-    sets = [()]
-
-    def rec(start, prod, chosen):
-        for k in range(start, len(primes)):
-            p = primes[k]
-            if prod * p > y:
-                break
-            chosen.append(p)
-            sets.append(tuple(chosen))
-            rec(k + 1, prod * p, chosen)
-            chosen.pop()
-
-    rec(0, 1, [])
-    for s in sets:
-        b = QuaternionAlgebraQ.from_primes(s, include_infinity=len(s) % 2 == 1)
-        if all(embeds(f, b) for f in fields):
-            brute += 1
+    brute = sum(1 for b in brute_quaternion_algebras(x) if all(embeds(f, b) for f in fields))
     assert count_quat_with_subfields([-4], x) == brute
 
 
@@ -186,14 +167,16 @@ def test_smallest_inert_prime():
     assert stats["max_ratio"] > 0 and stats["prime"] >= 2
 
 
-def test_shard_invariance():
-    for shards in (1, 2, 3, 7):
-        assert census_csa(2, 2, [10 ** 4], shards=shards).counts == \
-            census_csa(2, 2, [10 ** 4], shards=1).counts
-        assert census_division(3, [10 ** 7], shards=shards).counts == \
-            census_division(3, [10 ** 7], shards=1).counts
-        assert census_quat_with_subfields([-4], [10 ** 4], shards=shards).counts == \
-            census_quat_with_subfields([-4], [10 ** 4], shards=1).counts
+def test_census_inputs_validated():
+    with pytest.raises(ValueError, match="m and n must be >= 1"):
+        census_csa(0, 3, [100])
+    for bad in ([0], [-5, 100], []):
+        for run in (lambda xs: census_csa(2, 2, xs),
+                    lambda xs: census_division(2, xs),
+                    lambda xs: census_embedding_quads(parse_ram_set("2,inf"), xs),
+                    lambda xs: census_quat_with_subfields([-4], xs)):
+            with pytest.raises(ValueError, match="x must be >= 1"):
+                run(bad)
 
 
 def test_census_determinism():

@@ -45,6 +45,9 @@ def test_validation_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["census", "division", "--n", "2", "--x", "100", "--bogus-flag"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--shards", "2", "census", "division", "--n", "2", "--x", "100"])
+    assert exc.value.code == 2
 
 
 def test_invariant_violation_exit_3(capsys):
@@ -61,14 +64,23 @@ def test_out_file(capsys, tmp_path):
 
 
 def test_warm_cache_byte_identical(capsys, tmp_path):
-    argv = ["--cache-dir", str(tmp_path), "census", "csa",
-            "--m", "2", "--n", "2", "--x", "1000", "--thresholds", "10,100,1000"]
-    code1, out1 = run(capsys, argv)
-    assert code1 == 0
-    assert len(list(tmp_path.iterdir())) == 1
-    code2, out2 = run(capsys, argv)
-    assert code2 == 0
-    assert out1 == out2
+    censuses = {
+        "csa": ["csa", "--m", "2", "--n", "2"],
+        "division": ["division", "--n", "2"],
+        "embed-quads": ["embed-quads", "--b", "2,inf"],
+        "quat-subfields": ["quat-subfields", "--fields=-4"],
+    }
+    for name, args in censuses.items():
+        for fmt in ("csv", "json"):
+            cache_dir = tmp_path / f"{name}-{fmt}"
+            argv = ["--format", fmt, "--cache-dir", str(cache_dir), "census", *args,
+                    "--x", "1000", "--thresholds", "10,100,1000"]
+            code1, out1 = run(capsys, argv)
+            assert code1 == 0
+            assert len(list(cache_dir.iterdir())) == 1
+            code2, out2 = run(capsys, argv)
+            assert code2 == 0
+            assert out1 == out2, (name, fmt)
 
 
 def test_cache_corruption_detected(capsys, tmp_path):
@@ -81,20 +93,21 @@ def test_cache_corruption_detected(capsys, tmp_path):
     assert main(argv) == 2
 
 
-def test_shards_identical_output(capsys, tmp_path):
-    outs = []
-    for k in ("1", "3"):
-        code, out = run(capsys, ["--cache-dir", str(tmp_path / k), "--shards", k,
-                                 "census", "quat-subfields", "--fields", "-4",
-                                 "--x", "100000"])
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
-
-
-def test_shard_validation(capsys):
-    assert main(["--shards", "0", "census", "division", "--n", "2", "--x", "100"]) == 2
+def test_precision_validation(capsys):
     assert main(["--precision", "32", "census", "division", "--n", "2", "--x", "100"]) == 2
+
+
+def test_census_inputs_validated(capsys):
+    assert main(["census", "csa", "--m", "0", "--n", "3", "--x", "100"]) == 2
+    assert "m and n must be >= 1" in capsys.readouterr().err
+    for args in (["csa", "--m", "2", "--n", "2", "--x", "0"],
+                 ["division", "--n", "2", "--x", "-5"],
+                 ["division", "--n", "2", "--x", "100", "--thresholds", "0,100"],
+                 ["embed-quads", "--b", "2,inf", "--x", "0"],
+                 ["quat-subfields", "--fields=-4", "--x", "-1"],
+                 ["fund-disc", "--x", "0"]):
+        assert main(["census", *args]) == 2, args
+        assert "x must be >= 1" in capsys.readouterr().err, args
 
 
 def test_geodesics_cli(capsys):

@@ -171,15 +171,14 @@ def test_surface_census_spec_values():
     assert surface_census(non_desc, 10 ** 6) == []
 
 
-def test_surface_census_independent_check():
+def test_surface_census_independent_check(brute_quaternion_algebras):
     from quatrig.brauer import is_restriction
-    from quatrig.rigidity import _all_quaternion_algebras
 
     qi = make_field(-4)
     bl = parse_ram_set_l("5.1,5.2", qi)
     x = 10 ** 6
     rows = surface_census(bl, x)
-    brute = [b for b in _all_quaternion_algebras(x)
+    brute = [b for b in brute_quaternion_algebras(x)
              if not b.ramified_at_infinity and is_restriction(b, qi, bl)]
     assert sorted(r.algebra.finite_primes for r in rows) == \
         sorted(b.finite_primes for b in brute)

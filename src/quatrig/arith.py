@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 
 import numpy as np
-from mpmath import mp, mpf
+from mpmath import mp
 
 PRECISION_BITS = 80
 
@@ -58,6 +59,55 @@ def kronecker_symbol(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
+
+
+@lru_cache(maxsize=64)
+def _residue_table(p: int) -> np.ndarray:
+    """(r|p) for every residue r mod an odd prime p."""
+    t = np.full(p, -1, dtype=np.int8)
+    t[0] = 0
+    t[np.arange(1, p // 2 + 1, dtype=np.int64) ** 2 % p] = 1
+    return t
+
+
+def _legendre(r: np.ndarray, p: int) -> np.ndarray:
+    """(r|p) for residues r mod an odd prime p: a lookup in the table of all p
+    residues, or Euler's criterion per distinct residue where that table
+    would dwarf the input."""
+    if p <= max(2 * r.size, 1 << 20):
+        return _residue_table(p)[r]
+    vals, where = np.unique(r, return_inverse=True)
+    chi = [0 if v == 0 else 1 if pow(v, p // 2, p) == 1 else -1 for v in vals.tolist()]
+    return np.array(chi, dtype=np.int8)[where].reshape(r.shape)
+
+
+# chi_e(n mod 8) for the 2-part e of a fundamental discriminant; chi_8(a) = (a|2)
+_TWO_PARTS = {e: np.array(t, dtype=np.int8) for e, t in (
+    (1, [1] * 8), (-4, [0, 1, 0, -1] * 2), (8, [0, 1, 0, -1, 0, -1, 0, 1]),
+    (-8, [0, 1, 0, 1, 0, -1, 0, -1]))}
+
+
+def kronecker_vec(a, n) -> np.ndarray:
+    """Kronecker symbols (a|n) as int8, vectorized in either argument: an
+    array of a at a prime n, by a table of residues mod n (mod 8 for n = 2);
+    or a fundamental discriminant a (or 1) at an array of positive n, where
+    chi_a is the product of the characters of its prime discriminants: (n|p)
+    for each odd p | a, and one of a few characters mod 8 for the 2-part."""
+    if np.ndim(n) == 0:
+        p = int(n)
+        if factorize(p) != [(p, 1)]:
+            raise ValueError(f"{p} is not prime")
+        return _TWO_PARTS[8][np.asarray(a) % 8] if p == 2 else _legendre(np.asarray(a) % p, p)
+    n = np.asarray(n)
+    out = np.ones(n.shape, dtype=np.int8)
+    two_part = a
+    for p, _ in factorize(a):
+        if p > 2:
+            out *= _legendre(n % p, p)
+            two_part //= p if p % 4 == 1 else -p
+    if two_part not in _TWO_PARTS:
+        raise InvalidDiscriminant(f"{a} is not a fundamental discriminant")
+    return out * _TWO_PARTS[two_part][n % 8]
 
 
 def is_fundamental_discriminant(d: int) -> bool:
@@ -159,8 +209,8 @@ def add_prime(chosen: tuple, p: int, _tag) -> tuple:
 class SieveTable:
     """Multiplicative data for 1..limit; immutable once built.
 
-    Stores mu, phi, squarefree flags and the prime list as numpy arrays,
-    shared freely across threads.
+    Stores mu, squarefree flags and the prime list as numpy arrays, shared
+    freely across threads.
     """
 
     def __init__(self, limit: int):
@@ -179,22 +229,16 @@ class SieveTable:
 
         mu = np.ones(n, dtype=np.int8)
         mu[0] = 0
-        phi = np.arange(n, dtype=np.int64)
         for p in self.primes:
             p = int(p)
             mu[p::p] *= -1
-            phi[p::p] -= phi[p::p] // p
             if p * p <= limit:
                 mu[p * p::p * p] = 0
         self._mu = mu
-        self._phi = phi
         self._squarefree = mu != 0
 
     def mu(self, n: int) -> int:
         return int(self._mu[n])
-
-    def phi(self, n: int) -> int:
-        return int(self._phi[n])
 
     def is_squarefree(self, n: int) -> bool:
         return bool(self._squarefree[n])
@@ -244,6 +288,11 @@ def count_squarefree(x: int) -> int:
     return int(np.count_nonzero(table.squarefree_flags()[1:x + 1]))
 
 
+def euler_phi(n: int) -> int:
+    """Euler's totient of n >= 1, from its factorization."""
+    return math.prod(p ** (e - 1) * (p - 1) for p, e in factorize(n))
+
+
 def ramanujan_sum(q: int, j: int) -> int:
     """c_q(j), the sum of j-th powers of the primitive q-th roots of unity,
     evaluated in closed form."""
@@ -255,7 +304,7 @@ def ramanujan_sum(q: int, j: int) -> int:
     m = table.mu(qg)
     if m == 0:
         return 0
-    return m * table.phi(q) // table.phi(qg)
+    return m * euler_phi(q) // euler_phi(qg)
 
 
 def chebyshev_theta(x: float) -> float:
@@ -384,11 +433,6 @@ def class_number_imaginary(delta: int) -> int:
     return count
 
 
-def _chi_values(delta: int) -> list[int]:
-    q = abs(delta)
-    return [0] + [kronecker_symbol(delta, a) for a in range(1, q)]
-
-
 def dirichlet_L(delta: int, s: int):
     """L(s, chi_delta) for a fundamental discriminant delta != 1, s in {1, 2},
     to absolute error well below 1e-9.
@@ -403,50 +447,17 @@ def dirichlet_L(delta: int, s: int):
     if s not in (1, 2):
         raise ValueError("s must be 1 or 2")
     with mp.workprec(PRECISION_BITS):
-        if s == 1:
-            if delta < 0:
-                h = class_number_imaginary(delta)
-                w = 6 if delta == -3 else 4 if delta == -4 else 2
-                return 2 * mp.pi * h / (w * mp.sqrt(-delta))
-            q = delta
-            chi = _chi_values(delta)
-            total = mp.mpf(0)
-            for a in range(1, q):
-                if chi[a]:
-                    total += chi[a] * mp.log(mp.sin(mp.pi * a / q))
-            return -total / mp.sqrt(q)
+        if s == 1 and delta < 0:
+            h = class_number_imaginary(delta)
+            w = 6 if delta == -3 else 4 if delta == -4 else 2
+            return 2 * mp.pi * h / (w * mp.sqrt(-delta))
         q = abs(delta)
-        chi = _chi_values(delta)
         total = mp.mpf(0)
-        for a in range(1, q):
-            if chi[a]:
-                total += chi[a] * mp.zeta(2, mp.mpf(a) / q)
-        return total / q ** 2
-
-
-def dirichlet_L1_character_sum(delta: int):
-    """Independent finite-character-sum evaluation of L(1, chi_delta) for
-    delta < 0: pi * |sum chi(a) a| / |delta|^(3/2).  Cross-check route."""
-    if delta >= 0 or not is_fundamental_discriminant(delta):
-        raise InvalidDiscriminant(f"{delta} is not a negative fundamental discriminant")
-    q = -delta
-    total = sum(a * kronecker_symbol(delta, a) for a in range(1, q))
-    with mp.workprec(PRECISION_BITS):
-        return -mp.pi * total / mpf(q) ** mpf(1.5)
-
-
-def dirichlet_L1_digamma(delta: int):
-    """Independent digamma-sum evaluation of L(1, chi): -(1/q) sum chi(a) psi(a/q)."""
-    if not is_fundamental_discriminant(delta):
-        raise InvalidDiscriminant(f"{delta} is not a fundamental discriminant")
-    q = abs(delta)
-    chi = _chi_values(delta)
-    with mp.workprec(PRECISION_BITS):
-        total = mp.mpf(0)
-        for a in range(1, q):
-            if chi[a]:
-                total += chi[a] * mp.digamma(mp.mpf(a) / q)
-        return -total / q
+        for a, chi in enumerate(kronecker_vec(delta, np.arange(1, q)).tolist(), 1):
+            if chi:
+                total += chi * (mp.log(mp.sin(mp.pi * a / q)) if s == 1
+                                else mp.zeta(2, mp.mpf(a) / q))
+        return -total / mp.sqrt(q) if s == 1 else total / q ** 2
 
 
 def zeta_k_at_2(delta: int):

@@ -23,6 +23,8 @@ from .arith import (
     divisors,
     factorize,
     kronecker_symbol,
+    kronecker_vec,
+    ramanujan_sum,
     shared_sieve,
     squarefree_kernel,
 )
@@ -62,8 +64,6 @@ def delta_mn(m: int, n: int, cutoff: int) -> EulerProductValue:
     ell = factorize(n)[0][0]  # least prime factor
     if m % ell != 0:
         return EulerProductValue(0.0, cutoff, 0.0)
-    from .arith import ramanujan_sum
-
     extra = [(d, (1 - 1 / d) / (1 - 1 / ell)) for d in divisors(m) if d > ell]
     primes = shared_sieve(cutoff).primes_upto(cutoff)
     total = 0.0
@@ -129,14 +129,6 @@ def embed_quads_lower_bound(algebra: QuaternionAlgebraQ) -> EmbedLowerBound:
     return EmbedLowerBound(Fraction(1, 2 ** r_b))
 
 
-def _nonsplit_split_partition(delta: int, primes):
-    split, inert, ram = [], [], []
-    for p in primes:
-        k = kronecker_symbol(delta, int(p))
-        (split if k == 1 else inert if k == -1 else ram).append(int(p))
-    return split, inert, ram
-
-
 def embed_constant_r1(delta: int, cutoff: int = 10 ** 6) -> EulerProductValue:
     """Growth constant for quaternion algebras admitting one fixed quadratic
     subfield: the compact r = 1 product divided by Gamma(1/2), the latter
@@ -144,7 +136,8 @@ def embed_constant_r1(delta: int, cutoff: int = 10 ** 6) -> EulerProductValue:
     confirmed by the census ratios)."""
     lval = float(dirichlet_L(delta, 1))
     primes = shared_sieve(cutoff).primes_upto(cutoff)
-    _, inert, ram = _nonsplit_split_partition(delta, primes.tolist())
+    chi = kronecker_vec(delta, primes)
+    inert, ram = primes[chi == -1].tolist(), primes[chi == 0].tolist()
     logs = [0.5 * math.log1p(-1.0 / (p * p)) for p in inert + ram]
     logs += [0.5 * math.log1p(1.0 / p) for p in ram]
     r1p = 1 if delta < 0 else 0
@@ -235,31 +228,29 @@ def prediction_report(table: CountTable, model: tuple, cutoff: int = 10 ** 6) ->
     """count/model ratios for a census table.
 
     model is ("division", n), ("embed", deltas) or ("quads", algebra); the
-    quads rows also carry the proven lower bound for count/x.
+    quads rows also carry the proven lower bound for count/x.  A model that
+    is zero or undefined at some x (log x = 0 at x = 1) raises ValueError.
     """
     kind = model[0]
-    rows = []
+    if kind == "quads":
+        lb = embed_quads_lower_bound(model[1])
+        return [{"x": x, "count": c, "count_over_x": c / x, "lower_bound": lb.value,
+                 "meets_bound": c / x >= lb.value - 0.002} for x, c in table.rows()]
     if kind == "division":
-        n = model[1]
-        const = delta_n(n, cutoff)
-        for x, c in table.rows():
-            rows.append({"x": x, "count": c, "model": model_division(n, x, const),
-                         "ratio": c / model_division(n, x, const)})
+        model_fn, arg = model_division, model[1]
+        const = delta_n(arg, cutoff)
     elif kind == "embed":
         deltas = tuple(model[1])
+        model_fn, arg = model_embed, len(deltas)
         const = (embed_constant_r1(deltas[0], cutoff) if len(deltas) == 1
                  else embed_constant_general(deltas, cutoff))
-        r = len(deltas)
-        for x, c in table.rows():
-            mv = model_embed(r, x, const)
-            rows.append({"x": x, "count": c, "model": mv, "ratio": c / mv})
-    elif kind == "quads":
-        algebra = model[1]
-        lb = embed_quads_lower_bound(algebra)
-        for x, c in table.rows():
-            rows.append({"x": x, "count": c, "count_over_x": c / x,
-                         "lower_bound": lb.value,
-                         "meets_bound": c / x >= lb.value - 0.002})
     else:
         raise ValueError(f"unknown model {kind!r}")
+    rows = []
+    for x, c in table.rows():
+        try:
+            mv = model_fn(arg, x, const)
+            rows.append({"x": x, "count": c, "model": mv, "ratio": c / mv})
+        except ZeroDivisionError:
+            raise ValueError(f"the {kind} model is zero or undefined at x = {x}") from None
     return rows

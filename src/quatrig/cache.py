@@ -1,6 +1,7 @@
 """Census cache: one file per census spec, keyed by a content hash of the
 canonical spec JSON plus the artifact version.  The file is a CSV table with
-a JSON header line; a content hash in the header detects corruption."""
+a JSON header line; a content hash in the header detects corruption.  Files
+are renamed into place once written; an unparsable header line is a miss."""
 
 from __future__ import annotations
 
@@ -47,8 +48,12 @@ class CensusCache:
             return None
         text = path.read_text()
         header_line, _, body = text.partition("\n")
-        header = json.loads(header_line)
-        if header.get("version") != VERSION or header.get("spec") != canonical_spec(spec):
+        try:
+            header = json.loads(header_line)
+        except ValueError:  # empty, or cut off inside the header line
+            return None
+        if (not isinstance(header, dict) or header.get("version") != VERSION
+                or header.get("spec") != canonical_spec(spec)):
             return None
         digest = hashlib.sha256(body.encode()).hexdigest()
         if digest != header.get("content_sha256"):
@@ -67,5 +72,7 @@ class CensusCache:
             "content_sha256": hashlib.sha256(body.encode()).hexdigest(),
         }
         path = self._path(spec)
-        path.write_text(json.dumps(header, sort_keys=True) + "\n" + body)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        tmp.write_text(json.dumps(header, sort_keys=True) + "\n" + body)
+        os.replace(tmp, path)
         return path

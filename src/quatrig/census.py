@@ -9,6 +9,8 @@ state along the way (a residue distribution of local invariants, or a
 parity) and sums per-node weights into threshold slots, so counts never
 depend on enumeration order.  Each census kind builds its spec in one
 function, shared by its CountTable and the CLI cache key.
+Splitting data comes from the vector kernel arith.kronecker_vec, at one prime
+for a whole discriminant list or for one discriminant at a whole prime list.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, log
 
 import numpy as np
 
@@ -26,19 +28,13 @@ from . import arith
 from .arith import (
     divisors,
     iroot,
-    kronecker_symbol,
+    kronecker_vec,
     ramanujan_sum,
     shared_sieve,
     squarefree_products,
 )
 from .brauer import QuaternionAlgebraQ
-from .fields import (
-    PlaceQ,
-    QuadraticField,
-    SplittingType,
-    independent_mod_squares,
-    splitting,
-)
+from .fields import PlaceQ, QuadraticField, independent_mod_squares
 
 
 class InternalInconsistency(RuntimeError):
@@ -242,33 +238,13 @@ def fundamental_discriminant_count(x: int) -> int:
     return len(fundamental_discriminants(x))
 
 
-@lru_cache(maxsize=64)
-def _kronecker_residue_table(p: int) -> np.ndarray:
-    """(delta|p) as a function of delta mod p (odd p) or delta mod 8 (p = 2)."""
-    if p == 2:
-        t = np.zeros(8, dtype=np.int8)
-        t[[1, 7]] = 1
-        t[[3, 5]] = -1
-        return t
-    t = np.full(p, -1, dtype=np.int8)
-    t[0] = 0
-    t[np.unique(np.arange(1, p, dtype=np.int64) ** 2 % p)] = 1
-    return t
-
-
-def _kronecker_vec(p: int, deltas: np.ndarray) -> np.ndarray:
-    if p == 2:
-        return _kronecker_residue_table(2)[deltas % 8]
-    return _kronecker_residue_table(p)[deltas % p]
-
-
 def _embeds_mask(algebra: QuaternionAlgebraQ, deltas: np.ndarray) -> np.ndarray:
     ok = np.ones(len(deltas), dtype=bool)
     for v in sorted(algebra.ramification, key=lambda v: (v.is_infinite, v.norm)):
         if v.is_infinite:
             ok &= deltas < 0
         else:
-            ok &= _kronecker_vec(v.p, deltas) != 1
+            ok &= kronecker_vec(deltas, v.p) != 1
     return ok
 
 
@@ -301,11 +277,7 @@ def _nonsplit_primes(deltas: tuple[int, ...], limit: int) -> list[int]:
     primes = shared_sieve(limit).primes_upto(limit)
     keep = np.ones(len(primes), dtype=bool)
     for d in deltas:
-        # (d|p) is a character of p mod |d|: evaluate it once per class met,
-        # class 0 at |d| itself (kronecker_symbol needs a positive modulus)
-        classes, where = np.unique(primes % abs(d), return_inverse=True)
-        chi = np.array([kronecker_symbol(d, int(c) or abs(d)) for c in classes])
-        keep &= chi[where] != 1
+        keep &= kronecker_vec(d, primes) != 1
     return [int(p) for p in primes[keep]]
 
 
@@ -422,34 +394,39 @@ def splitting_density(place: PlaceQ, x: int) -> tuple[Fraction, Fraction, Fracti
     if place.is_infinite:
         split = int((deltas > 0).sum())
         return (Fraction(split, total), Fraction(0), Fraction(total - split, total))
-    kv = _kronecker_vec(place.p, deltas)
+    kv = kronecker_vec(deltas, place.p)
     split = int((kv == 1).sum())
     inert = int((kv == -1).sum())
     ram = total - split - inert
     return (Fraction(split, total), Fraction(inert, total), Fraction(ram, total))
 
 
+def _least_inert_primes(deltas: np.ndarray) -> np.ndarray:
+    """The least prime inert in each field, by walking the primes in ascending
+    order against the discriminants still unresolved.  It is the least n with
+    (delta|n) = -1, so it lies below |delta|."""
+    least = np.zeros(len(deltas), dtype=np.int64)
+    todo = np.arange(len(deltas))
+    bound = int(np.abs(deltas).max(initial=2))
+    for p in shared_sieve(bound).primes_upto(bound):
+        if not len(todo):
+            break
+        inert = kronecker_vec(deltas[todo], p) == -1
+        least[todo[inert]] = p
+        todo = todo[~inert]
+    return least
+
+
 def smallest_inert_prime(field: QuadraticField) -> int:
     """Least rational prime inert in the field."""
-    limit = 64
-    while True:
-        for p in shared_sieve(limit).primes_upto(limit):
-            if splitting(field, PlaceQ.finite(int(p))) is SplittingType.INERT:
-                return int(p)
-        limit *= 4
+    return int(_least_inert_primes(np.array([field.delta]))[0])
 
 
 def smallest_inert_stats(x: int) -> dict:
     """Empirical view of the effective-Chebotarev exponent: the maximum of
     log(p)/log(d_L) over fundamental |delta| <= x, p the least inert prime."""
-    import math
-
     deltas = fundamental_discriminants(x)
-    best = (0.0, 0, 0)
-    for d in deltas.tolist():
-        f = QuadraticField(int(d))
-        p = smallest_inert_prime(f)
-        ratio = math.log(p) / math.log(abs(d)) if abs(d) > 1 else 0.0
-        if ratio > best[0]:
-            best = (ratio, int(d), p)
-    return {"max_ratio": best[0], "delta": best[1], "prime": best[2], "x": x}
+    rows = zip(deltas.tolist(), _least_inert_primes(deltas).tolist())
+    ratio, d, p = max(((log(p) / log(abs(d)), d, p) for d, p in rows),
+                      key=lambda row: row[0], default=(0.0, 0, 0))  # first on ties
+    return {"max_ratio": ratio, "delta": d, "prime": p, "x": x}

@@ -43,11 +43,6 @@ class RunConfig:
     format: str
     out: str | None
     cache_dir: str | None
-    precision: int
-
-    def __post_init__(self):
-        if self.precision < 64:
-            raise ValueError("--precision must be >= 64 bits")
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -63,10 +58,8 @@ def _json_number(value):
         f = None
     if f is not None and abs(f) < 1e308:
         return f
-    from mpmath import mp as _mp
-
-    with _mp.workprec(100):
-        return {"log10": float(_mp.log10(value))}
+    with mp.workprec(100):
+        return {"log10": float(mp.log10(value))}
 
 
 def _emit(payload, cfg: RunConfig, csv_rows=None, csv_header=None):
@@ -277,7 +270,7 @@ def _cmd_bounds(args, cfg: RunConfig) -> int:
         _emit({"theta": value, "x": args.x}, cfg)
         return EXIT_OK
     _emit({"bound": rep.name, "inputs": rep.inputs,
-           "value": rep.as_json_value(), "log10": rep.log10}, cfg)
+           "value": rep.as_json_value(), "log10": _json_number(rep.log10_mpf)}, cfg)
     return EXIT_OK
 
 
@@ -288,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json"), default=None)
     parser.add_argument("--out", default=None)
     parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--precision", type=int, default=80,
-                        help="working precision in bits (>= 64)")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     cen = sub.add_parser("census").add_subparsers(dest="census_cmd", required=True)
@@ -423,9 +414,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         fmt = args.format or ("csv" if args.cmd in _CSV_DEFAULT else "json")
-        cfg = RunConfig(format=fmt, out=args.out, cache_dir=args.cache_dir,
-                        precision=args.precision)
-        mp.prec = max(mp.prec, cfg.precision)
+        cfg = RunConfig(format=fmt, out=args.out, cache_dir=args.cache_dir)
         return _HANDLERS[args.cmd](args, cfg)
     except (InternalInconsistency, NotFoundWithinBound) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

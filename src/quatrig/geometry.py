@@ -30,7 +30,7 @@ from .brauer import (
     descends,
     is_restriction,
 )
-from .census import _embeds_mask, _nonsplit_primes, fundamental_discriminants
+from .census import _embeds_mask, _nonsplit_primes, check_independent, fundamental_discriminants
 from .fields import QuadraticField, regulator
 
 
@@ -237,23 +237,16 @@ def class_census_with_lengths(deltas, volume: float) -> int:
     """Classes whose orbifolds carry geodesics in every field Q(sqrt(delta_i)):
     indefinite algebras admitting all the fields, with at least one finite
     ramified place, and coarea at most V."""
-    from .census import check_independent
-
     deltas = tuple(int(d) for d in deltas)
     if deltas:
         check_independent(deltas)
         if any(d < 0 for d in deltas):
             raise InvalidDiscriminant("geodesic fields are real quadratic")
-    from .arith import kronecker_symbol
-
     prod_bound = volume * 3 / math.pi ** 2
-    count = 0
-    for primes in _indefinite_algebras_by_coarea_bound(prod_bound):
-        if not primes:
-            continue  # geodesic existence needs a finite ramified place
-        if all(kronecker_symbol(d, p) != 1 for d in deltas for p in primes):
-            count += 1
-    return count
+    nonsplit = set(_nonsplit_primes(deltas, max(int(prod_bound) + 1, 4)))
+    # geodesic existence needs a finite ramified place
+    return sum(1 for primes in _indefinite_algebras_by_coarea_bound(prod_bound)
+               if primes and nonsplit.issuperset(primes))
 
 
 @dataclass(frozen=True)

@@ -6,21 +6,24 @@ arbitrarily-overlapping field pairs, and length-preserving families.
 
 Search orders are fixed for reproducibility: discriminants by ascending
 absolute value with the negative sign first on ties, primes ascending.
+Splitting is evaluated by the vector kernel arith.kronecker_vec; minimal
+distinguishing subfields, for one pair or for all, come from one bitmask search.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 
+import numpy as np
 from mpmath import mp
 
 from .arith import (
     add_prime,
     chebyshev_theta,
-    kronecker_symbol,
+    kronecker_vec,
     shared_sieve,
     squarefree_products,
     squarefree_kernel,
@@ -33,7 +36,7 @@ from .brauer import (
     is_restriction,
     quaternion_iso,
 )
-from .census import fundamental_discriminants
+from .census import _embeds_mask, fundamental_discriminants
 from .fields import INFINITY, PlaceQ, QuadraticField
 
 _BOUND_PREC = 100
@@ -55,8 +58,12 @@ class BoundReport:
 
     @property
     def log10(self) -> float:
+        return float(self.log10_mpf)  # inf past the float range
+
+    @property
+    def log10_mpf(self):
         with mp.workprec(_BOUND_PREC):
-            return float(mp.log10(self.value))
+            return mp.log10(self.value)
 
     def as_json_value(self):
         v = self.value
@@ -136,9 +143,31 @@ def brauer_rigidity_bound(d_base: float, c: float, disc1: float, disc2: float) -
 
 # -- distinguishing experiments ----------------------------------------------
 
-@lru_cache(maxsize=4)
-def _delta_list(delta_max: int) -> tuple[int, ...]:
-    return tuple(int(d) for d in fundamental_discriminants(delta_max))
+def _first_witnesses(algebras, deltas, not_totally_complex=False) -> np.ndarray:
+    """For each pair of algebras, in combinations() order, the index into
+    deltas of the first field that embeds in exactly one of the two, or -1;
+    with not_totally_complex, pairs of indefinite algebras skip deltas < 0.
+    Embedding masks are bit-packed on a prefix of deltas, 64 long and doubled
+    while a pair agrees on all of it: the lowest set bit of a XOR wins."""
+    first, second = np.triu_indices(len(algebras), 1)
+    indefinite = np.array([not b.ramified_at_infinity for b in algebras])
+    real_only = not_totally_complex & indefinite[first] & indefinite[second]
+    found = np.full(len(first), -1)
+    todo = np.arange(len(first))
+    length = 64
+    while len(todo) and len(deltas):
+        prefix = deltas[:length]
+        bits = np.array([np.packbits(_embeds_mask(b, prefix), bitorder="little")
+                         for b in algebras])
+        diff = bits[first[todo]] ^ bits[second[todo]]
+        diff[real_only[todo]] &= np.packbits(prefix > 0, bitorder="little")
+        hit = diff.any(axis=1)
+        found[todo[hit]] = np.unpackbits(diff[hit], axis=1, bitorder="little").argmax(axis=1)
+        todo = todo[~hit]
+        if length >= len(deltas):
+            break
+        length *= 2
+    return found
 
 
 def distinguish_quaternions(b1: QuaternionAlgebraQ, b2: QuaternionAlgebraQ,
@@ -148,12 +177,12 @@ def distinguish_quaternions(b1: QuaternionAlgebraQ, b2: QuaternionAlgebraQ,
     are isomorphic.  Raises NotFoundWithinBound past delta_max."""
     if quaternion_iso(b1, b2):
         return None
-    for d in _delta_list(delta_max):
-        f = QuadraticField(d)
-        if embeds(f, b1) != embeds(f, b2):
-            return d
-    raise NotFoundWithinBound(
-        f"no distinguishing |delta| <= {delta_max} for {b1} vs {b2}")
+    deltas = fundamental_discriminants(delta_max)
+    (k,) = _first_witnesses([b1, b2], deltas)
+    if k < 0:
+        raise NotFoundWithinBound(
+            f"no distinguishing |delta| <= {delta_max} for {b1} vs {b2}")
+    return int(deltas[k])
 
 
 @dataclass(frozen=True)
@@ -189,28 +218,17 @@ def rigidity_scan(x: int, delta_max: int = 10 ** 6,
     if x < 4:
         raise ValueError("x must be >= 4")
     algebras = _all_quaternion_algebras(x)
-    deltas = [int(d) for d in fundamental_discriminants(delta_max)]
-    results = []
-    hist: dict[int, int] = {}
-    max_abs = 0
-    for b1, b2 in combinations(algebras, 2):
-        restrict_real = (not_totally_complex
-                         and not b1.ramified_at_infinity
-                         and not b2.ramified_at_infinity)
-        found = None
-        for d in deltas:
-            if restrict_real and d < 0:
-                continue
-            f = QuadraticField(d)
-            if embeds(f, b1) != embeds(f, b2):
-                found = d
-                break
-        if found is None:
-            raise NotFoundWithinBound(
-                f"pair {b1}, {b2} not distinguished by |delta| <= {delta_max}")
-        results.append((repr(b1), repr(b2), found))
-        hist[abs(found)] = hist.get(abs(found), 0) + 1
-        max_abs = max(max_abs, abs(found))
+    deltas = fundamental_discriminants(delta_max)
+    found = _first_witnesses(algebras, deltas, not_totally_complex)
+    if (found < 0).any():
+        b1, b2 = next(islice(combinations(algebras, 2), int(np.argmax(found < 0)), None))
+        raise NotFoundWithinBound(
+            f"pair {b1}, {b2} not distinguished by |delta| <= {delta_max}")
+    witnesses = deltas[found].tolist()
+    names = [repr(b) for b in algebras]
+    results = [(a, b, d) for (a, b), d in zip(combinations(names, 2), witnesses)]
+    hist = dict(Counter(abs(d) for d in witnesses))
+    max_abs = max(hist)
     bound = recognizing_bound(1, 1, x)
     if math.log(max_abs) > bound.log10 * math.log(10):
         raise NotFoundWithinBound("empirical maximum exceeds the recognizing bound")
@@ -255,34 +273,30 @@ def limit_pair(m: int) -> tuple[int, int, int, int]:
     if m < 2:
         raise ValueError("m must be >= 2")
     small = [int(p) for p in shared_sieve(max(m, 4)).primes_upto(m)]
-
-    def pattern(delta: int) -> tuple[int, ...]:
-        return tuple(kronecker_symbol(delta, p) for p in small)
-
     d1 = -3
-    target = pattern(d1)
     cap = 10 ** 4
     while True:
-        for d in fundamental_discriminants(cap).tolist():
-            d = int(d)
-            if d < 0 and d != d1 and pattern(d) == target:
-                return (d1, d, *_split_inert_witnesses(d1, d))
+        deltas = fundamental_discriminants(cap)
+        match = (deltas < 0) & (deltas != d1)
+        for p in small:
+            match &= kronecker_vec(deltas, p) == kronecker_vec(d1, p)
+        if match.any():
+            d = int(deltas[match.argmax()])
+            return (d1, d, *_least_primes(2, lambda ps: (kronecker_vec(d1, ps) == 1)
+                                          & (kronecker_vec(d, ps) == -1)))
         cap *= 10
 
 
-def _split_inert_witnesses(d1: int, d2: int) -> tuple[int, int]:
-    found = []
+def _least_primes(count: int, keep) -> list[int]:
+    """The `count` least primes among those the vector predicate keep(primes)
+    selects, the sieve grown tenfold until enough are found."""
     limit = 10 ** 3
     while True:
-        for p in shared_sieve(limit).primes_upto(limit).tolist():
-            p = int(p)
-            if kronecker_symbol(d1, p) == 1 and kronecker_symbol(d2, p) == -1:
-                if p not in found:
-                    found.append(p)
-                if len(found) == 2:
-                    return found[0], found[1]
+        primes = shared_sieve(limit).primes_upto(limit)
+        found = primes[keep(primes)][:count].tolist()
+        if len(found) == count:
+            return found
         limit *= 10
-        found = []
 
 
 def length_preserving_family(algebra: QuaternionAlgebraQ, deltas, count: int
@@ -303,20 +317,8 @@ def length_preserving_family(algebra: QuaternionAlgebraQ, deltas, count: int
             if squarefree_kernel(math.prod(combo)) == 1:
                 raise ValueError(
                     f"odd-order relation {combo}: no common inert primes")
-    ram_primes = set(algebra.finite_primes)
-    picked: list[int] = []
-    limit = 10 ** 3
-    while len(picked) < count + 1:
-        picked = []
-        for p in shared_sieve(limit).primes_upto(limit).tolist():
-            p = int(p)
-            if p in ram_primes:
-                continue
-            if all(kronecker_symbol(d, p) == -1 for d in deltas):
-                picked.append(p)
-            if len(picked) == count + 1:
-                break
-        limit *= 10
+    picked = _least_primes(count + 1, lambda ps: ~np.isin(ps, algebra.finite_primes)
+                           & np.all([kronecker_vec(d, ps) == -1 for d in deltas], axis=0))
     base = picked[0]
     out = []
     for extra in picked[1:count + 1]:

@@ -3,6 +3,7 @@ import math
 import random
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,12 +16,15 @@ from quatrig.arith import (
     chebyshev_theta,
     class_number_imaginary,
     count_squarefree,
+    PRECISION_BITS,
     dirichlet_L,
     divisors,
+    euler_phi,
     factorize,
     iroot,
     is_fundamental_discriminant,
     kronecker_symbol,
+    kronecker_vec,
     pell_fundamental,
     ramanujan_sum,
     sieve,
@@ -61,6 +65,45 @@ def test_kronecker_rejects_nonpositive_modulus():
         kronecker_symbol(5, 0)
 
 
+_SMALL_PRIMES = [p for p in range(2, 400) if all(p % d for d in range(2, isqrt(p) + 1))]
+_FUNDAMENTALS = [d for d in range(-2000, 2001) if is_fundamental_discriminant(d)]
+# odd parts with prime factors past the residue-table size
+_LARGE_FUNDAMENTALS = [d for d in range(10 ** 9, 10 ** 9 + 60) if is_fundamental_discriminant(d)]
+_LARGE_FUNDAMENTALS += [d for d in range(-10 ** 10 - 60, -10 ** 10) if is_fundamental_discriminant(d)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from(_SMALL_PRIMES + [7919, 2 ** 31 - 1]),
+       deltas=st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=40),
+       multiples=st.lists(st.integers(-50, 50), max_size=5))
+def test_kronecker_vec_deltas_at_a_prime(p, deltas, multiples):
+    # includes multiples of p and, at p = 2, even and odd a in every class mod 8
+    a = deltas + [k * p for k in multiples]
+    got = kronecker_vec(np.array(a, dtype=np.int64), p)
+    assert got.tolist() == [kronecker_symbol(d, p) for d in a]
+
+
+@settings(max_examples=80, deadline=None)
+@given(delta=st.sampled_from([-4, 8, -8]) | st.sampled_from(_FUNDAMENTALS)
+       | st.sampled_from(_LARGE_FUNDAMENTALS),
+       ns=st.lists(st.integers(1, 10 ** 6), max_size=40),
+       evens=st.lists(st.integers(1, 10 ** 5), max_size=5),
+       periods=st.lists(st.integers(1, 200), max_size=5))
+def test_kronecker_vec_discriminant_at_many_n(delta, ns, evens, periods):
+    # even n, and n = 0 mod |delta|, next to arbitrary positive n
+    n = ns + [2 * k for k in evens] + [k * abs(delta) for k in periods]
+    got = kronecker_vec(delta, np.array(n, dtype=np.int64))
+    assert got.tolist() == [kronecker_symbol(delta, k) for k in n]
+
+
+def test_kronecker_vec_rejects_bad_input():
+    with pytest.raises(ValueError):
+        kronecker_vec(np.arange(10), 9)  # the table direction needs a prime
+    for d in (-12, 0, 9, 45):
+        with pytest.raises(InvalidDiscriminant):
+            kronecker_vec(d, np.arange(1, 10))
+
+
 def _mu_brute(n):
     if n == 1:
         return 1
@@ -82,17 +125,17 @@ def _phi_brute(n):
 
 def test_sieve_values_and_invariants():
     t = sieve(500)
-    assert t.mu(1) == 1 and t.phi(1) == 1
-    assert t.mu(6) == 1 and t.phi(6) == 2
+    assert t.mu(1) == 1 and euler_phi(1) == 1
+    assert t.mu(6) == 1 and euler_phi(6) == 2
     for n in range(1, 501):
         assert t.mu(n) == _mu_brute(n)
         assert (t.mu(n) == 0) == (not t.is_squarefree(n))
         assert sum(t.mu(d) for d in range(1, n + 1) if n % d == 0) == (1 if n == 1 else 0)
     for n in range(2, 200):
-        assert t.phi(n) == _phi_brute(n)
+        assert euler_phi(n) == _phi_brute(n)
     # phi multiplicative on coprime arguments
     for a, b in [(3, 8), (5, 9), (7, 25), (11, 13)]:
-        assert t.phi(a * b) == t.phi(a) * t.phi(b)
+        assert euler_phi(a * b) == euler_phi(a) * euler_phi(b)
 
 
 def test_fundamental_flags():
@@ -238,17 +281,40 @@ def test_dirichlet_L_spec_values():
         dirichlet_L(45, 1)
 
 
+# Independent L(1, chi) routes: scalar kronecker_symbol on every term, so
+# neither shares the vector kernel behind dirichlet_L.
+
+def _L1_character_sum(delta: int):
+    """pi * |sum chi(a) a| / |delta|^(3/2) for delta < 0."""
+    q = -delta
+    total = sum(a * kronecker_symbol(delta, a) for a in range(1, q))
+    with mp.workprec(PRECISION_BITS):
+        return -mp.pi * total / mp.mpf(q) ** mp.mpf(1.5)
+
+
+def _L1_digamma(delta: int):
+    """-(1/q) sum chi(a) psi(a/q)."""
+    q = abs(delta)
+    with mp.workprec(PRECISION_BITS):
+        total = mp.mpf(0)
+        for a in range(1, q):
+            chi = kronecker_symbol(delta, a)
+            if chi:
+                total += chi * mp.digamma(mp.mpf(a) / q)
+        return -total / q
+
+
 def test_dirichlet_L1_two_routes_agree_negative():
     for delta in range(-2000, 0):
         if is_fundamental_discriminant(delta):
             a = float(dirichlet_L(delta, 1))
-            b = float(arith.dirichlet_L1_character_sum(delta))
+            b = float(_L1_character_sum(delta))
             assert abs(a - b) < 1e-8
     rng = random.Random(29)
     pool = [d for d in range(-10 ** 4, -2000) if is_fundamental_discriminant(d)]
     for delta in rng.sample(pool, 30):
         a = float(dirichlet_L(delta, 1))
-        b = float(arith.dirichlet_L1_character_sum(delta))
+        b = float(_L1_character_sum(delta))
         assert abs(a - b) < 1e-8
 
 
@@ -257,7 +323,7 @@ def test_dirichlet_L1_two_routes_agree_positive():
     deltas = [d for d in range(5, 10 ** 4) if is_fundamental_discriminant(d)]
     for delta in [5, 8, 12, 13] + rng.sample(deltas, 40):
         a = float(dirichlet_L(delta, 1))
-        b = float(arith.dirichlet_L1_digamma(delta))
+        b = float(_L1_digamma(delta))
         assert abs(a - b) < 1e-8
 
 

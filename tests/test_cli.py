@@ -11,6 +11,14 @@ def run(capsys, argv):
     return code, out
 
 
+def _reject(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
+def strict_json(text):
+    return json.loads(text, parse_constant=_reject)
+
+
 def test_census_division_csv(capsys):
     code, out = run(capsys, ["census", "division", "--n", "2", "--x", "100"])
     assert code == 0
@@ -93,8 +101,45 @@ def test_cache_corruption_detected(capsys, tmp_path):
     assert main(argv) == 2
 
 
+def test_cache_truncated_file_recomputed(capsys, tmp_path):
+    argv = ["--cache-dir", str(tmp_path), "census", "division", "--n", "2",
+            "--x", "1000", "--thresholds", "10,100,1000"]
+    code, cold = run(capsys, argv)
+    assert code == 0
+    (cache_file,) = tmp_path.iterdir()
+    text = cache_file.read_text()
+    for cut in ("", text[:10]):  # empty, or cut off inside the header line
+        cache_file.write_text(cut)
+        code, out = run(capsys, argv)
+        assert code == 0 and out == cold
+        assert cache_file.read_text() == text  # rewritten whole
+    assert list(tmp_path.iterdir()) == [cache_file]  # no temporary file left
+
+
 def test_precision_validation(capsys):
-    assert main(["--precision", "32", "census", "division", "--n", "2", "--x", "100"]) == 2
+    # --precision did nothing (every routine pins its own working precision)
+    # and is gone: it is now an unknown flag
+    with pytest.raises(SystemExit) as exc:
+        main(["--precision", "80", "census", "division", "--n", "2", "--x", "100"])
+    assert exc.value.code == 2
+
+
+def test_model_zero_at_x1_exits_2(capsys):
+    for model in ("embed:-4", "division:3"):
+        assert main(["predict", "report", "--model", model, "--x", "1"]) == 2, model
+        assert "zero or undefined at x = 1" in capsys.readouterr().err
+    for model in ("division:2", "quads:2,inf"):
+        code, out = run(capsys, ["predict", "report", "--model", model, "--x", "1"])
+        assert code == 0, model
+        assert strict_json(out)["rows"][0]["x"] == 1
+
+
+def test_bounds_json_strict_past_float_range(capsys):
+    code, out = run(capsys, ["bounds", "chlr", "--volume", "1e6", "--dim", "2"])
+    assert code == 0
+    payload = strict_json(out)
+    assert payload["log10"] == {"log10": pytest.approx(780.778, abs=1e-3)}
+    assert payload["value"] == {"log10_log10": payload["log10"]["log10"]}
 
 
 def test_census_inputs_validated(capsys):

@@ -1,8 +1,10 @@
 import math
+from itertools import combinations
 
 import pytest
 from mpmath import mp
 
+from quatrig.arith import is_fundamental_discriminant
 from quatrig.brauer import QuaternionAlgebraL, embeds, parse_ram_set, parse_ram_set_l
 from quatrig.census import fundamental_discriminants
 from quatrig.fields import QuadraticField, make_field
@@ -83,8 +85,6 @@ def test_distinguish_replay_and_none_iff_iso():
     from quatrig.rigidity import _all_quaternion_algebras
 
     algebras = _all_quaternion_algebras(2000)
-    from itertools import combinations
-
     for b1, b2 in combinations(algebras, 2):
         d = distinguish_quaternions(b1, b2)
         assert d is not None
@@ -100,9 +100,12 @@ def test_distinguish_replay_and_none_iff_iso():
 
 
 def test_distinguish_not_found_reported():
-    with pytest.raises(NotFoundWithinBound):
-        distinguish_quaternions(parse_ram_set("2,inf"), parse_ram_set("3,inf"),
-                                delta_max=4)
+    for delta_max in (4, 2):  # two fields, or none at all
+        with pytest.raises(NotFoundWithinBound):
+            distinguish_quaternions(parse_ram_set("2,inf"), parse_ram_set("3,inf"),
+                                    delta_max=delta_max)
+        with pytest.raises(NotFoundWithinBound):
+            rigidity_scan(16, delta_max)
 
 
 def test_rigidity_scan_small():
@@ -124,6 +127,38 @@ def test_rigidity_scan_not_totally_complex():
     for a, b, d in rep.pairs:
         if "inf" not in a and "inf" not in b:
             assert d > 0
+
+
+@pytest.mark.parametrize("not_totally_complex", [False, True])
+def test_rigidity_scan_matches_scalar_embeds(brute_quaternion_algebras, not_totally_complex):
+    # per pair, the first field in |delta| order (negative first on ties) that
+    # embeds in exactly one algebra, by scalar embeds calls
+    x, delta_max = 400, 10 ** 4
+    algebras = sorted(brute_quaternion_algebras(x), key=lambda b: math.prod(b.finite_primes))
+    fields = [QuadraticField(d) for d in sorted(
+        (d for d in range(-delta_max, delta_max + 1) if is_fundamental_discriminant(d)),
+        key=lambda d: (abs(d), d > 0))]
+    want = []
+    for b1, b2 in combinations(algebras, 2):
+        real_only = (not_totally_complex and not b1.ramified_at_infinity
+                     and not b2.ramified_at_infinity)
+        witness = next(f.delta for f in fields if not (real_only and f.delta < 0)
+                       and embeds(f, b1) != embeds(f, b2))
+        want.append((repr(b1), repr(b2), witness))
+    assert list(rigidity_scan(x, delta_max, not_totally_complex).pairs) == want
+
+
+def test_distinguish_quaternions_past_the_first_prefix():
+    # witnesses 100 to 266 places down the list: the bit-packed prefix doubles
+    deltas = fundamental_discriminants(10 ** 4).tolist()
+    for r1, r2 in (("2,3,5,7,11,13,17,19", "2,3,5,7,11,13,17,19,23,29"),
+                   ("3,5,7,11,13,17,19,23,29,31", "3,5,7,11,13,17,19,23,29,37"),
+                   ("2,3,5,7,11,13,17,19,23,29,31,37", "2,3,5,7,11,13,17,19,23,29,31,41")):
+        b1, b2 = parse_ram_set(r1), parse_ram_set(r2)
+        want = next(d for d in deltas
+                    if embeds(QuadraticField(d), b1) != embeds(QuadraticField(d), b2))
+        assert deltas.index(want) >= 64
+        assert distinguish_quaternions(b1, b2) == want
 
 
 def test_limit_pair_spec_values():

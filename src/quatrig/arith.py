@@ -19,7 +19,7 @@ from mpmath import mp
 
 PRECISION_BITS = 80
 
-# Sieving above this limit would need several GB of array storage.
+# SieveTable(10**8) peaks at 2.5 bytes per entry (tracemalloc), so this caps a build near 2.5 GB.
 SIEVE_MEMORY_BUDGET = 10 ** 9
 
 
@@ -111,14 +111,11 @@ def kronecker_vec(a, n) -> np.ndarray:
 
 
 def is_fundamental_discriminant(d: int) -> bool:
-    if d in (0, 1):
+    """d != 1 squarefree with d = 1 mod 4, or d = 4m with m = 2, 3 mod 4
+    squarefree (d = 8, 12 mod 16)."""
+    if d == 1 or not (d % 4 == 1 or d % 16 in (8, 12)):
         return False
-    if d % 4 == 1:
-        return _is_squarefree(d)
-    if d % 4 == 0:
-        m = d // 4
-        return m % 4 in (2, 3) and _is_squarefree(m)
-    return False
+    return all(e == 1 for _, e in factorize(d if d % 4 == 1 else d // 4))
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -138,10 +135,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
-
-
-def _is_squarefree(n: int) -> bool:
-    return all(e == 1 for _, e in factorize(n))
 
 
 def squarefree_kernel(n: int) -> int:
@@ -207,11 +200,11 @@ def add_prime(chosen: tuple, p: int, _tag) -> tuple:
 
 
 class SieveTable:
-    """Multiplicative data for 1..limit; immutable once built.
-
-    Stores mu, squarefree flags and the prime list as numpy arrays, shared
-    freely across threads.
-    """
+    """Ascending int64 `primes` <= limit and the int8 Moebius array `mu` on
+    0..limit (mu[0] = 0); immutable once built.  One loop over the primes
+    p <= sqrt(limit) builds both.  Each n <= limit has at most one prime
+    factor P > sqrt(limit), so a loop over k <= sqrt(limit) then flips mu at
+    every k * P."""
 
     def __init__(self, limit: int):
         if limit < 1:
@@ -219,48 +212,23 @@ class SieveTable:
         if limit > SIEVE_MEMORY_BUDGET:
             raise SieveBudgetError(f"sieve limit {limit} exceeds budget {SIEVE_MEMORY_BUDGET}")
         self.limit = limit
-        n = limit + 1
-        is_prime = np.ones(n, dtype=bool)
+        root = isqrt(limit)
+        is_prime = np.ones(limit + 1, dtype=bool)
         is_prime[:2] = False
-        for p in range(2, isqrt(limit) + 1):
+        mu = np.ones(limit + 1, dtype=np.int8)
+        mu[0] = 0
+        for p in range(2, root + 1):
             if is_prime[p]:
                 is_prime[p * p::p] = False
-        self.primes = np.nonzero(is_prime)[0].astype(np.int64)
-
-        mu = np.ones(n, dtype=np.int8)
-        mu[0] = 0
-        for p in self.primes:
-            p = int(p)
-            mu[p::p] *= -1
-            if p * p <= limit:
+                mu[p::p] *= -1
                 mu[p * p::p * p] = 0
-        self._mu = mu
-        self._squarefree = mu != 0
-
-    def mu(self, n: int) -> int:
-        return int(self._mu[n])
-
-    def is_squarefree(self, n: int) -> bool:
-        return bool(self._squarefree[n])
-
-    def is_fundamental(self, d: int) -> bool:
-        """Fundamental-discriminant flag for the signed integer d."""
-        if d in (0, 1) or abs(d) > self.limit:
-            return is_fundamental_discriminant(d)
-        if d % 4 == 1:
-            return bool(self._squarefree[abs(d)])
-        if d % 4 == 0:
-            m = d // 4
-            return m % 4 in (2, 3) and bool(self._squarefree[abs(m)])
-        return False
-
-    def primes_upto(self, x: int) -> np.ndarray:
-        if x > self.limit:
-            raise ValueError(f"sieve only covers primes up to {self.limit}")
-        return self.primes[self.primes <= x]
-
-    def squarefree_flags(self) -> np.ndarray:
-        return self._squarefree
+        self.primes = np.flatnonzero(is_prime).astype(np.int64, copy=False)
+        del is_prime
+        big = self.primes[np.searchsorted(self.primes, root, side="right"):]
+        for k in range(1, root + 1):
+            mu[k * big[:np.searchsorted(big, limit // k, side="right")]] *= -1
+        self.mu = mu
+        self.primes.flags.writeable = mu.flags.writeable = False
 
 
 _SHARED: SieveTable | None = None
@@ -278,14 +246,24 @@ def shared_sieve(limit: int) -> SieveTable:
     return _SHARED
 
 
+def primes_upto(x: int) -> np.ndarray:
+    """The ascending primes <= x (none for x < 2), from the shared sieve."""
+    primes = shared_sieve(x).primes
+    return primes[:np.searchsorted(primes, x, side="right")]
+
+
+def mobius(n: int) -> int:
+    """The Moebius function mu(n) for n >= 1, from the shared sieve."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return int(shared_sieve(n).mu[n])
+
+
 def count_squarefree(x: int) -> int:
     """Exact number of squarefree integers in [1, x]."""
     if x < 0:
         raise ValueError("x must be >= 0")
-    if x == 0:
-        return 0
-    table = shared_sieve(x)
-    return int(np.count_nonzero(table.squarefree_flags()[1:x + 1]))
+    return int(np.count_nonzero(shared_sieve(x).mu[1:x + 1]))
 
 
 def euler_phi(n: int) -> int:
@@ -300,8 +278,7 @@ def ramanujan_sum(q: int, j: int) -> int:
         raise ValueError("q must be >= 1")
     g = gcd(q, j) if j else q
     qg = q // g
-    table = shared_sieve(q)
-    m = table.mu(qg)
+    m = mobius(qg)
     if m == 0:
         return 0
     return m * euler_phi(q) // euler_phi(qg)
@@ -311,22 +288,15 @@ def chebyshev_theta(x: float) -> float:
     """theta(x) = sum of log p over primes p <= x, absolute error < 1e-9."""
     if x < 0:
         raise ValueError("x must be >= 0")
-    if x < 2:
-        return 0.0
-    xi = int(math.floor(x))
-    table = shared_sieve(xi)
-    primes = table.primes_upto(xi)
-    if len(primes) == 0:
-        return 0.0
+    primes = primes_upto(math.floor(x))
     # 64-bit-mantissa accumulation keeps the summation error below 1e-12.
     return float(np.log(primes.astype(np.longdouble)).sum())
 
 
 def theta_table(limit: int) -> np.ndarray:
     """theta(x) for every integer x in [0, limit] as one array."""
-    table = shared_sieve(limit)
     vals = np.zeros(limit + 1, dtype=np.longdouble)
-    primes = table.primes_upto(limit)
+    primes = primes_upto(limit)
     vals[primes] = np.log(primes.astype(np.longdouble))
     return np.cumsum(vals).astype(np.float64)
 

@@ -24,8 +24,9 @@ from .arith import (
     factorize,
     kronecker_symbol,
     kronecker_vec,
+    mobius,
+    primes_upto,
     ramanujan_sum,
-    shared_sieve,
     squarefree_kernel,
 )
 from .brauer import QuaternionAlgebraQ
@@ -65,7 +66,7 @@ def delta_mn(m: int, n: int, cutoff: int) -> EulerProductValue:
     if m % ell != 0:
         return EulerProductValue(0.0, cutoff, 0.0)
     extra = [(d, (1 - 1 / d) / (1 - 1 / ell)) for d in divisors(m) if d > ell]
-    primes = shared_sieve(cutoff).primes_upto(cutoff)
+    primes = primes_upto(cutoff)
     total = 0.0
     tail = 0.0
     min_extra = min((e for _, e in extra), default=2.0)
@@ -97,11 +98,9 @@ def delta_n(n: int, cutoff: int) -> EulerProductValue:
     delta_{m,n}; positive for every n >= 2."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    table = shared_sieve(n)
-    total = 0.0
-    tail = 0.0
+    total = tail = 0.0
     for m in divisors(n):
-        mu = table.mu(n // m)
+        mu = mobius(n // m)
         if mu == 0:
             continue
         part = delta_mn(m, n, cutoff)
@@ -135,7 +134,7 @@ def embed_constant_r1(delta: int, cutoff: int = 10 ** 6) -> EulerProductValue:
     coming from the coefficient-extraction normalization (empirically
     confirmed by the census ratios)."""
     lval = float(dirichlet_L(delta, 1))
-    primes = shared_sieve(cutoff).primes_upto(cutoff)
+    primes = primes_upto(cutoff)
     chi = kronecker_vec(delta, primes)
     inert, ram = primes[chi == -1].tolist(), primes[chi == 0].tolist()
     logs = [0.5 * math.log1p(-1.0 / (p * p)) for p in inert + ram]
@@ -184,7 +183,7 @@ def embed_constant_general(deltas, cutoff: int = 10 ** 6) -> EulerProductValue:
     q0 = [p for p in ram_primes
           if all(kronecker_symbol(d, p) != 1 for d in deltas)]
 
-    primes = shared_sieve(cutoff).primes_upto(cutoff)
+    primes = primes_upto(cutoff)
     ram_set = set(ram_primes)
     logs = []
     for p in primes.tolist():

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 
+from .arith import factorize
 from .fields import (
     INFINITY,
     PlaceQ,
@@ -286,7 +287,7 @@ def parse_ram_set(text: str) -> QuaternionAlgebraQ:
                     p = int(token)
                 except ValueError:
                     raise ValueError(f"malformed place token {token!r}") from None
-                if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+                if p < 2 or factorize(p) != [(p, 1)]:
                     raise ValueError(f"{p} is not a prime")
                 places.add(PlaceQ.finite(p))
     return QuaternionAlgebraQ(frozenset(places))

@@ -29,6 +29,8 @@ from .arith import (
     divisors,
     iroot,
     kronecker_vec,
+    mobius,
+    primes_upto,
     ramanujan_sum,
     shared_sieve,
     squarefree_products,
@@ -131,9 +133,8 @@ def _csa_nodes(m: int, n: int, bound: int):
 
     # m = 1 has no options: the matrix algebra alone
     max_p = iroot(max(bound, 0), options[0][0]) if options else 0
-    primes = [int(p) for p in shared_sieve(max(max_p, 2)).primes_upto(max_p)]
-    return squarefree_products(primes, bound, ([1] + [0] * (m - 1), 1), fold,
-                               lambda p: [(p ** w, opt) for w, opt in options])
+    return squarefree_products(primes_upto(max_p).tolist(), bound, ([1] + [0] * (m - 1), 1),
+                               fold, lambda p: [(p ** w, opt) for w, opt in options])
 
 
 def _completions(node, exact: int | None = None) -> int:
@@ -189,9 +190,8 @@ def census_division(n: int, thresholds) -> CountTable:
         direct[slot] += _completions(node, exact=n)
         incl_excl[slot] += _completions(node)
     direct, incl_excl = list(accumulate(direct)), list(accumulate(incl_excl))
-    table = shared_sieve(n)
     for m in divisors(n)[:-1]:
-        mu = table.mu(n // m)
+        mu = mobius(n // m)
         if mu:
             sub = census_csa(m, n, thresholds)
             incl_excl = [a + mu * b for a, b in zip(incl_excl, sub.counts)]
@@ -211,24 +211,19 @@ def count_division(n: int, x: int) -> int:
 def fundamental_discriminants(limit: int) -> np.ndarray:
     """All fundamental discriminants with |delta| <= limit, sorted by |delta|
     with the negative one first on ties."""
-    table = shared_sieve(max(limit, 4))
-    sq = table.squarefree_flags()[:limit + 1]
-    n = np.arange(limit + 1)
-    # delta = +-n with n = 1 mod 4 squarefree (sign fixed by n mod 4), or
-    # delta = 4m with m = 2, 3 mod 4 squarefree
-    pos_mask = (n % 4 == 1) & sq
-    neg_mask = (n % 4 == 3) & sq
-    idx4 = n[n % 4 == 0]
-    q = idx4 // 4
-    pos4 = idx4[((q % 4 == 2) | (q % 4 == 3)) & sq[q]]
-    neg4 = idx4[((q % 4 == 1) | (q % 4 == 2)) & sq[q]]
-    pos_mask[pos4] = True
-    neg_mask[neg4] = True
-    pos_mask[:2] = False
-    neg_mask[:2] = False
-    deltas = np.concatenate([-n[neg_mask], n[pos_mask]])
-    order = np.lexsort((deltas > 0, np.abs(deltas)))
-    return deltas[order]
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
+    sq = shared_sieve(limit).mu[:limit + 1] != 0
+    # row k flags (-k, +k): +-k for squarefree k = 1, 3 mod 4 (the sign fixed
+    # by k mod 4), or +-4m for squarefree m with +-m = 2, 3 mod 4
+    flags = np.zeros((limit + 1, 2), dtype=bool)
+    flags[5::4, 1] = sq[5::4]
+    flags[3::4, 0] = sq[3::4]
+    flags[4::16, 0] = sq[1:limit // 4 + 1:4]
+    flags[8::16] = sq[2:limit // 4 + 1:4, None]
+    flags[12::16, 1] = sq[3:limit // 4 + 1:4]
+    found = np.flatnonzero(flags)  # 2 |delta|, plus 1 for the positive one
+    return (found >> 1) * ((found & 1) * 2 - 1)
 
 
 def fundamental_discriminant_count(x: int) -> int:
@@ -272,13 +267,11 @@ def census_embedding_quads(algebra: QuaternionAlgebraQ, thresholds,
 
 def _nonsplit_primes(deltas: tuple[int, ...], limit: int) -> list[int]:
     """Finite primes p <= limit that split in none of the given fields."""
-    if limit < 2:
-        return []
-    primes = shared_sieve(limit).primes_upto(limit)
+    primes = primes_upto(limit)
     keep = np.ones(len(primes), dtype=bool)
     for d in deltas:
         keep &= kronecker_vec(d, primes) != 1
-    return [int(p) for p in primes[keep]]
+    return primes[keep].tolist()
 
 
 def check_independent(deltas) -> None:
@@ -337,13 +330,10 @@ def dirichlet_coefficients_csa(m: int, n: int, n_max: int) -> list[int]:
         arr = [0] * (n_max + 1)
         arr[1] = 1
         if min_w is not None:
-            max_p = iroot(n_max, min_w)
-            if max_p >= 2:
-                for p in shared_sieve(max_p).primes_upto(max_p):
-                    p = int(p)
-                    terms = [(p ** w, ramanujan_sum(d, j)) for d, w in weights
-                             if p ** w <= n_max]
-                    arr = _multiply_factor(arr, terms, n_max)
+            for p in primes_upto(iroot(n_max, min_w)).tolist():
+                terms = [(p ** w, ramanujan_sum(d, j)) for d, w in weights
+                         if p ** w <= n_max]
+                arr = _multiply_factor(arr, terms, n_max)
         real_factor = (1 + (-1) ** j) if m % 2 == 0 else 1
         if real_factor:
             for i in range(1, n_max + 1):
@@ -408,7 +398,7 @@ def _least_inert_primes(deltas: np.ndarray) -> np.ndarray:
     least = np.zeros(len(deltas), dtype=np.int64)
     todo = np.arange(len(deltas))
     bound = int(np.abs(deltas).max(initial=2))
-    for p in shared_sieve(bound).primes_upto(bound):
+    for p in primes_upto(bound):
         if not len(todo):
             break
         inert = kronecker_vec(deltas[todo], p) == -1

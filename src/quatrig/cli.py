@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,6 +48,14 @@ class RunConfig:
 
 def _parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
+
+
+def finite_float(text: str) -> float:
+    """The type of every float option: inf and nan would print as non-strict JSON."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
 def _json_number(value):
@@ -327,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = geo.add_parser("census")
     p.add_argument("--b", required=True)
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--volume", type=float, default=0.0)
-    p.add_argument("--const-c", type=float, default=1.0)
+    p.add_argument("--volume", type=finite_float, default=0.0)
+    p.add_argument("--const-c", type=finite_float, default=1.0)
 
     vol = sub.add_parser("volumes").add_subparsers(dest="vol_cmd", required=True)
     p = vol.add_parser("coarea")
@@ -349,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", type=int, required=True)
     p.add_argument("--bl", required=True)
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--volume", type=float, default=1.0)
-    p.add_argument("--const-C", dest="const_c_upper", type=float, default=1.0)
+    p.add_argument("--volume", type=finite_float, default=1.0)
+    p.add_argument("--const-C", dest="const_c_upper", type=finite_float, default=1.0)
 
     rig = sub.add_parser("rigidity").add_subparsers(dest="rig_cmd", required=True)
     p = rig.add_parser("distinguish")
@@ -372,27 +381,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = bnd.add_parser("recognizing")
     p.add_argument("--nk", type=int, default=1)
     p.add_argument("--dk", type=int, default=1)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=finite_float, required=True)
     p = bnd.add_parser("chlr")
-    p.add_argument("--volume", type=float, required=True)
+    p.add_argument("--volume", type=finite_float, required=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--const-c1", type=float, default=1.0)
-    p.add_argument("--const-c2", type=float, default=1.0)
-    p.add_argument("--const-c3", type=float, default=1.0)
+    p.add_argument("--const-c1", type=finite_float, default=1.0)
+    p.add_argument("--const-c2", type=finite_float, default=1.0)
+    p.add_argument("--const-c3", type=finite_float, default=1.0)
     p = bnd.add_parser("mcreid")
-    p.add_argument("--volume", type=float, required=True)
-    p.add_argument("--const-c", type=float, default=1.0)
+    p.add_argument("--volume", type=finite_float, required=True)
+    p.add_argument("--const-c", type=finite_float, default=1.0)
     p = bnd.add_parser("brauer")
-    p.add_argument("--d-base", type=float, default=1.0)
-    p.add_argument("--const-C", dest="const_c_upper", type=float, default=1.0)
-    p.add_argument("--disc1", type=float, required=True)
-    p.add_argument("--disc2", type=float, required=True)
+    p.add_argument("--d-base", type=finite_float, default=1.0)
+    p.add_argument("--const-C", dest="const_c_upper", type=finite_float, default=1.0)
+    p.add_argument("--disc1", type=finite_float, required=True)
+    p.add_argument("--disc2", type=finite_float, required=True)
     p = bnd.add_parser("gw")
     p.add_argument("--nk", type=int, default=1)
-    p.add_argument("--b-omega", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--b-omega", type=finite_float, required=True)
+    p.add_argument("--x", type=finite_float, required=True)
     p = bnd.add_parser("theta")
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=finite_float, required=True)
     return parser
 
 

@@ -20,7 +20,7 @@ from .arith import (
     InvalidDiscriminant,
     add_prime,
     pell_fundamental,
-    shared_sieve,
+    primes_upto,
     squarefree_products,
     zeta_k_at_2,
 )
@@ -208,10 +208,9 @@ class CommensurabilityClass:
 def _indefinite_algebras_by_coarea_bound(prod_bound: float):
     """All indefinite quaternion algebras over Q whose ramified primes p have
     prod(p - 1) <= prod_bound, as sorted prime tuples (even cardinality)."""
-    limit = max(int(prod_bound) + 1, 4)
-    primes = [int(p) for p in shared_sieve(limit).primes_upto(limit)]
     return sorted(chosen for _, chosen in squarefree_products(
-        primes, prod_bound, (), add_prime, lambda p: ((p - 1, None),))
+        primes_upto(int(prod_bound) + 1).tolist(), prod_bound, (), add_prime,
+        lambda p: ((p - 1, None),))
         if len(chosen) % 2 == 0)
 
 
@@ -243,10 +242,21 @@ def class_census_with_lengths(deltas, volume: float) -> int:
         if any(d < 0 for d in deltas):
             raise InvalidDiscriminant("geodesic fields are real quadratic")
     prod_bound = volume * 3 / math.pi ** 2
-    nonsplit = set(_nonsplit_primes(deltas, max(int(prod_bound) + 1, 4)))
+    nonsplit = set(_nonsplit_primes(deltas, int(prod_bound) + 1))
     # geodesic existence needs a finite ramified place
     return sum(1 for primes in _indefinite_algebras_by_coarea_bound(prod_bound)
                if primes and nonsplit.issuperset(primes))
+
+
+def _times_exp_cv(scale: float, const_c: float, volume: float) -> float:
+    """scale * e^(cV) as a float; ValueError where that overflows."""
+    try:
+        value = scale * math.exp(const_c * volume)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"the e^(cV) bound at c = {const_c:g}, V = {volume:g} overflows a float")
+    return value
 
 
 @dataclass(frozen=True)
@@ -271,7 +281,7 @@ def geodesic_census(algebra: QuaternionAlgebraQ, x: int, volume: float = 0.0,
     data = tuple(geodesic_from_field(int(d)) for d in sorted(deltas[mask].tolist()))
     classes = len(rational_classes(data))
     max_len = max((d.length for d in data), default=0.0)
-    bound = 2.0 * x * math.exp(const_c * volume)
+    bound = _times_exp_cv(2.0 * x, const_c, volume)
     return GeodesicCensus(len(data), classes, max_len, bound, data)
 
 
@@ -307,11 +317,11 @@ def surface_census(algebra_l: QuaternionAlgebraL, x: int, volume: float = 1.0,
                    for q, chosen in squarefree_products(pool, rest, (), add_prime)
                    if len(chosen) % 2 == len(base) % 2)
     out = []
-    ecv = math.exp(const_c * volume)
     for disc, primes in found:
         b0 = QuaternionAlgebraQ.from_primes(primes)
         if not is_restriction(b0, field, algebra_l):
             raise AssertionError(f"constructed algebra {b0} fails restriction replay")
         area = coarea_maximal_order(b0).value
-        out.append(SurfaceClass(b0, area, 2 * math.pi ** 2 * disc ** 2 * ecv))
+        out.append(SurfaceClass(b0, area, _times_exp_cv(2 * math.pi ** 2 * disc ** 2,
+                                                         const_c, volume)))
     return out

@@ -24,7 +24,7 @@ from .arith import (
     add_prime,
     chebyshev_theta,
     kronecker_vec,
-    shared_sieve,
+    primes_upto,
     squarefree_products,
     squarefree_kernel,
 )
@@ -203,9 +203,8 @@ def _all_quaternion_algebras(x: int) -> list[QuaternionAlgebraQ]:
     """Quaternion algebras over Q with |disc| <= x (disc = q^2 for squarefree
     q; the parity of the finite part fixes the real place)."""
     y = math.isqrt(x)
-    primes = [int(p) for p in shared_sieve(max(y, 4)).primes_upto(max(y, 2))]
     return [QuaternionAlgebraQ.from_primes(fs, include_infinity=len(fs) % 2 == 1)
-            for _, fs in sorted(squarefree_products(primes, y, (), add_prime))]
+            for _, fs in sorted(squarefree_products(primes_upto(y).tolist(), y, (), add_prime))]
 
 
 def rigidity_scan(x: int, delta_max: int = 10 ** 6,
@@ -272,7 +271,7 @@ def limit_pair(m: int) -> tuple[int, int, int, int]:
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    small = [int(p) for p in shared_sieve(max(m, 4)).primes_upto(m)]
+    small = primes_upto(m).tolist()
     d1 = -3
     cap = 10 ** 4
     while True:
@@ -292,7 +291,7 @@ def _least_primes(count: int, keep) -> list[int]:
     selects, the sieve grown tenfold until enough are found."""
     limit = 10 ** 3
     while True:
-        primes = shared_sieve(limit).primes_upto(limit)
+        primes = primes_upto(limit)
         found = primes[keep(primes)][:count].tolist()
         if len(found) == count:
             return found
@@ -305,6 +304,8 @@ def length_preserving_family(algebra: QuaternionAlgebraQ, deltas, count: int
     ramification set, each still admitting every field Q(sqrt(delta_i)):
     the moduli disc(B) p1 p2, disc(B) p1 p3, ... over ascending primes
     nonsplit in all the fields and outside Ram(B)."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
     deltas = tuple(int(d) for d in deltas)
     for d in deltas:
         f = QuadraticField(d)

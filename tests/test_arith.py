@@ -25,7 +25,9 @@ from quatrig.arith import (
     is_fundamental_discriminant,
     kronecker_symbol,
     kronecker_vec,
+    mobius,
     pell_fundamental,
+    primes_upto,
     ramanujan_sum,
     sieve,
     squarefree_kernel,
@@ -125,12 +127,12 @@ def _phi_brute(n):
 
 def test_sieve_values_and_invariants():
     t = sieve(500)
-    assert t.mu(1) == 1 and euler_phi(1) == 1
-    assert t.mu(6) == 1 and euler_phi(6) == 2
+    assert t.mu[1] == 1 and euler_phi(1) == 1
+    assert t.mu[6] == 1 and euler_phi(6) == 2
     for n in range(1, 501):
-        assert t.mu(n) == _mu_brute(n)
-        assert (t.mu(n) == 0) == (not t.is_squarefree(n))
-        assert sum(t.mu(d) for d in range(1, n + 1) if n % d == 0) == (1 if n == 1 else 0)
+        assert t.mu[n] == _mu_brute(n)
+        assert (t.mu[n] == 0) == any(e > 1 for _, e in factorize(n))
+        assert sum(t.mu[d] for d in range(1, n + 1) if n % d == 0) == (1 if n == 1 else 0)
     for n in range(2, 200):
         assert euler_phi(n) == _phi_brute(n)
     # phi multiplicative on coprime arguments
@@ -139,13 +141,54 @@ def test_sieve_values_and_invariants():
 
 
 def test_fundamental_flags():
-    t = sieve(100)
-    assert t.is_fundamental(-8)
-    assert not t.is_fundamental(-12)
-    assert t.is_fundamental(12)
-    assert not t.is_fundamental(1)
-    assert not t.is_fundamental(4)
+    assert is_fundamental_discriminant(-8)
+    assert not is_fundamental_discriminant(-12)
+    assert is_fundamental_discriminant(12)
+    assert not is_fundamental_discriminant(1)
+    assert not is_fundamental_discriminant(4)
     assert is_fundamental_discriminant(-163)
+
+
+_BRUTE_LIMIT = 5000
+_BRUTE_MU = [0] + [_mu_brute(n) for n in range(1, _BRUTE_LIMIT + 1)]
+_BRUTE_PRIMES = [n for n in range(2, _BRUTE_LIMIT + 1)
+                 if all(n % d for d in range(2, isqrt(n) + 1))]
+
+
+def _check_sieve(limit):
+    t = sieve(limit)
+    assert t.limit == limit
+    assert t.primes.dtype == np.int64 and t.mu.dtype == np.int8
+    assert not t.primes.flags.writeable and not t.mu.flags.writeable
+    assert t.primes.tolist() == [p for p in _BRUTE_PRIMES if p <= limit]
+    assert t.mu.tolist() == _BRUTE_MU[:limit + 1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 31, 47, 67])
+def test_sieve_around_prime_squares(p):
+    # from limit = p^2 on, p is sieved in the first loop instead of the second
+    for limit in (p * p - 1, p * p, p * p + 1):
+        if limit >= 1:
+            _check_sieve(limit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(limit=st.integers(1, _BRUTE_LIMIT))
+def test_sieve_matches_trial_division(limit):
+    _check_sieve(limit)
+
+
+def test_primes_upto_and_mobius(monkeypatch):
+    for x in (-5, 0, 1):
+        got = primes_upto(x)
+        assert got.dtype == np.int64 and got.size == 0
+    assert primes_upto(2).tolist() == [2]
+    monkeypatch.setattr(arith, "_SHARED", sieve(100))
+    assert primes_upto(1000).tolist() == [p for p in _BRUTE_PRIMES if p <= 1000]
+    assert arith.shared_sieve(1).limit >= 1000
+    assert [mobius(n) for n in range(1, 501)] == _BRUTE_MU[1:501]
+    with pytest.raises(ValueError):
+        mobius(0)
 
 
 def test_sieve_budget():

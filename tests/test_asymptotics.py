@@ -36,9 +36,9 @@ def test_delta_22_matches_closed_form():
 
 def test_delta_33_matches_independent_evaluation():
     # independent route: the prime-n display prod (1 + 2/p)(1 - 1/p)^2 / 18
-    from quatrig.arith import shared_sieve
+    from quatrig.arith import primes_upto
 
-    primes = shared_sieve(10 ** 5).primes_upto(10 ** 5)
+    primes = primes_upto(10 ** 5)
     logs = [math.log(1 + 2 / p) + 2 * math.log1p(-1 / p) for p in primes.tolist()]
     expected = math.exp(math.fsum(logs)) / 18
     got = delta_mn(3, 3, 10 ** 5)

@@ -1,5 +1,9 @@
 import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatrig import census
 from quatrig.arith import count_squarefree, is_fundamental_discriminant
@@ -75,6 +79,22 @@ def test_fundamental_discriminants():
     expected = sorted(d for d in list(range(-24, 0)) + list(range(2, 25))
                       if is_fundamental_discriminant(d))
     assert full == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(limit=st.integers(0, 3000) | st.integers(0, 180).map(lambda j: 16 * j + 8))
+def test_fundamental_discriminants_match_scalar_filter(limit):
+    # |delta| ascending, the negative one first: ties +-k occur at k = 8 mod 16
+    expected = [d for k in range(1, limit + 1) for d in (-k, k)
+                if is_fundamental_discriminant(d)]
+    got = fundamental_discriminants(limit)
+    assert got.dtype == np.int64
+    assert got.tolist() == expected
+
+
+def test_fundamental_discriminants_negative_limit():
+    with pytest.raises(ValueError):
+        fundamental_discriminants(-1)
 
 
 def test_fundamental_count_asymptotic():

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from quatrig.cli import main
+from quatrig.cli import build_parser, main
 
 
 def run(capsys, argv):
@@ -214,3 +215,68 @@ def test_bounds_cli(capsys):
     assert json.loads(out)["value"] == 1.0
     code, out = run(capsys, ["bounds", "chlr", "--volume", "2.8", "--dim", "2"])
     assert "log10" in json.loads(out)["value"]
+
+
+def test_family_count_validated(capsys):
+    assert main(["rigidity", "family", "--b", "2,3", "--fields", "5", "--count", "-1"]) == 2
+    assert "count must be >= 0" in capsys.readouterr().err
+    code, out = run(capsys, ["rigidity", "family", "--b", "2,3", "--fields", "5",
+                             "--count", "0"])
+    assert code == 0
+    assert out == '{"base": "2,3","members": []}\n'
+
+
+# a valid argv for every subcommand that takes a float option
+_FLOAT_BASES = {
+    ("geodesics", "census"): ["geodesics", "census", "--b", "2,3", "--x", "40"],
+    ("surfaces", "census"): ["surfaces", "census", "--field", "-4", "--bl", "5.1,5.2",
+                             "--x", "1000"],
+    ("bounds", "recognizing"): ["bounds", "recognizing", "--x", "100"],
+    ("bounds", "chlr"): ["bounds", "chlr", "--volume", "2", "--dim", "3"],
+    ("bounds", "mcreid"): ["bounds", "mcreid", "--volume", "2"],
+    ("bounds", "brauer"): ["bounds", "brauer", "--disc1", "6", "--disc2", "10"],
+    ("bounds", "gw"): ["bounds", "gw", "--b-omega", "2", "--x", "100"],
+    ("bounds", "theta"): ["bounds", "theta", "--x", "100"],
+}
+
+
+def _float_options(parser, path=()):
+    """(subcommand path, option) for every option that parses a float."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _float_options(sub, path + (name,))
+        elif action.type not in (None, int):
+            yield path, action.option_strings[0]
+
+
+_FLOAT_OPTIONS = sorted(_float_options(build_parser()))
+
+
+def test_float_options_all_listed():
+    assert len(_FLOAT_OPTIONS) == 18
+    assert {path for path, _ in _FLOAT_OPTIONS} == set(_FLOAT_BASES)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize("path, option", _FLOAT_OPTIONS)
+def test_float_options_reject_non_finite(capsys, path, option, value):
+    argv = ["--format", "json", *_FLOAT_BASES[path], option, value]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr().out
+    assert code in (0, 2), argv
+    if code == 0:
+        strict_json(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["geodesics", "census", "--b", "2,3", "--x", "40", "--volume", "1000"],
+    ["surfaces", "census", "--field", "-4", "--bl", "5.1,5.2", "--x", "100000",
+     "--volume", "1000"],
+])
+def test_exp_bound_overflow_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert "overflows a float" in capsys.readouterr().err

@@ -171,11 +171,11 @@ def test_limit_pair_spec_values():
 
 
 def test_limit_pair_replay():
-    from quatrig.arith import kronecker_symbol, shared_sieve
+    from quatrig.arith import kronecker_symbol, primes_upto
 
     for m in (2, 3, 5, 7):
         d1, d2, p1, p2 = limit_pair(m)
-        for p in shared_sieve(m).primes_upto(m).tolist():
+        for p in primes_upto(m).tolist():
             assert kronecker_symbol(d1, int(p)) == kronecker_symbol(d2, int(p))
         for p in (p1, p2):
             assert kronecker_symbol(d1, p) == 1

@@ -315,66 +315,42 @@ class PellSolution:
     t1: int
     u1: int
 
-
-def _cf_sqrt_unit(m: int) -> tuple[int, int, int]:
-    """Minimal (x, y) with x^2 - m*y^2 = +-1 for non-square m >= 2, via the
-    continued fraction of sqrt(m); norm is (-1)^period."""
-    a0 = isqrt(m)
-    if a0 * a0 == m:
-        raise ValueError("m must not be a square")
-    p_prev, p = 1, a0
-    q_prev, q = 0, 1
-    pp, qq = 0, 1
-    a = a0
-    k = 0
-    while True:
-        pp = a * qq - pp
-        qq = (m - pp * pp) // qq
-        k += 1
-        if qq == 1:
-            return p, q, (-1) ** k
-        a = (a0 + pp) // qq
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
+    def regulator(self):
+        """log((t + u*sqrt(delta))/2), the log of the fundamental unit."""
+        with mp.workprec(PRECISION_BITS):
+            return mp.log((self.t + self.u * mp.sqrt(self.delta)) / 2)
 
 
 def pell_fundamental(delta: int) -> PellSolution:
     """Fundamental solution of t^2 - delta*u^2 = +-4 for a positive
-    fundamental discriminant, by continued fractions (brute force is kept as
-    a test oracle only)."""
+    fundamental discriminant, from one continued fraction (brute force is
+    kept as a test oracle only).
+
+    omega = (b + sqrt(delta))/2, with b the largest integer below sqrt(delta)
+    and b = delta (mod 2), is reduced, so its expansion is purely periodic:
+    the complete quotients (P + sqrt(delta))/Q start at (P, Q) = (b, 2), each
+    step takes a = floor((P + floor(sqrt(delta)))/Q), P <- aQ - P and
+    Q <- (delta - P^2)/Q, and after the period l they are back at (b, 2).
+    With q_k the convergent denominators the unit is q_{l-1}*omega + q_{l-2}:
+    t = b*q_{l-1} + 2*q_{l-2}, u = q_{l-1}, of norm (-1)^l.
+    """
     if delta <= 0 or not is_fundamental_discriminant(delta):
         raise InvalidDiscriminant(f"{delta} is not a positive fundamental discriminant")
-    if delta % 4 == 0:
-        x, y, norm = _cf_sqrt_unit(delta // 4)
-        t, u = 2 * x, y
-    else:
-        big_x, big_y, norm = _cf_sqrt_unit(delta)
-        t, u = 2 * big_x, 2 * big_y
-        if delta % 8 == 5:
-            # The unit of the half-integral order may be a cube root of
-            # x + y*sqrt(delta): solve t^3 - 3nt = 2x over the integers.
-            found = _half_unit_cube_root(delta, big_x, big_y)
-            if found is not None:
-                t, u, norm = found
+    root = isqrt(delta)
+    b = root - (root - delta) % 2
+    pp, qq, q_prev, q_cur, period = b, 2, 1, 0, 0  # P, Q; q_{k-2}, q_{k-1}
+    while not period or (pp, qq) != (b, 2):
+        a = (pp + root) // qq
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+        pp = a * qq - pp
+        qq = (delta - pp * pp) // qq
+        period += 1
+    t, u, norm = b * q_cur + 2 * q_prev, q_cur, (-1) ** period
     if norm == 1:
         t1, u1 = t, u
     else:
         t1, u1 = (t * t + delta * u * u) // 2, t * u
     return PellSolution(delta, t, u, norm, t1, u1)
-
-
-def _half_unit_cube_root(delta, big_x, big_y):
-    target = 2 * big_x
-    base = iroot(target, 3)
-    for n in (-1, 1):
-        for t in range(max(1, base - 2), base + 3):
-            if t % 2 == 1 and t ** 3 - 3 * n * t == target:
-                den = t * t - n
-                if den > 0 and (2 * big_y) % den == 0:
-                    u = 2 * big_y // den
-                    if u > 0 and t * t - delta * u * u == 4 * n:
-                        return t, u, n
-    return None
 
 
 # -- class numbers and L-values --------------------------------------------

@@ -56,17 +56,24 @@ def _prime_tail_bound(cutoff: int, exponent: float, coeff: float) -> float:
     return coeff * cutoff ** (1 - exponent) / (exponent - 1)
 
 
+def _cutoff_primes(cutoff: int):
+    """The primes <= cutoff of an Euler product truncated there; cutoff >= 2."""
+    if cutoff < 2:
+        raise ValueError(f"cutoff must be >= 2, got {cutoff}")
+    return primes_upto(cutoff)
+
+
 def delta_mn(m: int, n: int, cutoff: int) -> EulerProductValue:
     """The constant in front of x^(1/(n^2(1-1/l))) (log x)^(l-2) for the
     census of degree-n algebras with division degree dividing m; l is the
     least prime factor of n.  Structurally zero when l does not divide m."""
     if n % m != 0:
         raise ValueError("m must divide n")
+    primes = _cutoff_primes(cutoff)
     ell = factorize(n)[0][0]  # least prime factor
     if m % ell != 0:
         return EulerProductValue(0.0, cutoff, 0.0)
     extra = [(d, (1 - 1 / d) / (1 - 1 / ell)) for d in divisors(m) if d > ell]
-    primes = primes_upto(cutoff)
     total = 0.0
     tail = 0.0
     min_extra = min((e for _, e in extra), default=2.0)
@@ -133,8 +140,8 @@ def embed_constant_r1(delta: int, cutoff: int = 10 ** 6) -> EulerProductValue:
     subfield: the compact r = 1 product divided by Gamma(1/2), the latter
     coming from the coefficient-extraction normalization (empirically
     confirmed by the census ratios)."""
+    primes = _cutoff_primes(cutoff)
     lval = float(dirichlet_L(delta, 1))
-    primes = primes_upto(cutoff)
     chi = kronecker_vec(delta, primes)
     inert, ram = primes[chi == -1].tolist(), primes[chi == 0].tolist()
     logs = [0.5 * math.log1p(-1.0 / (p * p)) for p in inert + ram]
@@ -163,6 +170,7 @@ def embed_constant_general(deltas, cutoff: int = 10 ** 6) -> EulerProductValue:
     r = len(deltas)
     if r == 0:
         raise ValueError("need at least one field")
+    primes = _cutoff_primes(cutoff)
     r1p = 1 if all(d < 0 for d in deltas) else 0
     ram_primes = sorted({p for d in deltas for p, _ in factorize(d)})
     subsets = [t for k in range(1, r + 1) for t in combinations(range(r), k)]
@@ -183,7 +191,6 @@ def embed_constant_general(deltas, cutoff: int = 10 ** 6) -> EulerProductValue:
     q0 = [p for p in ram_primes
           if all(kronecker_symbol(d, p) != 1 for d in deltas)]
 
-    primes = primes_upto(cutoff)
     ram_set = set(ram_primes)
     logs = []
     for p in primes.tolist():

@@ -382,13 +382,11 @@ def splitting_density(place: PlaceQ, x: int) -> tuple[Fraction, Fraction, Fracti
     deltas = fundamental_discriminants(x)
     total = len(deltas)
     if place.is_infinite:
-        split = int((deltas > 0).sum())
-        return (Fraction(split, total), Fraction(0), Fraction(total - split, total))
-    kv = kronecker_vec(deltas, place.p)
-    split = int((kv == 1).sum())
-    inert = int((kv == -1).sum())
-    ram = total - split - inert
-    return (Fraction(split, total), Fraction(inert, total), Fraction(ram, total))
+        split, inert = int((deltas > 0).sum()), 0
+    else:
+        kv = kronecker_vec(deltas, place.p)
+        split, inert = int((kv == 1).sum()), int((kv == -1).sum())
+    return tuple(Fraction(k, total) for k in (split, inert, total - split - inert))
 
 
 def _least_inert_primes(deltas: np.ndarray) -> np.ndarray:

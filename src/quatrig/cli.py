@@ -428,7 +428,8 @@ def main(argv=None) -> int:
     except (InternalInconsistency, NotFoundWithinBound) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (ValueError, DependentDiscriminants, CacheCorruption, arith.SieveBudgetError) as exc:
+    except (ValueError, DependentDiscriminants, CacheCorruption, arith.SieveBudgetError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

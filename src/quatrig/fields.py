@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, prod
 
 from mpmath import mp
 
@@ -198,29 +198,20 @@ def split_root_label(field: QuadraticField, p: int) -> int:
 def places_above(field: QuadraticField, place: PlaceQ) -> tuple[QuadraticPlace, ...]:
     """The places of the field over a place of Q, with deterministic labels."""
     sp = splitting(field, place)
-    if sp is SplittingType.SPLIT:
-        if place.is_infinite:
-            # two real places of a real field, ordered by the sign of sqrt(delta)
-            return (
-                QuadraticPlace(place, sp, 1),
-                QuadraticPlace(place, sp, 2),
-            )
-        r = split_root_label(field, place.p)
-        r2 = (place.p - r) % place.p if place.p > 2 else r
-        return (
-            QuadraticPlace(place, sp, 1, r),
-            QuadraticPlace(place, sp, 2, r2),
-        )
-    return (QuadraticPlace(place, sp),)
+    if sp is not SplittingType.SPLIT:
+        return (QuadraticPlace(place, sp),)
+    # two real places of a real field, ordered by the sign of sqrt(delta), or
+    # two primes over a split p, index 1 carrying the smaller root label
+    label = None if place.is_infinite else split_root_label(field, place.p)
+    first = QuadraticPlace(place, sp, 1, label)
+    return first, first.conjugate()
 
 
 def regulator(field: QuadraticField):
     """log of the fundamental (norm +-1) unit of a real quadratic field."""
     if not field.is_real:
         raise InvalidDiscriminant("regulator requires a real field")
-    sol = pell_fundamental(field.delta)
-    with mp.workprec(PRECISION_BITS):
-        return mp.log((sol.t + sol.u * mp.sqrt(sol.delta)) / 2)
+    return pell_fundamental(field.delta).regulator()
 
 
 @dataclass(frozen=True)
@@ -299,9 +290,6 @@ def independent_mod_squares(deltas) -> bool:
     ds = list(deltas)
     for k in range(1, len(ds) + 1):
         for combo in combinations(ds, k):
-            prod = 1
-            for d in combo:
-                prod *= d
-            if squarefree_kernel(prod) == 1:
+            if squarefree_kernel(prod(combo)) == 1:
                 return False
     return True

@@ -31,7 +31,6 @@ from .brauer import (
     is_restriction,
 )
 from .census import _embeds_mask, _nonsplit_primes, check_independent, fundamental_discriminants
-from .fields import QuadraticField, regulator
 
 
 class NonHyperbolicTrace(ValueError):
@@ -63,10 +62,11 @@ class GeodesicDatum:
     """A closed geodesic arising from a real quadratic order: the field
     discriminant, the norm-one Pell trace, and the resulting length.
 
-    `length` uses the norm-one fundamental unit (the shortest geodesic in
-    the field's rational class); `squared_unit_length` is the length of the
-    norm-one unit u0/sigma(u0) = +-eps0^2 produced by the quotient
-    construction, which is 4 * regulator in either norm case.
+    `length` is 2 log of the norm-one fundamental unit (t1 + u1 sqrt(delta))/2,
+    the shortest geodesic in the field's rational class;
+    `squared_unit_length` is the length of the norm-one unit
+    u0/sigma(u0) = +-eps0^2 produced by the quotient construction, which is
+    4 * regulator in either norm case.  Both come from one Pell solution.
     """
 
     delta: int
@@ -80,14 +80,16 @@ class GeodesicDatum:
 
 
 def geodesic_from_field(delta: int) -> GeodesicDatum:
+    """The geodesic of the real quadratic field of discriminant delta, from
+    one pell_fundamental call: the length from the norm-one unit, checked
+    against 2 arccosh(t1/2), and 4 * the regulator of the same solution."""
     if delta <= 0:
         raise InvalidDiscriminant("geodesics require a real quadratic field")
     sol = pell_fundamental(delta)
     with mp.workprec(PRECISION_BITS):
         eps1 = (sol.t1 + sol.u1 * mp.sqrt(delta)) / 2
         length = float(2 * mp.log(eps1))
-        reg = regulator(QuadraticField(delta))
-        datum = GeodesicDatum(delta, sol.t1, length, float(4 * reg))
+        datum = GeodesicDatum(delta, sol.t1, length, float(4 * sol.regulator()))
     arccosh_form = length_from_trace(sol.t1)
     if abs(arccosh_form - datum.length) > 1e-9:
         raise AssertionError(
@@ -169,13 +171,12 @@ def minimal_covolume_cf(d_k: int, n_k: int, zeta_k2: float, ram_norms,
     """Minimal covolume of a maximal group in the commensurability class:
     2 pi^2 zeta_k(2) d_k^(3/2) Phi / ((4 pi^2)^{n_k} [k_B : k]) where Phi is
     the product of (N(p)-1)/2 over ramified places."""
-    if kb_index < 1:
-        raise ValueError("kb_index must be >= 1")
-    phi = 1.0
-    for q in ram_norms:
-        phi *= (q - 1) / 2
-    return (2 * math.pi ** 2 * zeta_k2 * d_k ** 1.5 * phi
-            / ((4 * math.pi ** 2) ** n_k * kb_index))
+    if min(d_k, n_k, kb_index) < 1:
+        raise ValueError("d_k, n_k and kb_index must be >= 1")
+    phi = math.prod((q - 1) / 2 for q in ram_norms)
+    return _finite(lambda: 2 * math.pi ** 2 * zeta_k2 * d_k ** 1.5 * phi
+                   / ((4 * math.pi ** 2) ** n_k * kb_index),
+                   f"the covolume at d_k = {d_k}, n_k = {n_k}")
 
 
 def disc_bound_from_volume(volume: float, dimension: int):
@@ -248,15 +249,21 @@ def class_census_with_lengths(deltas, volume: float) -> int:
                if primes and nonsplit.issuperset(primes))
 
 
-def _times_exp_cv(scale: float, const_c: float, volume: float) -> float:
-    """scale * e^(cV) as a float; ValueError where that overflows."""
+def _finite(compute, what: str) -> float:
+    """compute() as a finite float; ValueError where it overflows."""
     try:
-        value = scale * math.exp(const_c * volume)
+        value = compute()
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise ValueError(f"the e^(cV) bound at c = {const_c:g}, V = {volume:g} overflows a float")
+        raise ValueError(f"{what} overflows a float")
     return value
+
+
+def _times_exp_cv(scale: float, const_c: float, volume: float) -> float:
+    """scale * e^(cV) as a float; ValueError where that overflows."""
+    return _finite(lambda: scale * math.exp(const_c * volume),
+                   f"the e^(cV) bound at c = {const_c:g}, V = {volume:g}")
 
 
 @dataclass(frozen=True)
@@ -305,9 +312,7 @@ def surface_census(algebra_l: QuaternionAlgebraL, x: int, volume: float = 1.0,
     if desc is None:
         return []
     base = sorted(desc)
-    base_disc = 1
-    for p in base:
-        base_disc *= p
+    base_disc = math.prod(base)
     if base_disc ** 2 > x:
         return []
     rest = math.isqrt(x) // base_disc

@@ -56,6 +56,10 @@ class BoundReport:
     inputs: dict
     value: object  # mpf
 
+    def __post_init__(self):
+        if not (isinstance(self.value, mp.mpf) and self.value > 0):
+            raise ValueError(f"the {self.name} bound {self.value} is not a positive real")
+
     @property
     def log10(self) -> float:
         return float(self.log10_mpf)  # inf past the float range
@@ -80,8 +84,8 @@ def recognizing_bound(n_k: int, d_k: int, x: float) -> BoundReport:
     """Discriminant search radius guaranteeing that quaternion algebras of
     |disc| < x over a degree-n_k field are told apart by their maximal
     subfields: 64^(n_k^3) d_k^(n_k) exp(2 n_k (21x/log^3 x + x))."""
-    if x <= 2:
-        raise ValueError("x must exceed 2")
+    if x <= 2 or n_k < 1 or d_k < 1:
+        raise ValueError("x must exceed 2, n_k and d_k must be >= 1")
     with mp.workprec(_BOUND_PREC):
         xx = mp.mpf(x)
         expo = 2 * n_k * (21 * xx / mp.log(xx) ** 3 + xx)
@@ -92,8 +96,8 @@ def recognizing_bound(n_k: int, d_k: int, x: float) -> BoundReport:
 def grunwald_wang_conductor_bound(n_k: int, b_omega: float, x: float) -> BoundReport:
     """Conductor bound 32^(n_k^2) B(Omega) (prod_{p<=x} p)^(2 n_k), the
     primorial handled through the theta function in log space."""
-    if x <= 2:
-        raise ValueError("x must exceed 2")
+    if x <= 2 or n_k < 1:
+        raise ValueError("x must exceed 2 and n_k must be >= 1")
     theta = chebyshev_theta(x)
     with mp.workprec(_BOUND_PREC):
         value = (mp.mpf(32) ** (n_k ** 2) * mp.mpf(b_omega)

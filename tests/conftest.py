@@ -28,6 +28,13 @@ def _brute_quaternion_algebras(max_disc: int) -> list[QuaternionAlgebraQ]:
     return out
 
 
+@pytest.fixture(autouse=True)
+def _private_census_cache(tmp_path, monkeypatch):
+    """Point the default census cache at the test's own directory, so that no
+    test reads or writes the user's cache."""
+    monkeypatch.setenv("QUATRIG_CACHE_DIR", str(tmp_path / "census-cache"))
+
+
 @pytest.fixture
 def brute_quaternion_algebras():
     return _brute_quaternion_algebras

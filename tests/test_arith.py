@@ -288,6 +288,28 @@ def test_pell_against_brute_force():
             assert s.u > 3999  # solution out of brute-force reach, identity already checked
 
 
+def test_pell_known_unit_past_brute_force():
+    # x^2 - 94 y^2 = 1 at (2143295, 221064), and 94 has no norm -1 unit
+    s = pell_fundamental(376)
+    assert (s.t, s.u, s.norm) == (2 * 2143295, 221064, 1)
+    assert (s.t1, s.u1) == (s.t, s.u)
+
+
+def test_pell_class_number_formula_integrality():
+    # past the brute-force cap t^2 - delta u^2 = +-4 holds for every power of
+    # the unit; sqrt(delta) L(1, chi) / (2 log eps) = h is an integer only for
+    # the fundamental one, and the log-sine L-value shares nothing with the
+    # continued fraction
+    candidates = [d for d in range(2001, 10 ** 4)
+                  if is_fundamental_discriminant(d) and pell_fundamental(d).u > 3999]
+    for delta in random.Random(376).sample(candidates, 12):
+        sol = pell_fundamental(delta)
+        with mp.workprec(PRECISION_BITS):
+            log_eps = mp.log((sol.t + sol.u * mp.sqrt(delta)) / 2)
+            h = mp.sqrt(delta) * dirichlet_L(delta, 1) / (2 * log_eps)
+            assert mp.nint(h) >= 1 and abs(h - mp.nint(h)) < 1e-12, (delta, h)
+
+
 def test_pell_norm_one_minimality():
     # no smaller u' admits a norm-one solution (checked within brute reach)
     for delta in (5, 8, 12, 13, 21, 24, 28, 29, 33, 40, 61, 76, 85, 89, 92, 97):

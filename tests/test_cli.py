@@ -1,7 +1,13 @@
 import argparse
+import contextlib
+import io
 import json
+import os
+from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from quatrig.cli import build_parser, main
 
@@ -280,3 +286,118 @@ def test_float_options_reject_non_finite(capsys, path, option, value):
 def test_exp_bound_overflow_exits_2(capsys, argv):
     assert main(argv) == 2
     assert "overflows a float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "delta-n", "--n", "2", "--cutoff", "0"],
+    ["predict", "delta-n", "--n", "2", "--cutoff", "1"],
+    ["predict", "delta-n", "--n", "2", "--cutoff", "-5"],
+    ["predict", "embed-constant", "--fields=-4", "--cutoff", "0"],
+    ["predict", "embed-constant", "--fields=-4,5", "--cutoff", "1"],
+    ["predict", "report", "--model", "division:2", "--x", "100", "--cutoff", "0"],
+    ["bounds", "recognizing", "--x", "3", "--dk", "0"],
+    ["bounds", "recognizing", "--x", "3", "--dk", "-1"],
+    ["bounds", "gw", "--b-omega", "0", "--x", "10"],
+    ["bounds", "gw", "--b-omega", "-1", "--x", "10"],
+    ["bounds", "brauer", "--disc1", "1", "--disc2", "1"],
+    ["volumes", "min-cf", "--dk", "-5", "--nk", "1"],
+    ["volumes", "min-cf", "--dk", "1", "--nk", "400"],
+    ["--out", "{missing}/x.txt", "census", "fund-disc", "--x", "10"],
+], ids=" ".join)
+def test_invalid_inputs_exit_2_with_a_message(capsys, tmp_path, argv):
+    argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_census_without_cache_dir_writes_only_the_test_cache(capsys, tmp_path, monkeypatch):
+    home = tmp_path / "home"
+    home.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    code, out = run(capsys, ["census", "division", "--n", "2", "--x", "100"])
+    assert (code, out) == (0, "x,count\n100,6\n")
+    cache_dir = Path(os.environ["QUATRIG_CACHE_DIR"])
+    assert cache_dir == tmp_path / "census-cache"
+    assert len(list(cache_dir.iterdir())) == 1
+    assert list(home.iterdir()) == []
+
+
+# small values for every option of every leaf command, so that no draw runs
+# at a default scale (--cutoff, --x, --delta-max and the rest are always given)
+_FUZZ_FLOATS = ["0", "-1", "0.5", "2.5", "1e300"]
+_FUZZ_STRINGS = {
+    "b": ["", "2,3", "2,inf", "3,inf", "2,3,5,7", "2", "inf", "4,inf"],
+    "fields": ["-4", "5", "-4,5", "-3,-4", "8", "-4,-4", "1", "12", ""],
+    "bl": ["5.1,5.2", "5.1", "2", "3", "", "13.1,13.2", "7"],
+    "thresholds": ["1,10", "40", "0,5", "", "60,1"],
+    "model": ["division:2", "division:3", "embed:-4", "embed:-4,5", "embed:",
+              "quads:2,inf", "bogus:1", "division:x"],
+    "ram_norms": ["5,5", "", "2", "0", "-3"],
+}
+# limit-pair matches the splitting of Q(sqrt(-3)) at every p <= m, a search
+# that grows like 2^pi(m): on a 2-core Xeon m = 40 takes 0.1 s, m = 47 about 20 s
+_FUZZ_INT_MAX = {("rigidity", "limit-pair", "m"): 40}
+
+
+def _leaves(parser, path=()):
+    """(subcommand path, options) for every leaf command of the parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, [a for a in parser._actions if a.option_strings and a.dest != "help"]
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaves(sub, path + (name,))
+
+
+def _option_args(path, action):
+    """A strategy for the argv tokens of one option of the leaf at path."""
+    opt = action.option_strings[0]
+    if action.nargs == 0:  # store_true
+        return st.sampled_from([[], [opt]])
+    if action.type is int:
+        values = st.integers(-3, _FUZZ_INT_MAX.get((*path, action.dest), 60)).map(str)
+    elif action.type is not None:
+        values = st.sampled_from(_FUZZ_FLOATS)
+    else:
+        values = st.sampled_from(_FUZZ_STRINGS[action.dest.rstrip("12")])
+    return values.map(lambda v: [f"{opt}={v}"])
+
+
+def _argv(leaf):
+    path, actions = leaf
+    return st.tuples(*(_option_args(path, a) for a in actions)).map(
+        lambda parts: [*path, *(tok for part in parts for tok in part)])
+
+
+_LEAVES = list(_leaves(build_parser()))
+
+
+def test_fuzz_has_values_for_every_option():
+    assert len(_LEAVES) == 24
+    strings = {a.dest.rstrip("12") for _, actions in _LEAVES for a in actions
+               if a.type is None and a.nargs != 0}
+    assert strings == set(_FUZZ_STRINGS)
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@seed(20261018)
+@given(argv=st.sampled_from(_LEAVES).flatmap(_argv),
+       fmt=st.sampled_from([[], ["--format", "json"], ["--format", "csv"]]),
+       to_file=st.booleans())
+def test_cli_contract_on_fuzzed_argv(tmp_path_factory, argv, fmt, to_file):
+    work = tmp_path_factory.mktemp("fuzz")
+    out_args = ["--out", str(work / "out.txt")] if to_file else []
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main([*fmt, *out_args, "--cache-dir", str(work / "cache"), *argv])
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 2, 3), (argv, stderr.getvalue())
+    out_file = work / "out.txt"
+    text = out_file.read_text() if out_file.exists() else stdout.getvalue()
+    if text.startswith("{"):
+        strict_json(text)

@@ -2,7 +2,12 @@ import math
 
 import pytest
 
-from quatrig.arith import InvalidDiscriminant, is_fundamental_discriminant, zeta_k_at_2
+from quatrig.arith import (
+    InvalidDiscriminant,
+    is_fundamental_discriminant,
+    pell_fundamental,
+    zeta_k_at_2,
+)
 from quatrig.brauer import QuaternionAlgebraL, parse_ram_set, parse_ram_set_l
 from quatrig.fields import make_field
 from quatrig.geometry import (
@@ -155,6 +160,23 @@ def test_geodesic_census():
         1 for d in range(2, 41) if is_fundamental_discriminant(d))
     with pytest.raises(DefiniteAlgebra):
         geodesic_census(parse_ram_set("2,inf"), 40)
+
+
+def test_geodesic_census_solves_pell_once_per_field(monkeypatch):
+    import quatrig.fields
+    import quatrig.geometry
+
+    calls = []
+
+    def counted(delta):
+        calls.append(delta)
+        return pell_fundamental(delta)
+
+    monkeypatch.setattr(quatrig.geometry, "pell_fundamental", counted)
+    monkeypatch.setattr(quatrig.fields, "pell_fundamental", counted)
+    res = geodesic_census(parse_ram_set("2,19"), 3000)
+    assert res.count > 100
+    assert calls == [d.delta for d in res.data]
 
 
 def test_surface_census_spec_values():

@@ -8,6 +8,7 @@ from .arith import (
     PellSolution,
     SieveTable,
     chebyshev_theta,
+    class_number,
     class_number_imaginary,
     count_squarefree,
     dirichlet_L,

@@ -43,10 +43,6 @@ class EulerProductValue:
     cutoff: int
     tail_estimate: float
 
-    @property
-    def log_value(self) -> float:
-        return math.log(self.value) if self.value > 0 else float("-inf")
-
 
 def _prime_tail_bound(cutoff: int, exponent: float, coeff: float) -> float:
     """Bound on sum over primes p > cutoff of coeff/p^exponent, via the
@@ -202,9 +198,7 @@ def embed_constant_general(deltas, cutoff: int = 10 ** 6) -> EulerProductValue:
         term += math.log1p(-1.0 / p)  # T = empty: chi trivial off the ramified set
         for t in subsets:
             sign = -1 if len(t) % 2 else 1
-            chi_t = 1
-            for i in t:
-                chi_t *= chis[i]
+            chi_t = math.prod(chis[i] for i in t)
             term += sign * math.log1p(-chi_t / p)
         logs.append(term)
     log_z = math.fsum(logs)

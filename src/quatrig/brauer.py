@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .arith import factorize
 from .fields import (
@@ -52,10 +52,7 @@ class CentralSimpleAlgebraQ:
 
     @property
     def division_degree(self) -> int:
-        d = 1
-        for _, f in self.invariant_items:
-            d = lcm(d, f.denominator)
-        return d
+        return lcm(*(f.denominator for _, f in self.invariant_items))
 
     @property
     def is_division(self) -> bool:
@@ -94,13 +91,8 @@ def disc_norm(algebra: CentralSimpleAlgebraQ) -> int:
     """|disc(A)| = product over ramified finite p of p^(n^2(1-1/m_p)); the
     real place contributes norm 1."""
     n = algebra.degree
-    out = 1
-    for place, frac in algebra.invariant_items:
-        if place.is_infinite:
-            continue
-        m = frac.denominator
-        out *= place.p ** (n * n - n * n // m)
-    return out
+    return prod(place.p ** (n * n - n * n // frac.denominator)
+                for place, frac in algebra.invariant_items if not place.is_infinite)
 
 
 def opposite(algebra: CentralSimpleAlgebraQ) -> CentralSimpleAlgebraQ:
@@ -116,10 +108,7 @@ def tensor_class(a1: CentralSimpleAlgebraQ, a2: CentralSimpleAlgebraQ) -> Centra
     for v, f in list(a1.invariant_items) + list(a2.invariant_items):
         combined[v] = (combined.get(v, Fraction(0)) + f) % 1
     combined = {v: f for v, f in combined.items() if f != 0}
-    d = 1
-    for f in combined.values():
-        d = lcm(d, f.denominator)
-    return make_csa(d, combined)
+    return make_csa(lcm(*(f.denominator for f in combined.values())), combined)
 
 
 def iso(a1: CentralSimpleAlgebraQ, a2: CentralSimpleAlgebraQ) -> bool:
@@ -160,15 +149,8 @@ class QuaternionAlgebraQ:
         return INFINITY in self.ramification
 
     @property
-    def is_definite(self) -> bool:
-        return self.ramified_at_infinity
-
-    @property
     def reduced_discriminant(self) -> int:
-        out = 1
-        for p in self.finite_primes:
-            out *= p
-        return out
+        return prod(self.finite_primes)
 
     @property
     def disc_norm(self) -> int:

@@ -61,10 +61,6 @@ class CountTable:
         if any(b < a for a, b in zip(self.counts, self.counts[1:])):
             raise InternalInconsistency("counts must be nondecreasing in x")
 
-    def count_at(self, x: int) -> int:
-        idx = self.thresholds.index(x)
-        return self.counts[idx]
-
     def rows(self):
         return list(zip(self.thresholds, self.counts))
 

@@ -138,12 +138,8 @@ def coarea_maximal_order(algebra: QuaternionAlgebraQ | None = None, *,
         if zeta_k2 is None:
             raise ValueError("zeta_k2 required")
         ram_norms = tuple(ram_norms or ())
-        disc = 1
-        for q in ram_norms:
-            disc *= q * q
-    prod = 1.0
-    for q in ram_norms:
-        prod *= q - 1
+        disc = math.prod(q * q for q in ram_norms)
+    prod = math.prod((q - 1 for q in ram_norms), start=1.0)
     value = 8 * math.pi ** 2 * float(zeta_k2) * prod / (4 * math.pi ** 2) ** n_k
     bound = 2 * math.pi ** 2 * disc
     if value > bound * (1 + 1e-12):
@@ -173,6 +169,8 @@ def minimal_covolume_cf(d_k: int, n_k: int, zeta_k2: float, ram_norms,
     the product of (N(p)-1)/2 over ramified places."""
     if min(d_k, n_k, kb_index) < 1:
         raise ValueError("d_k, n_k and kb_index must be >= 1")
+    if any(q < 2 for q in ram_norms):
+        raise ValueError(f"ram norms must be >= 2, got {list(ram_norms)}")
     phi = math.prod((q - 1) / 2 for q in ram_norms)
     return _finite(lambda: 2 * math.pi ** 2 * zeta_k2 * d_k ** 1.5 * phi
                    / ((4 * math.pi ** 2) ** n_k * kb_index),

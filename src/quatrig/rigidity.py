@@ -40,6 +40,9 @@ from .census import _embeds_mask, fundamental_discriminants
 from .fields import INFINITY, PlaceQ, QuadraticField
 
 _BOUND_PREC = 100
+# limit_pair's largest candidate table: every m <= 47 is answered within it,
+# m = 47 only at 10^8 (about 20 s on a 2-core Xeon)
+LIMIT_PAIR_CAP = 10 ** 8
 
 
 class NotFoundWithinBound(RuntimeError):
@@ -278,7 +281,7 @@ def limit_pair(m: int) -> tuple[int, int, int, int]:
     small = primes_upto(m).tolist()
     d1 = -3
     cap = 10 ** 4
-    while True:
+    while cap <= LIMIT_PAIR_CAP:
         deltas = fundamental_discriminants(cap)
         match = (deltas < 0) & (deltas != d1)
         for p in small:
@@ -288,6 +291,7 @@ def limit_pair(m: int) -> tuple[int, int, int, int]:
             return (d1, d, *_least_primes(2, lambda ps: (kronecker_vec(d1, ps) == 1)
                                           & (kronecker_vec(d, ps) == -1)))
         cap *= 10
+    raise NotFoundWithinBound(f"m = {m}: no partner of {d1} with |delta| <= {LIMIT_PAIR_CAP}")
 
 
 def _least_primes(count: int, keep) -> list[int]:

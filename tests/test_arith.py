@@ -14,6 +14,7 @@ from quatrig.arith import (
     InvalidDiscriminant,
     SieveBudgetError,
     chebyshev_theta,
+    class_number,
     class_number_imaginary,
     count_squarefree,
     PRECISION_BITS,
@@ -298,15 +299,15 @@ def test_pell_known_unit_past_brute_force():
 def test_pell_class_number_formula_integrality():
     # past the brute-force cap t^2 - delta u^2 = +-4 holds for every power of
     # the unit; sqrt(delta) L(1, chi) / (2 log eps) = h is an integer only for
-    # the fundamental one, and the log-sine L-value shares nothing with the
-    # continued fraction
+    # the fundamental one, and the digamma L-value shares nothing with the
+    # continued fraction (dirichlet_L itself is built on the regulator)
     candidates = [d for d in range(2001, 10 ** 4)
                   if is_fundamental_discriminant(d) and pell_fundamental(d).u > 3999]
     for delta in random.Random(376).sample(candidates, 12):
         sol = pell_fundamental(delta)
         with mp.workprec(PRECISION_BITS):
             log_eps = mp.log((sol.t + sol.u * mp.sqrt(delta)) / 2)
-            h = mp.sqrt(delta) * dirichlet_L(delta, 1) / (2 * log_eps)
+            h = mp.sqrt(delta) * _L1_digamma(delta) / (2 * log_eps)
             assert mp.nint(h) >= 1 and abs(h - mp.nint(h)) < 1e-12, (delta, h)
 
 
@@ -335,6 +336,33 @@ def test_class_numbers():
     assert class_number_imaginary(-163) == 1
     with pytest.raises(InvalidDiscriminant):
         class_number_imaginary(5)
+
+
+def test_real_class_numbers():
+    known = {5: 1, 8: 1, 12: 1, 13: 1, 60: 2, 145: 4, 229: 3, 316: 3, 328: 4, 401: 5}
+    assert {d: class_number(d) for d in known} == known
+    assert class_number(-23) == 3
+    for bad in (1, 45, -72):
+        with pytest.raises(InvalidDiscriminant):
+            class_number(bad)
+
+
+def _brute_reduced_forms(delta: int) -> int:
+    """The reduced definite forms of discriminant delta < 0, by a over
+    a^2 <= |delta|/3 and every b in (-a, a]."""
+    count = 0
+    for a in range(1, isqrt(-delta // 3) + 1):
+        for b in range(-a + 1, a + 1):
+            if (b * b - delta) % (4 * a) == 0:
+                c = (b * b - delta) // (4 * a)
+                count += a <= c and not (a == c and b < 0)
+    return count
+
+
+def test_class_number_imaginary_against_brute_force():
+    for delta in range(-1999, 0):
+        if is_fundamental_discriminant(delta):
+            assert class_number_imaginary(delta) == _brute_reduced_forms(delta), delta
 
 
 def test_dirichlet_L_spec_values():
@@ -367,6 +395,27 @@ def _L1_digamma(delta: int):
             if chi:
                 total += chi * mp.digamma(mp.mpf(a) / q)
         return -total / q
+
+
+def _L1_log_sine(delta: int):
+    """-(1/sqrt(q)) sum chi(a) log sin(pi a/q) for delta > 0, at the working
+    precision of dirichlet_L; chi is even, so the terms pair up at a, q - a."""
+    q = delta
+    with mp.workprec(PRECISION_BITS):
+        total = mp.mpf(0)
+        for a in range(1, (q + 1) // 2):
+            chi = kronecker_symbol(delta, a)
+            if chi:
+                total += chi * mp.log(mp.sin(mp.pi * a / q))
+        return -2 * total / mp.sqrt(q)
+
+
+def test_dirichlet_L1_positive_equals_log_sine_float():
+    # the class number formula and the log-sine sum round to the same double
+    small = [d for d in range(5, 1000) if is_fundamental_discriminant(d)]
+    pool = [d for d in range(1000, 10 ** 4) if is_fundamental_discriminant(d)]
+    for delta in small + random.Random(1000).sample(pool, 12):
+        assert float(dirichlet_L(delta, 1)) == float(_L1_log_sine(delta)), delta
 
 
 def test_dirichlet_L1_two_routes_agree_negative():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from quatrig.arith import is_fundamental_discriminant
 from quatrig.brauer import (
@@ -206,3 +208,57 @@ def test_quaternion_self_opposite(brute_quaternion_algebras):
     for b in brute_quaternion_algebras(400):
         csa = b.as_csa()
         assert iso(csa, opposite(csa))
+
+
+# -- Brauer-group and embedding laws on drawn algebras -----------------------
+
+_ONE = make_csa(1, {})
+
+
+@st.composite
+def _csas(draw):
+    """A central simple algebra of degree n <= 6: invariants k/n at a few
+    primes, 1/2 at infinity for some even n, and one balancing prime that
+    makes the invariant sum an integer."""
+    n = draw(st.integers(1, 6))
+    inv = {PlaceQ.finite(p): Fraction(draw(st.integers(0, n - 1)), n)
+           for p in draw(st.lists(st.sampled_from((2, 3, 5, 7, 11)), unique=True, max_size=3))}
+    if n % 2 == 0 and draw(st.booleans()):
+        inv[INFINITY] = Fraction(1, 2)
+    inv[PlaceQ.finite(draw(st.sampled_from((13, 17))))] = -sum(inv.values()) % 1
+    return make_csa(n, {v: f for v, f in inv.items() if f})
+
+
+_QUATERNIONS = st.lists(st.sampled_from((2, 3, 5, 7, 11, 13, 17, 19)), unique=True,
+                        max_size=4).map(lambda ps: QuaternionAlgebraQ.from_primes(
+                            ps, include_infinity=len(ps) % 2 == 1))
+_FIELDS = st.sampled_from([d for d in range(-400, 400) if is_fundamental_discriminant(d)]
+                          ).map(QuadraticField)
+_LAWS = settings(max_examples=150, deadline=None, database=None)
+
+
+@_LAWS
+@seed(20261018)
+@given(_csas(), _csas(), _csas())
+def test_tensor_class_is_associative_and_commutative(a, b, c):
+    assert tensor_class(a, b) == tensor_class(b, a)
+    assert tensor_class(tensor_class(a, b), c) == tensor_class(a, tensor_class(b, c))
+    assert tensor_class(tensor_class(a, _ONE), b) == tensor_class(a, b)
+
+
+@_LAWS
+@seed(20261018)
+@given(_csas())
+def test_opposite_is_the_inverse(a):
+    assert tensor_class(a, opposite(a)) == _ONE
+    assert opposite(opposite(a)) == a
+
+
+@_LAWS
+@seed(20261018)
+@given(_QUATERNIONS, _FIELDS)
+def test_restrictions_descend_and_embedding_is_splitting(b, f):
+    bl = restrict(b, f)
+    assert descends(bl) is not None
+    assert is_restriction(b, f, bl)
+    assert embeds(f, b) == bl.is_split

@@ -302,6 +302,8 @@ def test_exp_bound_overflow_exits_2(capsys, argv):
     ["bounds", "brauer", "--disc1", "1", "--disc2", "1"],
     ["volumes", "min-cf", "--dk", "-5", "--nk", "1"],
     ["volumes", "min-cf", "--dk", "1", "--nk", "400"],
+    ["volumes", "min-cf", "--dk", "4", "--nk", "2", "--ram-norms=-3,1"],
+    ["volumes", "min-cf", "--dk", "4", "--nk", "2", "--ram-norms=1"],
     ["--out", "{missing}/x.txt", "census", "fund-disc", "--x", "10"],
 ], ids=" ".join)
 def test_invalid_inputs_exit_2_with_a_message(capsys, tmp_path, argv):
@@ -311,6 +313,21 @@ def test_invalid_inputs_exit_2_with_a_message(capsys, tmp_path, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_limit_pair_past_its_cap_exits_3(capsys, monkeypatch):
+    from quatrig import rigidity
+
+    tables = []
+    build = rigidity.fundamental_discriminants
+    monkeypatch.setattr(rigidity, "LIMIT_PAIR_CAP", 10 ** 4)
+    monkeypatch.setattr(rigidity, "fundamental_discriminants",
+                        lambda cap: tables.append(cap) or build(cap))
+    code = main(["rigidity", "limit-pair", "--m", "60"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert "m = 60" in captured.err and "10000" in captured.err
+    assert tables == [10 ** 4]
 
 
 def test_census_without_cache_dir_writes_only_the_test_cache(capsys, tmp_path, monkeypatch):

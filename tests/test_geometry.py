@@ -123,6 +123,12 @@ def test_minimal_covolume_cf():
     assert minimal_covolume_cf(4, 2, zk2, [5, 5], 2) == pytest.approx(v / 2)
 
 
+@pytest.mark.parametrize("norms", [[-3, 1], [1], [0], [5, 1]])
+def test_minimal_covolume_cf_rejects_norms_below_2(norms):
+    with pytest.raises(ValueError, match="ram norms must be >= 2"):
+        minimal_covolume_cf(4, 2, 1.0, norms)
+
+
 def test_disc_bound_from_volume():
     from mpmath import mp
 

@@ -29,8 +29,9 @@ from .arith import (
     ramanujan_sum,
     squarefree_kernel,
 )
-from .brauer import QuaternionAlgebraQ
-from .census import CountTable, check_independent
+from .brauer import QuaternionAlgebraQ, parse_ram_set
+from .census import (census_division, census_embedding_quads, census_quat_with_subfields,
+                     check_independent)
 
 # residue of zeta at s = 1 and number of real embeddings, for the base field Q
 KAPPA_Q = 1.0
@@ -224,28 +225,33 @@ def model_embed(r: int, x: float, constant: EulerProductValue) -> float:
     return constant.value * math.sqrt(x) / math.log(x) ** (1 - 1.0 / 2 ** r)
 
 
-def prediction_report(table: CountTable, model: tuple, cutoff: int = 10 ** 6) -> list[dict]:
-    """count/model ratios for a census table.
+def prediction_report(model: str, thresholds, cutoff: int = 10 ** 6) -> list[dict]:
+    """count/model ratios of the census that model names, at the thresholds.
 
-    model is ("division", n), ("embed", deltas) or ("quads", algebra); the
-    quads rows also carry the proven lower bound for count/x.  A model that
-    is zero or undefined at some x (log x = 0 at x = 1) raises ValueError.
+    model is "division:N", "embed:D1,D2,..." or "quads:RAMSET"; the quads
+    rows carry count/x and the proven lower bound for it instead, and leave
+    the cutoff unused.  A model that is zero or undefined at some x (log x = 0
+    at x = 1) raises ValueError.
     """
-    kind = model[0]
+    kind, _, rest = model.partition(":")
     if kind == "quads":
-        lb = embed_quads_lower_bound(model[1])
+        algebra = parse_ram_set(rest)
+        table = census_embedding_quads(algebra, thresholds)
+        lb = embed_quads_lower_bound(algebra)
         return [{"x": x, "count": c, "count_over_x": c / x, "lower_bound": lb.value,
                  "meets_bound": c / x >= lb.value - 0.002} for x, c in table.rows()]
     if kind == "division":
-        model_fn, arg = model_division, model[1]
-        const = delta_n(arg, cutoff)
+        n = int(rest)
+        table = census_division(n, thresholds)
+        model_fn, arg, const = model_division, n, delta_n(n, cutoff)
     elif kind == "embed":
-        deltas = tuple(model[1])
+        deltas = [int(tok) for tok in rest.split(",") if tok.strip()]
+        table = census_quat_with_subfields(deltas, thresholds)
         model_fn, arg = model_embed, len(deltas)
         const = (embed_constant_r1(deltas[0], cutoff) if len(deltas) == 1
                  else embed_constant_general(deltas, cutoff))
     else:
-        raise ValueError(f"unknown model {kind!r}")
+        raise ValueError(f"unknown model {model!r}")
     rows = []
     for x, c in table.rows():
         try:

@@ -10,6 +10,10 @@ Subcommands mirror the library:
     rigidity  distinguish | scan | limit-pair | family
     bounds    recognizing | chlr | mcreid | brauer | gw | theta
 
+The parser tree is the dispatch table: every leaf parser carries its runner
+as the `run` default and every command group its default output format, so
+`main` parses argv and calls `args.run(args)`, which prints through `_emit`.
+
 Exit codes: 0 success, 2 validation error, 3 invariant violation (an
 internal-inconsistency or a failed theorem-level search).  Output is CSV for
 tables and JSON elsewhere; counts are emitted as exact decimal strings in
@@ -22,9 +26,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 from mpmath import mp
 
 from . import arith, asymptotics, census, geometry, rigidity
@@ -37,13 +41,6 @@ from .rigidity import NotFoundWithinBound
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INVARIANT = 3
-
-
-@dataclass
-class RunConfig:
-    format: str
-    out: str | None
-    cache_dir: str | None
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -71,216 +68,174 @@ def _json_number(value):
         return {"log10": float(mp.log10(value))}
 
 
-def _emit(payload, cfg: RunConfig, csv_rows=None, csv_header=None):
+def _emit(args, payload, csv_rows=None, csv_header=None):
     """csv_rows/csv_header drive csv format; payload drives json."""
-    if cfg.format == "csv" and csv_rows is not None:
+    if (args.format or args.default_format) == "csv" and csv_rows is not None:
         lines = [csv_header] + [",".join(str(c) for c in row) for row in csv_rows]
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=None)
         text += "\n"
-    if cfg.out:
-        Path(cfg.out).write_text(text)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _table_payload(table: CountTable):
-    return {
-        "spec": table.spec,
-        "rows": [{"x": str(x), "count": str(c)} for x, c in table.rows()],
-    }
-
-
-def _cached_census(cfg: RunConfig, spec: dict, thresholds: list[int], compute):
-    """The census table for spec at thresholds, from the cache when warm; the
-    cache key is the spec plus the thresholds."""
-    cache = CensusCache(cfg.cache_dir)
-    key = {**spec, "thresholds": thresholds}
-    cached = cache.load(key)
-    if cached is not None:
-        return CountTable(cached.thresholds, cached.counts, spec)
-    table = compute()
-    cache.store(key, table)
-    return table
-
-
 def _thresholds(args) -> list[int]:
-    if getattr(args, "thresholds", None):
-        return sorted(set(_parse_int_list(args.thresholds)))
-    return [args.x]
+    """--x together with every --thresholds value, ascending."""
+    return sorted({args.x, *_parse_int_list(args.thresholds or "")})
 
 
-# -- subcommand handlers -----------------------------------------------------
+# -- runners: the `run` default of each leaf parser ---------------------------
 
-def _cmd_census(args, cfg: RunConfig) -> int:
+def _census(args, spec: dict, compute, cached: bool = True) -> None:
+    """Print the census table compute(thresholds): the one output path of
+    every census leaf.  A cached table is read from the census cache when
+    warm, else computed and stored; the key is the spec plus the thresholds."""
     xs = _thresholds(args)
-    if args.census_cmd == "csa":
-        table = _cached_census(cfg, census.csa_spec(args.m, args.n), xs,
-                               lambda: census.census_csa(args.m, args.n, xs))
-    elif args.census_cmd == "division":
-        table = _cached_census(cfg, census.division_spec(args.n), xs,
-                               lambda: census.census_division(args.n, xs))
-    elif args.census_cmd == "embed-quads":
-        b = parse_ram_set(args.b)
-        ntc = args.not_totally_complex
-        table = _cached_census(cfg, census.embed_quads_spec(b, ntc), xs,
-                               lambda: census.census_embedding_quads(b, xs, ntc))
-    elif args.census_cmd == "quat-subfields":
-        deltas = _parse_int_list(args.fields)
-        table = _cached_census(cfg, census.quat_subfields_spec(deltas), xs,
-                               lambda: census.census_quat_with_subfields(deltas, xs))
-    else:  # fund-disc
-        counts = [census.fundamental_discriminant_count(x) for x in xs]
-        table = CountTable(tuple(xs), tuple(counts), {"kind": "fund_disc"})
-    _emit(_table_payload(table), cfg, csv_rows=table.rows(), csv_header="x,count")
-    return EXIT_OK
-
-
-def _cmd_predict(args, cfg: RunConfig) -> int:
-    if args.predict_cmd == "delta-n":
-        value = asymptotics.delta_n(args.n, args.cutoff)
-        _emit({"constant": "delta_n", "n": args.n, "value": value.value,
-               "cutoff": value.cutoff, "tail_estimate": value.tail_estimate}, cfg)
-    elif args.predict_cmd == "embed-constant":
-        deltas = _parse_int_list(args.fields)
-        if len(deltas) == 1:
-            value = asymptotics.embed_constant_r1(deltas[0], args.cutoff)
-        else:
-            value = asymptotics.embed_constant_general(deltas, args.cutoff)
-        _emit({"constant": "embed", "fields": deltas, "value": value.value,
-               "cutoff": value.cutoff, "tail_estimate": value.tail_estimate}, cfg)
-    else:  # report
-        kind, _, rest = args.model.partition(":")
-        xs = _thresholds(args)
-        if kind == "division":
-            n = int(rest)
-            table = census.census_division(n, xs)
-            rows = asymptotics.prediction_report(table, ("division", n), args.cutoff)
-        elif kind == "embed":
-            deltas = _parse_int_list(rest)
-            table = census.census_quat_with_subfields(deltas, xs)
-            rows = asymptotics.prediction_report(table, ("embed", deltas), args.cutoff)
-        elif kind == "quads":
-            b = parse_ram_set(rest)
-            table = census.census_embedding_quads(b, xs)
-            rows = asymptotics.prediction_report(table, ("quads", b), args.cutoff)
-        else:
-            raise ValueError(f"unknown model {args.model!r}")
-        _emit({"model": args.model, "rows": rows}, cfg,
-              csv_rows=[[r["x"], r["count"], r.get("model", r.get("lower_bound")),
-                         r.get("ratio", r.get("count_over_x"))] for r in rows],
-              csv_header="x,count,model,ratio")
-    return EXIT_OK
-
-
-def _cmd_geodesics(args, cfg: RunConfig) -> int:
-    if args.geo_cmd == "from-field":
-        d = geometry.geodesic_from_field(args.delta)
-        _emit({"delta": d.delta, "trace": str(d.trace), "length": d.length,
-               "squared_unit_length": d.squared_unit_length}, cfg,
-              csv_rows=[[d.delta, d.trace, repr(d.length)]],
-              csv_header="delta,trace,length")
+    if cached:
+        cache = CensusCache(args.cache_dir)
+        key = {**spec, "thresholds": xs}
+        table = cache.load(key)
+        if table is None:
+            table = compute(xs)
+            cache.store(key, table)
     else:
-        b = parse_ram_set(args.b)
-        result = geometry.geodesic_census(b, args.x, args.volume, args.const_c)
-        payload = {
-            "count": result.count, "classes": result.classes,
-            "max_length": result.max_length, "length_bound": result.length_bound,
-        }
-        _emit(payload, cfg,
-              csv_rows=[[d.delta, d.trace, repr(d.length)] for d in result.data],
-              csv_header="delta,trace,length")
-    return EXIT_OK
+        table = compute(xs)
+    rows = table.rows()
+    _emit(args, {"spec": spec, "rows": [{"x": str(x), "count": str(c)} for x, c in rows]},
+          rows, "x,count")
 
 
-def _cmd_volumes(args, cfg: RunConfig) -> int:
-    if args.vol_cmd == "coarea":
-        b = parse_ram_set(args.b)
-        res = geometry.coarea_maximal_order(b)
-        _emit({"coarea": res.value, "disc_bound": res.disc_bound}, cfg)
-    elif args.vol_cmd == "kleinian":
-        field = QuadraticField(args.field)
-        bl = parse_ram_set_l(args.bl, field)
-        _emit({"covolume": geometry.covolume_kleinian(bl)}, cfg)
-    else:  # min-cf
-        zk2 = float(arith.zeta_k_at_2(args.zeta_field))
-        value = geometry.minimal_covolume_cf(args.dk, args.nk, zk2,
-                                             _parse_int_list(args.ram_norms),
-                                             args.kb_index)
-        _emit({"min_covolume": value}, cfg)
-    return EXIT_OK
+def _census_csa(args):
+    _census(args, census.csa_spec(args.m, args.n),
+            lambda xs: census.census_csa(args.m, args.n, xs))
 
 
-def _cmd_surfaces(args, cfg: RunConfig) -> int:
-    field = QuadraticField(args.field)
-    bl = parse_ram_set_l(args.bl, field)
+def _census_division(args):
+    _census(args, census.division_spec(args.n), lambda xs: census.census_division(args.n, xs))
+
+
+def _census_embed_quads(args):
+    b, ntc = parse_ram_set(args.b), args.not_totally_complex
+    _census(args, census.embed_quads_spec(b, ntc),
+            lambda xs: census.census_embedding_quads(b, xs, ntc))
+
+
+def _census_quat_subfields(args):
+    deltas = _parse_int_list(args.fields)
+    _census(args, census.quat_subfields_spec(deltas),
+            lambda xs: census.census_quat_with_subfields(deltas, xs))
+
+
+def _fund_disc_table(xs: list[int]) -> CountTable:
+    """Every threshold counted from the one discriminant list at the largest,
+    which is sorted by |delta|."""
+    if xs[0] < 1:
+        raise ValueError("x must be >= 1")
+    largest = census.fundamental_discriminant_count(xs[-1])
+    abs_deltas = np.abs(census.fundamental_discriminants(xs[-1]))
+    counts = np.searchsorted(abs_deltas, xs[:-1], side="right").tolist() + [largest]
+    return CountTable(tuple(xs), tuple(counts))
+
+
+def _census_fund_disc(args):
+    _census(args, {"kind": "fund_disc"}, _fund_disc_table, cached=False)
+
+
+def _emit_constant(args, value: asymptotics.EulerProductValue, **fields):
+    _emit(args, {**fields, "value": value.value, "cutoff": value.cutoff,
+                 "tail_estimate": value.tail_estimate})
+
+
+def _predict_embed_constant(args):
+    deltas = _parse_int_list(args.fields)
+    if len(deltas) == 1:
+        value = asymptotics.embed_constant_r1(deltas[0], args.cutoff)
+    else:
+        value = asymptotics.embed_constant_general(deltas, args.cutoff)
+    _emit_constant(args, value, constant="embed", fields=deltas)
+
+
+def _predict_report(args):
+    rows = asymptotics.prediction_report(args.model, _thresholds(args), args.cutoff)
+    _emit(args, {"model": args.model, "rows": rows},
+          [[r["x"], r["count"], r.get("model", r.get("lower_bound")),
+            r.get("ratio", r.get("count_over_x"))] for r in rows],
+          "x,count,model,ratio")
+
+
+def _geodesic_rows(data):
+    return [[d.delta, d.trace, repr(d.length)] for d in data]
+
+
+def _geodesics_from_field(args):
+    d = geometry.geodesic_from_field(args.delta)
+    _emit(args, {"delta": d.delta, "trace": str(d.trace), "length": d.length,
+                 "squared_unit_length": d.squared_unit_length},
+          _geodesic_rows([d]), "delta,trace,length")
+
+
+def _geodesics_census(args):
+    result = geometry.geodesic_census(parse_ram_set(args.b), args.x, args.volume, args.const_c)
+    _emit(args, {"count": result.count, "classes": result.classes,
+                 "max_length": result.max_length, "length_bound": result.length_bound},
+          _geodesic_rows(result.data), "delta,trace,length")
+
+
+def _volumes_coarea(args):
+    res = geometry.coarea_maximal_order(parse_ram_set(args.b))
+    _emit(args, {"coarea": res.value, "disc_bound": res.disc_bound})
+
+
+def _volumes_min_cf(args):
+    zk2 = float(arith.zeta_k_at_2(args.zeta_field))
+    value = geometry.minimal_covolume_cf(args.dk, args.nk, zk2,
+                                         _parse_int_list(args.ram_norms), args.kb_index)
+    _emit(args, {"min_covolume": value})
+
+
+def _surfaces_census(args):
+    bl = parse_ram_set_l(args.bl, QuadraticField(args.field))
     rows = geometry.surface_census(bl, args.x, args.volume, args.const_c_upper)
-    payload = {
-        "count": len(rows),
-        "rows": [{"ram_set": format_ram_set(r.algebra.ramification),
-                  "area": r.area, "ggs_area_bound": _json_number(r.ggs_area_bound)}
-                 for r in rows],
-    }
-    _emit(payload, cfg,
-          csv_rows=[[f'"{format_ram_set(r.algebra.ramification)}"', repr(r.area)]
-                    for r in rows],
-          csv_header="ram_set,area")
-    return EXIT_OK
+    _emit(args, {"count": len(rows),
+                 "rows": [{"ram_set": format_ram_set(r.algebra.ramification), "area": r.area,
+                           "ggs_area_bound": _json_number(r.ggs_area_bound)} for r in rows]},
+          [[f'"{format_ram_set(r.algebra.ramification)}"', repr(r.area)] for r in rows],
+          "ram_set,area")
 
 
-def _cmd_rigidity(args, cfg: RunConfig) -> int:
-    if args.rig_cmd == "distinguish":
-        b1 = parse_ram_set(args.b1)
-        b2 = parse_ram_set(args.b2)
-        delta = rigidity.distinguish_quaternions(b1, b2, args.delta_max)
-        _emit({"b1": format_ram_set(b1.ramification), "b2": format_ram_set(b2.ramification),
-               "minimal_delta": delta}, cfg)
-    elif args.rig_cmd == "scan":
-        report = rigidity.rigidity_scan(args.x, args.delta_max, args.not_totally_complex)
-        payload = {
-            "x": report.x, "delta_max": report.delta_max,
-            "pairs": [{"pair": [a, b], "minimal_delta": d} for a, b, d in report.pairs],
-            "max_abs_delta": report.max_abs_delta,
-            "bound_log10": report.bound_log10,
-            "all_distinguished": report.all_distinguished,
-        }
-        _emit(payload, cfg)
-        if not report.all_distinguished:
-            return EXIT_INVARIANT
-    elif args.rig_cmd == "limit-pair":
-        d1, d2, p1, p2 = rigidity.limit_pair(args.m)
-        _emit({"m": args.m, "delta1": d1, "delta2": d2,
-               "witness_primes": [p1, p2]}, cfg)
-    else:  # family
-        b = parse_ram_set(args.b)
-        members = rigidity.length_preserving_family(b, _parse_int_list(args.fields),
-                                                    args.count)
-        _emit({"base": format_ram_set(b.ramification),
-               "members": [format_ram_set(x.ramification) for x in members]}, cfg)
-    return EXIT_OK
+def _rigidity_distinguish(args):
+    b1, b2 = parse_ram_set(args.b1), parse_ram_set(args.b2)
+    delta = rigidity.distinguish_quaternions(b1, b2, args.delta_max)
+    _emit(args, {"b1": format_ram_set(b1.ramification), "b2": format_ram_set(b2.ramification),
+                 "minimal_delta": delta})
 
 
-def _cmd_bounds(args, cfg: RunConfig) -> int:
-    if args.bounds_cmd == "recognizing":
-        rep = rigidity.recognizing_bound(args.nk, args.dk, args.x)
-    elif args.bounds_cmd == "chlr":
-        rep = rigidity.chlr_length_bound(args.volume, args.dim, args.const_c1,
-                                         args.const_c2, args.const_c3)
-    elif args.bounds_cmd == "mcreid":
-        rep = rigidity.mcreid_area_bound(args.volume, args.const_c)
-    elif args.bounds_cmd == "brauer":
-        rep = rigidity.brauer_rigidity_bound(args.d_base, args.const_c_upper,
-                                             args.disc1, args.disc2)
-    elif args.bounds_cmd == "gw":
-        rep = rigidity.grunwald_wang_conductor_bound(args.nk, args.b_omega, args.x)
-    else:  # theta
-        value = arith.chebyshev_theta(args.x)
-        _emit({"theta": value, "x": args.x}, cfg)
-        return EXIT_OK
-    _emit({"bound": rep.name, "inputs": rep.inputs,
-           "value": rep.as_json_value(), "log10": _json_number(rep.log10_mpf)}, cfg)
-    return EXIT_OK
+def _rigidity_scan(args):
+    report = rigidity.rigidity_scan(args.x, args.delta_max, args.not_totally_complex)
+    _emit(args, {"x": report.x, "delta_max": report.delta_max,
+                 "pairs": [{"pair": [a, b], "minimal_delta": d} for a, b, d in report.pairs],
+                 "max_abs_delta": report.max_abs_delta, "bound_log10": report.bound_log10,
+                 "all_distinguished": report.all_distinguished})
+
+
+def _rigidity_limit_pair(args):
+    d1, d2, p1, p2 = rigidity.limit_pair(args.m)
+    _emit(args, {"m": args.m, "delta1": d1, "delta2": d2, "witness_primes": [p1, p2]})
+
+
+def _rigidity_family(args):
+    b = parse_ram_set(args.b)
+    members = rigidity.length_preserving_family(b, _parse_int_list(args.fields), args.count)
+    _emit(args, {"base": format_ram_set(b.ramification),
+                 "members": [format_ram_set(x.ramification) for x in members]})
+
+
+def _emit_bound(args, rep: rigidity.BoundReport):
+    _emit(args, {"bound": rep.name, "inputs": rep.inputs,
+                 "value": rep.as_json_value(), "log10": _json_number(rep.log10_mpf)})
 
 
 # -- parser -------------------------------------------------------------------
@@ -292,60 +247,72 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", default=None)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    cen = sub.add_parser("census").add_subparsers(dest="census_cmd", required=True)
-    p = cen.add_parser("csa")
+    def group(name: str, dest: str, default_format: str = "json"):
+        grp = sub.add_parser(name)
+        grp.set_defaults(default_format=default_format)
+        return grp.add_subparsers(dest=dest, required=True)
+
+    def leaf(grp, name: str, run):
+        p = grp.add_parser(name)
+        p.set_defaults(run=run)
+        return p
+
+    cen = group("census", "census_cmd", "csv")
+    p = leaf(cen, "csa", _census_csa)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--thresholds")
-    p = cen.add_parser("division")
+    p = leaf(cen, "division", _census_division)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--thresholds")
-    p = cen.add_parser("embed-quads")
+    p = leaf(cen, "embed-quads", _census_embed_quads)
     p.add_argument("--b", required=True, help="ramification set, e.g. 2,inf")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--thresholds")
     p.add_argument("--not-totally-complex", action="store_true")
-    p = cen.add_parser("quat-subfields")
+    p = leaf(cen, "quat-subfields", _census_quat_subfields)
     p.add_argument("--fields", required=True,
                    help="comma list of discriminants; use --fields=-4,5 for negatives")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--thresholds")
-    p = cen.add_parser("fund-disc")
+    p = leaf(cen, "fund-disc", _census_fund_disc)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--thresholds")
 
-    pre = sub.add_parser("predict").add_subparsers(dest="predict_cmd", required=True)
-    p = pre.add_parser("delta-n")
+    pre = group("predict", "predict_cmd")
+    p = leaf(pre, "delta-n", lambda a: _emit_constant(a, asymptotics.delta_n(a.n, a.cutoff),
+                                                   constant="delta_n", n=a.n))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cutoff", type=int, default=10 ** 6)
-    p = pre.add_parser("embed-constant")
+    p = leaf(pre, "embed-constant", _predict_embed_constant)
     p.add_argument("--fields", required=True)
     p.add_argument("--cutoff", type=int, default=10 ** 6)
-    p = pre.add_parser("report")
+    p = leaf(pre, "report", _predict_report)
     p.add_argument("--model", required=True,
                    help="division:N | embed:D1,D2 | quads:RAMSET")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--thresholds")
     p.add_argument("--cutoff", type=int, default=10 ** 6)
 
-    geo = sub.add_parser("geodesics").add_subparsers(dest="geo_cmd", required=True)
-    p = geo.add_parser("from-field")
+    geo = group("geodesics", "geo_cmd", "csv")
+    p = leaf(geo, "from-field", _geodesics_from_field)
     p.add_argument("--delta", type=int, required=True)
-    p = geo.add_parser("census")
+    p = leaf(geo, "census", _geodesics_census)
     p.add_argument("--b", required=True)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--volume", type=finite_float, default=0.0)
     p.add_argument("--const-c", type=finite_float, default=1.0)
 
-    vol = sub.add_parser("volumes").add_subparsers(dest="vol_cmd", required=True)
-    p = vol.add_parser("coarea")
+    vol = group("volumes", "vol_cmd")
+    p = leaf(vol, "coarea", _volumes_coarea)
     p.add_argument("--b", required=True)
-    p = vol.add_parser("kleinian")
+    p = leaf(vol, "kleinian", lambda a: _emit(a, {"covolume": geometry.covolume_kleinian(
+        parse_ram_set_l(a.bl, QuadraticField(a.field)))}))
     p.add_argument("--field", type=int, required=True)
     p.add_argument("--bl", required=True, help="places, e.g. 5.1,5.2")
-    p = vol.add_parser("min-cf")
+    p = leaf(vol, "min-cf", _volumes_min_cf)
     p.add_argument("--dk", type=int, required=True)
     p.add_argument("--nk", type=int, required=True)
     p.add_argument("--zeta-field", type=int, default=1,
@@ -353,78 +320,68 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ram-norms", default="")
     p.add_argument("--kb-index", type=int, default=1)
 
-    srf = sub.add_parser("surfaces").add_subparsers(dest="surf_cmd", required=True)
-    p = srf.add_parser("census")
+    srf = group("surfaces", "surf_cmd", "csv")
+    p = leaf(srf, "census", _surfaces_census)
     p.add_argument("--field", type=int, required=True)
     p.add_argument("--bl", required=True)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--volume", type=finite_float, default=1.0)
     p.add_argument("--const-C", dest="const_c_upper", type=finite_float, default=1.0)
 
-    rig = sub.add_parser("rigidity").add_subparsers(dest="rig_cmd", required=True)
-    p = rig.add_parser("distinguish")
+    rig = group("rigidity", "rig_cmd")
+    p = leaf(rig, "distinguish", _rigidity_distinguish)
     p.add_argument("--b1", required=True)
     p.add_argument("--b2", required=True)
     p.add_argument("--delta-max", type=int, default=10 ** 6)
-    p = rig.add_parser("scan")
+    p = leaf(rig, "scan", _rigidity_scan)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--delta-max", type=int, default=10 ** 6)
     p.add_argument("--not-totally-complex", action="store_true")
-    p = rig.add_parser("limit-pair")
+    p = leaf(rig, "limit-pair", _rigidity_limit_pair)
     p.add_argument("--m", type=int, required=True)
-    p = rig.add_parser("family")
+    p = leaf(rig, "family", _rigidity_family)
     p.add_argument("--b", required=True)
     p.add_argument("--fields", required=True)
     p.add_argument("--count", type=int, required=True)
 
-    bnd = sub.add_parser("bounds").add_subparsers(dest="bounds_cmd", required=True)
-    p = bnd.add_parser("recognizing")
+    bnd = group("bounds", "bounds_cmd")
+    p = leaf(bnd, "recognizing",
+             lambda a: _emit_bound(a, rigidity.recognizing_bound(a.nk, a.dk, a.x)))
     p.add_argument("--nk", type=int, default=1)
     p.add_argument("--dk", type=int, default=1)
     p.add_argument("--x", type=finite_float, required=True)
-    p = bnd.add_parser("chlr")
+    p = leaf(bnd, "chlr", lambda a: _emit_bound(a, rigidity.chlr_length_bound(
+        a.volume, a.dim, a.const_c1, a.const_c2, a.const_c3)))
     p.add_argument("--volume", type=finite_float, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--const-c1", type=finite_float, default=1.0)
     p.add_argument("--const-c2", type=finite_float, default=1.0)
     p.add_argument("--const-c3", type=finite_float, default=1.0)
-    p = bnd.add_parser("mcreid")
+    p = leaf(bnd, "mcreid",
+             lambda a: _emit_bound(a, rigidity.mcreid_area_bound(a.volume, a.const_c)))
     p.add_argument("--volume", type=finite_float, required=True)
     p.add_argument("--const-c", type=finite_float, default=1.0)
-    p = bnd.add_parser("brauer")
+    p = leaf(bnd, "brauer", lambda a: _emit_bound(a, rigidity.brauer_rigidity_bound(
+        a.d_base, a.const_c_upper, a.disc1, a.disc2)))
     p.add_argument("--d-base", type=finite_float, default=1.0)
     p.add_argument("--const-C", dest="const_c_upper", type=finite_float, default=1.0)
     p.add_argument("--disc1", type=finite_float, required=True)
     p.add_argument("--disc2", type=finite_float, required=True)
-    p = bnd.add_parser("gw")
+    p = leaf(bnd, "gw", lambda a: _emit_bound(a, rigidity.grunwald_wang_conductor_bound(
+        a.nk, a.b_omega, a.x)))
     p.add_argument("--nk", type=int, default=1)
     p.add_argument("--b-omega", type=finite_float, required=True)
     p.add_argument("--x", type=finite_float, required=True)
-    p = bnd.add_parser("theta")
+    p = leaf(bnd, "theta",
+             lambda a: _emit(a, {"theta": arith.chebyshev_theta(a.x), "x": a.x}))
     p.add_argument("--x", type=finite_float, required=True)
     return parser
 
 
-_CSV_DEFAULT = {"census", "geodesics", "surfaces"}
-
-_HANDLERS = {
-    "census": _cmd_census,
-    "predict": _cmd_predict,
-    "geodesics": _cmd_geodesics,
-    "volumes": _cmd_volumes,
-    "surfaces": _cmd_surfaces,
-    "rigidity": _cmd_rigidity,
-    "bounds": _cmd_bounds,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        fmt = args.format or ("csv" if args.cmd in _CSV_DEFAULT else "json")
-        cfg = RunConfig(format=fmt, out=args.out, cache_dir=args.cache_dir)
-        return _HANDLERS[args.cmd](args, cfg)
+        args.run(args)
     except (InternalInconsistency, NotFoundWithinBound) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -432,6 +389,7 @@ def main(argv=None) -> int:
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -66,7 +66,8 @@ class GeodesicDatum:
     the shortest geodesic in the field's rational class;
     `squared_unit_length` is the length of the norm-one unit
     u0/sigma(u0) = +-eps0^2 produced by the quotient construction, which is
-    4 * regulator in either norm case.  Both come from one Pell solution.
+    4 * regulator in either norm case.  Both come from the regulator of one
+    Pell solution.
     """
 
     delta: int
@@ -81,15 +82,14 @@ class GeodesicDatum:
 
 def geodesic_from_field(delta: int) -> GeodesicDatum:
     """The geodesic of the real quadratic field of discriminant delta, from
-    one pell_fundamental call: the length from the norm-one unit, checked
-    against 2 arccosh(t1/2), and 4 * the regulator of the same solution."""
+    one pell_fundamental call and its regulator R: the length is 2R, or 4R
+    when the fundamental unit has norm -1 (its square is the norm-one unit),
+    checked against 2 arccosh(t1/2); the squared unit length is 4R."""
     if delta <= 0:
         raise InvalidDiscriminant("geodesics require a real quadratic field")
     sol = pell_fundamental(delta)
-    with mp.workprec(PRECISION_BITS):
-        eps1 = (sol.t1 + sol.u1 * mp.sqrt(delta)) / 2
-        length = float(2 * mp.log(eps1))
-        datum = GeodesicDatum(delta, sol.t1, length, float(4 * sol.regulator()))
+    reg = float(sol.regulator())
+    datum = GeodesicDatum(delta, sol.t1, (2 if sol.norm == 1 else 4) * reg, 4 * reg)
     arccosh_form = length_from_trace(sol.t1)
     if abs(arccosh_form - datum.length) > 1e-9:
         raise AssertionError(
@@ -118,14 +118,13 @@ class CoareaValue:
 
 def coarea_maximal_order(algebra: QuaternionAlgebraQ | None = None, *,
                          n_k: int = 1, zeta_k2: float | None = None,
-                         d_k: int = 1, ram_norms=None) -> CoareaValue:
+                         ram_norms=None) -> CoareaValue:
     """Coarea of the norm-one group of a maximal order in an indefinite
     quaternion algebra: 8 pi^2 zeta_k(2) prod (|p|-1) / (4 pi^2)^{n_k}.
 
     Either pass an algebra over Q, or the totally-real data (n_k, zeta_k(2),
-    ramified-place norms); d_k is accepted for interface completeness but the
-    displayed formula does not involve it.  Also returns the 2 pi^2 |disc|
-    bound, asserted to dominate the value.
+    ramified-place norms).  Also returns the 2 pi^2 |disc| bound, asserted to
+    dominate the value.
     """
     if algebra is not None:
         if algebra.ramified_at_infinity:
@@ -314,7 +313,7 @@ def surface_census(algebra_l: QuaternionAlgebraL, x: int, volume: float = 1.0,
     if base_disc ** 2 > x:
         return []
     rest = math.isqrt(x) // base_disc
-    pool = [p for p in _nonsplit_primes((field.delta,), rest) if p not in desc]
+    pool = _nonsplit_primes((field.delta,), rest)  # the descended primes split
     # the added primes must make the ramified set even
     found = sorted((base_disc * q, tuple(sorted(base + list(chosen))))
                    for q, chosen in squarefree_products(pool, rest, (), add_prime)

@@ -13,8 +13,7 @@ distinguishing subfields, for one pair or for all, come from one bitmask search.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import combinations, islice
 
 import numpy as np
@@ -198,8 +197,7 @@ class ScanReport:
     delta_max: int
     pairs: tuple  # ((ram1, ram2, delta), ...)
     max_abs_delta: int
-    histogram: dict = dc_field(compare=False, default_factory=dict)
-    bound_log10: float = 0.0
+    bound_log10: float
 
     @property
     def all_distinguished(self) -> bool:
@@ -233,12 +231,11 @@ def rigidity_scan(x: int, delta_max: int = 10 ** 6,
     witnesses = deltas[found].tolist()
     names = [repr(b) for b in algebras]
     results = [(a, b, d) for (a, b), d in zip(combinations(names, 2), witnesses)]
-    hist = dict(Counter(abs(d) for d in witnesses))
-    max_abs = max(hist)
+    max_abs = max(abs(d) for d in witnesses)
     bound = recognizing_bound(1, 1, x)
     if math.log(max_abs) > bound.log10 * math.log(10):
         raise NotFoundWithinBound("empirical maximum exceeds the recognizing bound")
-    return ScanReport(x, delta_max, tuple(results), max_abs, hist, bound.log10)
+    return ScanReport(x, delta_max, tuple(results), max_abs, bound.log10)
 
 
 def distinguish_brauer_pairs(l1: QuadraticField, l2: QuadraticField,

@@ -106,23 +106,22 @@ def test_embed_constant_general_r2():
 
 
 def test_prediction_report_division():
+    rows = prediction_report("division:2", [10 ** 6, 10 ** 8], 10 ** 5)
     table = census_division(2, [10 ** 6, 10 ** 8])
-    rows = prediction_report(table, ("division", 2), 10 ** 5)
-    assert len(rows) == 2
+    assert [(r["x"], r["count"]) for r in rows] == table.rows()
     for r in rows:
         assert 0.95 < r["ratio"] < 1.05
 
 
 def test_prediction_report_embed():
-    table = census_quat_with_subfields([-4], [10 ** 6])
-    rows = prediction_report(table, ("embed", [-4]), 10 ** 5)
+    rows = prediction_report("embed:-4", [10 ** 6], 10 ** 5)
+    assert rows[0]["count"] == census_quat_with_subfields([-4], [10 ** 6]).counts[0]
     assert 0.7 < rows[0]["ratio"] < 1.3
 
 
 def test_prediction_report_quads():
-    b = parse_ram_set("2,inf")
-    table = census_embedding_quads(b, [10 ** 5])
-    rows = prediction_report(table, ("quads", b), 10 ** 4)
+    rows = prediction_report("quads:2,inf", [10 ** 5], 10 ** 4)
+    assert rows[0]["count"] == census_embedding_quads(parse_ram_set("2,inf"), [10 ** 5]).counts[0]
     assert rows[0]["meets_bound"]
     assert rows[0]["count_over_x"] >= rows[0]["lower_bound"] - 0.002
 
@@ -131,3 +130,9 @@ def test_model_shapes():
     const = delta_n(3, 10 ** 4)
     assert model_division(3, 10 ** 12, const) == pytest.approx(
         const.value * 100 * math.log(10 ** 12))
+
+
+@pytest.mark.parametrize("model", ["bogus:1", "division:x", "division", ""])
+def test_prediction_report_rejects_unknown_models(model):
+    with pytest.raises(ValueError):
+        prediction_report(model, [100], 100)

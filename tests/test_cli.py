@@ -2,14 +2,22 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from quatrig import census
 from quatrig.cli import build_parser, main
+
+# stdout and exit code of one small argv per leaf command (both formats for
+# the CSV-default groups), and the --help text of every parser node; a change
+# to any of them is a deliberate edit of cli_pins.json
+PINS = json.loads((Path(__file__).parent / "cli_pins.json").read_text())
 
 
 def run(capsys, argv):
@@ -149,6 +157,74 @@ def test_bounds_json_strict_past_float_range(capsys):
     assert payload["value"] == {"log10_log10": payload["log10"]["log10"]}
 
 
+def test_x_is_a_threshold_next_to_thresholds(capsys):
+    code, out = run(capsys, ["census", "division", "--n", "2", "--x", "100",
+                             "--thresholds", "10,20"])
+    assert (code, out) == (0, "x,count\n10,2\n20,2\n100,6\n")
+    code, out = run(capsys, ["predict", "report", "--model", "division:2", "--x", "100",
+                             "--thresholds", "10"])
+    assert code == 0
+    assert [r["x"] for r in strict_json(out)["rows"]] == [10, 100]
+
+
+def _brute_fundamental_count(x):
+    def squarefree(n):
+        return all(n % (d * d) for d in range(2, math.isqrt(n) + 1))
+
+    def fundamental(d):
+        if d % 4 == 1:
+            return d != 1 and squarefree(abs(d))
+        return d % 4 == 0 and (d // 4) % 4 in (2, 3) and squarefree(abs(d // 4))
+
+    return sum(fundamental(d) for d in range(-x, x + 1))
+
+
+def test_fund_disc_thresholds_share_one_table(capsys, monkeypatch):
+    limits = []
+    build = census.fundamental_discriminants
+    monkeypatch.setattr(census, "fundamental_discriminants",
+                        lambda limit: limits.append(limit) or build(limit))
+    code, out = run(capsys, ["census", "fund-disc", "--x", "500",
+                             "--thresholds", "1,3,4,10,100,1000"])
+    assert code == 0
+    xs = [1, 3, 4, 10, 100, 500, 1000]
+    assert out == "x,count\n" + "".join(f"{x},{_brute_fundamental_count(x)}\n" for x in xs)
+    assert set(limits) == {1000}
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_every_leaf_has_a_runner_and_every_group_a_format():
+    groups = _subcommands(build_parser())
+    leaves = [(name, leaf_name, leaf) for name, group in groups.items()
+              for leaf_name, leaf in _subcommands(group).items()]
+    assert (len(groups), len(leaves)) == (7, 24)
+    for name, group in groups.items():
+        csv = name in ("census", "geodesics", "surfaces")
+        assert group.get_default("default_format") == ("csv" if csv else "json"), name
+    for name, leaf_name, leaf in leaves:
+        assert callable(leaf.get_default("run")), (name, leaf_name)
+
+
+@pytest.mark.parametrize("pin", PINS["runs"], ids=lambda pin: pin["argv"])
+def test_leaf_output_pinned(capsys, tmp_path, pin):
+    code, out = run(capsys, ["--cache-dir", str(tmp_path), *pin["argv"].split()])
+    assert (code, out) == (pin["code"], pin["stdout"])
+
+
+@pytest.mark.skipif(sys.version_info[:2] != tuple(PINS["python"]),
+                    reason=f"help texts captured with Python {PINS['python']}'s argparse")
+@pytest.mark.parametrize("pin", PINS["help"], ids=lambda pin: pin["argv"])
+def test_help_text_pinned(capsys, monkeypatch, pin):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(pin["argv"].split())
+    assert (exc.value.code, capsys.readouterr().out) == (pin["code"], pin["stdout"])
+
+
 def test_census_inputs_validated(capsys):
     assert main(["census", "csa", "--m", "0", "--n", "3", "--x", "100"]) == 2
     assert "m and n must be >= 1" in capsys.readouterr().err
@@ -157,7 +233,8 @@ def test_census_inputs_validated(capsys):
                  ["division", "--n", "2", "--x", "100", "--thresholds", "0,100"],
                  ["embed-quads", "--b", "2,inf", "--x", "0"],
                  ["quat-subfields", "--fields=-4", "--x", "-1"],
-                 ["fund-disc", "--x", "0"]):
+                 ["fund-disc", "--x", "0"],
+                 ["fund-disc", "--x", "0", "--thresholds", "1,10"]):
         assert main(["census", *args]) == 2, args
         assert "x must be >= 1" in capsys.readouterr().err, args
 

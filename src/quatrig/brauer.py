@@ -34,10 +34,6 @@ class DegreeMismatch(ValueError):
     pass
 
 
-def _place_sort_key(v: PlaceQ):
-    return (1, 0) if v.is_infinite else (0, v.p)
-
-
 @dataclass(frozen=True)
 class CentralSimpleAlgebraQ:
     """A central simple algebra over Q given by its degree and its finite-
@@ -83,7 +79,7 @@ def make_csa(n: int, assignments: dict[PlaceQ, Fraction]) -> CentralSimpleAlgebr
         total += frac
     if total.denominator != 1:
         raise InvalidAlgebra(f"invariant sum {total} is not an integer")
-    items.sort(key=lambda it: _place_sort_key(it[0]))
+    items.sort(key=lambda it: it[0])
     return CentralSimpleAlgebraQ(n, tuple(items))
 
 
@@ -253,34 +249,39 @@ def is_restriction(b0: QuaternionAlgebraQ, field: QuadraticField,
 
 # -- ramification-set text format ------------------------------------------
 
+def _place_tokens(text: str, indexed: bool):
+    """(place of Q, index or None) for each comma-separated token: `inf` or a
+    prime, followed by `.1` or `.2` when indexed allows it."""
+    text = text.strip()
+    if not text:
+        return
+    for token in text.split(","):
+        token = token.strip()
+        head, dot, index = token.partition(".")
+        if dot and (not indexed or index not in ("1", "2")):
+            raise ValueError(f"malformed place token {token!r}")
+        if head == "inf":
+            base = INFINITY
+        else:
+            try:
+                p = int(head)
+            except ValueError:
+                raise ValueError(f"malformed place token {token!r}") from None
+            if p < 2 or factorize(p) != [(p, 1)]:
+                raise ValueError(f"{p} is not a prime")
+            base = PlaceQ.finite(p)
+        yield base, int(index) if dot else None
+
+
 def parse_ram_set(text: str) -> QuaternionAlgebraQ:
     """Parse the comma-separated place list of a quaternion algebra over Q:
     `inf` for the real place, a prime for a finite place.  An empty string
     gives the matrix algebra."""
-    places: set[PlaceQ] = set()
-    text = text.strip()
-    if text:
-        for token in text.split(","):
-            token = token.strip()
-            if token == "inf":
-                places.add(INFINITY)
-            else:
-                try:
-                    p = int(token)
-                except ValueError:
-                    raise ValueError(f"malformed place token {token!r}") from None
-                if p < 2 or factorize(p) != [(p, 1)]:
-                    raise ValueError(f"{p} is not a prime")
-                places.add(PlaceQ.finite(p))
-    return QuaternionAlgebraQ(frozenset(places))
+    return QuaternionAlgebraQ(frozenset(base for base, _ in _place_tokens(text, False)))
 
 
 def format_ram_set(places) -> str:
-    fin = sorted(v.p for v in places if not v.is_infinite)
-    toks = [str(p) for p in fin]
-    if any(v.is_infinite for v in places):
-        toks.append("inf")
-    return ",".join(toks)
+    return ",".join(map(repr, sorted(places)))
 
 
 def parse_ram_set_l(text: str, field: QuadraticField) -> QuaternionAlgebraL:
@@ -288,30 +289,15 @@ def parse_ram_set_l(text: str, field: QuadraticField) -> QuaternionAlgebraL:
     `p.1`/`p.2` for the factors of a split prime, `inf.1`/`inf.2` for the
     real places of a real field."""
     places: set[QuadraticPlace] = set()
-    text = text.strip()
-    if text:
-        for token in text.split(","):
-            token = token.strip()
-            if "." in token:
-                head, idx = token.rsplit(".", 1)
-                if idx not in ("1", "2"):
-                    raise ValueError(f"malformed place token {token!r}")
-                base = INFINITY if head == "inf" else PlaceQ.finite(int(head))
-                above = places_above(field, base)
-                if len(above) != 2:
-                    raise ValueError(f"{head} is not split in {field}")
-                places.add(above[int(idx) - 1])
-            else:
-                base = INFINITY if token == "inf" else PlaceQ.finite(int(token))
-                above = places_above(field, base)
-                if len(above) != 1:
-                    raise ValueError(f"{token} is split in {field}; use {token}.1/{token}.2")
-                places.add(above[0])
+    for base, index in _place_tokens(text, True):
+        above = places_above(field, base)
+        if index is None and len(above) != 1:
+            raise ValueError(f"{base} is split in {field}; use {base}.1/{base}.2")
+        if index is not None and len(above) != 2:
+            raise ValueError(f"{base} is not split in {field}")
+        places.add(above[(index or 1) - 1])
     return QuaternionAlgebraL(field, frozenset(places))
 
 
 def format_ram_set_l(places) -> str:
-    def key(v: QuadraticPlace):
-        return (1, 0, v.index) if v.base.is_infinite else (0, v.base.p, v.index)
-
-    return ",".join(repr(v) for v in sorted(places, key=key))
+    return ",".join(map(repr, sorted(places, key=lambda v: (v.base, v.index))))

@@ -61,7 +61,7 @@ class CensusCache:
         rows = [line.split(",") for line in body.strip().splitlines()[1:]]
         thresholds = tuple(int(r[0]) for r in rows)
         counts = tuple(int(r[1]) for r in rows)
-        return CountTable(thresholds, counts, spec)
+        return CountTable(thresholds, counts)
 
     def store(self, spec: dict, table: CountTable) -> Path:
         self.directory.mkdir(parents=True, exist_ok=True)

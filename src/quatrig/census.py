@@ -7,8 +7,8 @@ Ramification data is generated by one bounded product-of-primes enumerator
 (arith.squarefree_products) over ascending primes; each census folds its own
 state along the way (a residue distribution of local invariants, or a
 parity) and sums per-node weights into threshold slots, so counts never
-depend on enumeration order.  Each census kind builds its spec in one
-function, shared by its CountTable and the CLI cache key.
+depend on enumeration order.  Each census kind builds its spec, the CLI's
+cache key, in one function.
 Splitting data comes from the vector kernel arith.kronecker_vec, at one prime
 for a whole discriminant list or for one discriminant at a whole prime list.
 """
@@ -16,7 +16,7 @@ for a whole discriminant list or for one discriminant at a whole prime list.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -53,7 +53,6 @@ class CountTable:
 
     thresholds: tuple[int, ...]
     counts: tuple[int, ...]
-    spec: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if list(self.thresholds) != sorted(self.thresholds):
@@ -163,7 +162,7 @@ def census_csa(m: int, n: int, thresholds) -> CountTable:
     nodes = _csa_nodes(m, n, thresholds[-1])
     counts = _counts_at_thresholds(((disc, _completions(node)) for disc, node in nodes),
                                    thresholds)
-    return CountTable(tuple(thresholds), tuple(counts), csa_spec(m, n))
+    return CountTable(tuple(thresholds), tuple(counts))
 
 
 def count_csa(m: int, n: int, x: int) -> int:
@@ -194,7 +193,7 @@ def census_division(n: int, thresholds) -> CountTable:
     if direct != incl_excl:
         raise InternalInconsistency(
             f"division census mismatch: direct {direct} vs inclusion-exclusion {incl_excl}")
-    return CountTable(tuple(thresholds), tuple(direct), division_spec(n))
+    return CountTable(tuple(thresholds), tuple(direct))
 
 
 def count_division(n: int, x: int) -> int:
@@ -231,7 +230,7 @@ def fundamental_discriminant_count(x: int) -> int:
 
 def _embeds_mask(algebra: QuaternionAlgebraQ, deltas: np.ndarray) -> np.ndarray:
     ok = np.ones(len(deltas), dtype=bool)
-    for v in sorted(algebra.ramification, key=lambda v: (v.is_infinite, v.norm)):
+    for v in algebra.ramification:
         if v.is_infinite:
             ok &= deltas < 0
         else:
@@ -255,8 +254,7 @@ def census_embedding_quads(algebra: QuaternionAlgebraQ, thresholds,
         ok &= deltas > 0
     admissible = np.sort(np.abs(deltas[ok]))
     counts = [int(np.searchsorted(admissible, x, side="right")) for x in thresholds]
-    return CountTable(tuple(thresholds), tuple(counts),
-                      embed_quads_spec(algebra, not_totally_complex))
+    return CountTable(tuple(thresholds), tuple(counts))
 
 
 # -- quaternion algebras with prescribed subfields ---------------------------
@@ -293,7 +291,7 @@ def census_quat_with_subfields(deltas, thresholds) -> CountTable:
     products = squarefree_products(_nonsplit_primes(deltas, y), y, 0, lambda odd, p, _: 1 - odd)
     counts = _counts_at_thresholds(
         ((q * q, 1) for q, odd in products if any_parity or not odd), thresholds)
-    return CountTable(tuple(thresholds), tuple(counts), quat_subfields_spec(deltas))
+    return CountTable(tuple(thresholds), tuple(counts))
 
 
 def count_quat_with_subfields(deltas, x: int) -> int:
@@ -387,17 +385,21 @@ def splitting_density(place: PlaceQ, x: int) -> tuple[Fraction, Fraction, Fracti
 
 def _least_inert_primes(deltas: np.ndarray) -> np.ndarray:
     """The least prime inert in each field, by walking the primes in ascending
-    order against the discriminants still unresolved.  It is the least n with
-    (delta|n) = -1, so it lies below |delta|."""
+    order against the discriminants still unresolved, the prime range grown
+    tenfold from 10^3.  It is the least n with (delta|n) = -1, so it lies
+    below |delta| and the walk ends."""
     least = np.zeros(len(deltas), dtype=np.int64)
     todo = np.arange(len(deltas))
-    bound = int(np.abs(deltas).max(initial=2))
-    for p in primes_upto(bound):
-        if not len(todo):
-            break
-        inert = kronecker_vec(deltas[todo], p) == -1
-        least[todo[inert]] = p
-        todo = todo[~inert]
+    done, limit = 0, 10 ** 3
+    while len(todo):
+        primes = primes_upto(limit)
+        for p in primes[primes > done]:
+            if not len(todo):
+                break
+            inert = kronecker_vec(deltas[todo], p) == -1
+            least[todo[inert]] = p
+            todo = todo[~inert]
+        done, limit = limit, limit * 10
     return least
 
 

@@ -116,15 +116,15 @@ def splitting(field: QuadraticField, place: PlaceQ) -> SplittingType:
 class QuadraticPlace:
     """A place of a quadratic field lying over a place of Q.
 
-    index distinguishes the two factors of a split place; for a split finite
-    prime p, index 1 carries the smaller square root of delta mod p in
-    [0, p/2] (label), so descent data is reproducible.
+    index tells apart the two places over a split place of Q, and
+    conjugation swaps them.  By convention index 1 is the place over the
+    smaller square root of delta mod p for a split prime p (the token `p.1`),
+    and the embedding with sqrt(delta) > 0 for the real place.
     """
 
     base: PlaceQ
     splitting: SplittingType
     index: int = 1
-    label: int | None = None
 
     def __post_init__(self):
         if self.index not in (1, 2):
@@ -143,68 +143,21 @@ class QuadraticPlace:
     def conjugate(self) -> "QuadraticPlace":
         if self.splitting is not SplittingType.SPLIT:
             return self
-        other = 2 if self.index == 1 else 1
-        lbl = None
-        if self.label is not None and not self.base.is_infinite:
-            lbl = (self.base.p - self.label) % self.base.p if self.base.p > 2 else self.label
-        return QuadraticPlace(self.base, self.splitting, other, lbl)
+        return QuadraticPlace(self.base, self.splitting, 3 - self.index)
 
     def __repr__(self):
-        tag = "inf" if self.base.is_infinite else str(self.base.p)
         if self.splitting is SplittingType.SPLIT:
-            return f"{tag}.{self.index}"
-        return tag
-
-
-def sqrt_mod(a: int, p: int) -> int:
-    """A square root of a mod an odd prime p (Tonelli-Shanks); requires a to
-    be a quadratic residue."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise ValueError(f"{a} is not a square mod {p}")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # write p-1 = q * 2^s with q odd
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
-def split_root_label(field: QuadraticField, p: int) -> int:
-    """The smaller square root of delta mod p in [0, p/2], used to label
-    index 1 of a split prime."""
-    if p == 2:
-        return 1
-    r = sqrt_mod(field.delta, p)
-    return min(r, p - r)
+            return f"{self.base!r}.{self.index}"
+        return repr(self.base)
 
 
 def places_above(field: QuadraticField, place: PlaceQ) -> tuple[QuadraticPlace, ...]:
-    """The places of the field over a place of Q, with deterministic labels."""
+    """The places of the field over a place of Q: one, or the two of a split
+    place, index 1 first."""
     sp = splitting(field, place)
     if sp is not SplittingType.SPLIT:
         return (QuadraticPlace(place, sp),)
-    # two real places of a real field, ordered by the sign of sqrt(delta), or
-    # two primes over a split p, index 1 carrying the smaller root label
-    label = None if place.is_infinite else split_root_label(field, place.p)
-    first = QuadraticPlace(place, sp, 1, label)
-    return first, first.conjugate()
+    return QuadraticPlace(place, sp, 1), QuadraticPlace(place, sp, 2)
 
 
 def regulator(field: QuadraticField):

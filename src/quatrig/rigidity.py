@@ -36,7 +36,7 @@ from .brauer import (
     quaternion_iso,
 )
 from .census import _embeds_mask, fundamental_discriminants
-from .fields import INFINITY, PlaceQ, QuadraticField
+from .fields import QuadraticField
 
 _BOUND_PREC = 100
 # limit_pair's largest candidate table: every m <= 47 is answered within it,
@@ -326,12 +326,9 @@ def length_preserving_family(algebra: QuaternionAlgebraQ, deltas, count: int
     picked = _least_primes(count + 1, lambda ps: ~np.isin(ps, algebra.finite_primes)
                            & np.all([kronecker_vec(d, ps) == -1 for d in deltas], axis=0))
     base = picked[0]
-    out = []
-    for extra in picked[1:count + 1]:
-        fin = sorted(algebra.finite_primes + (base, extra))
-        out.append(QuaternionAlgebraQ(frozenset(
-            {PlaceQ.finite(p) for p in fin}
-            | ({INFINITY} if algebra.ramified_at_infinity else set()))))
+    out = [QuaternionAlgebraQ.from_primes(algebra.finite_primes + (base, extra),
+                                          algebra.ramified_at_infinity)
+           for extra in picked[1:count + 1]]
     for b in out:
         for d in deltas:
             assert embeds(QuadraticField(d), b)

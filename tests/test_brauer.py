@@ -14,6 +14,7 @@ from quatrig.brauer import (
     disc_norm,
     embeds,
     format_ram_set,
+    format_ram_set_l,
     is_restriction,
     iso,
     make_csa,
@@ -129,13 +130,13 @@ def test_is_restriction_spec_values():
 
 
 def test_ram_set_text_roundtrip():
-    for text in ("", "2,inf", "2,3", "2,3,5,inf"):
+    for text in ("", "2,inf", "2,3", "2,3,5,inf", "3,11", "7,101"):
         b = parse_ram_set(text)
         assert format_ram_set(b.ramification) == text
-    with pytest.raises(ValueError):
-        parse_ram_set("4,inf")
-    with pytest.raises(ValueError):
-        parse_ram_set("x")
+    # an index names a place of a quadratic field, never one of Q
+    for bad in ("4,inf", "x", "2.1", "inf.1", "1,2", "2,", "6,inf"):
+        with pytest.raises(ValueError):
+            parse_ram_set(bad)
     qi = make_field(-4)
     bl = parse_ram_set_l("5.1,5.2", qi)
     assert len(bl.ramification) == 2
@@ -143,6 +144,22 @@ def test_ram_set_text_roundtrip():
         parse_ram_set_l("5", qi)  # 5 splits: must name the factor
     with pytest.raises(ValueError):
         parse_ram_set_l("3.1,3.2", qi)  # 3 is inert
+
+
+# the real places of Q(sqrt 5), and split, inert and ramified primes
+@pytest.mark.parametrize("delta, text", [
+    (-4, ""), (-4, "2,3"), (-4, "5.1,5.2"), (-4, "2,5.1"), (-4, "5.2,13.1"),
+    (-3, "2,7.1"), (5, "inf.1,inf.2"), (5, "2,inf.1"), (5, "5,11.2"), (5, "11.1,inf.2"),
+])
+def test_ram_set_l_text_roundtrip(delta, text):
+    bl = parse_ram_set_l(text, make_field(delta))
+    assert format_ram_set_l(bl.ramification) == text
+
+
+@pytest.mark.parametrize("text", ["4,6", "9.1,9.2", "25.1,25.2", "1,3", "5.3,5.1", "inf,3"])
+def test_parse_ram_set_l_rejects(text):
+    with pytest.raises(ValueError):
+        parse_ram_set_l(text, make_field(-4))
 
 
 def test_no_complex_ramification():

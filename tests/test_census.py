@@ -187,6 +187,14 @@ def test_smallest_inert_prime():
     assert stats["max_ratio"] > 0 and stats["prime"] >= 2
 
 
+def test_smallest_inert_prime_reads_only_the_primes_it_needs(monkeypatch):
+    limits = []
+    primes_upto = census.primes_upto
+    monkeypatch.setattr(census, "primes_upto", lambda x: limits.append(x) or primes_upto(x))
+    assert smallest_inert_prime(make_field(100000001)) == 3
+    assert limits == [10 ** 3]
+
+
 def test_census_inputs_validated():
     with pytest.raises(ValueError, match="m and n must be >= 1"):
         census_csa(0, 3, [100])

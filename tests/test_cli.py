@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shlex
 import sys
 from pathlib import Path
 
@@ -382,6 +383,10 @@ def test_exp_bound_overflow_exits_2(capsys, argv):
     ["volumes", "min-cf", "--dk", "4", "--nk", "2", "--ram-norms=-3,1"],
     ["volumes", "min-cf", "--dk", "4", "--nk", "2", "--ram-norms=1"],
     ["--out", "{missing}/x.txt", "census", "fund-disc", "--x", "10"],
+    # place tokens are `inf` or a prime: composite bases exit 2 over a quadratic field
+    ["volumes", "kleinian", "--field", "-4", "--bl", "4,6"],
+    ["volumes", "kleinian", "--field", "-4", "--bl", "9.1,9.2"],
+    ["surfaces", "census", "--field", "-4", "--bl", "4,6", "--x", "1000"],
 ], ids=" ".join)
 def test_invalid_inputs_exit_2_with_a_message(capsys, tmp_path, argv):
     argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
@@ -390,6 +395,30 @@ def test_invalid_inputs_exit_2_with_a_message(capsys, tmp_path, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def _readme_commands():
+    """(argv, annotation or None) for every `quatrig` line of the README CLI block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        command, _, note = line.partition("# ->")
+        yield shlex.split(command)[1:], note.strip() or None
+
+
+def test_readme_commands_run(capsys, tmp_path):
+    commands = list(_readme_commands())
+    assert len(commands) == 22
+    for argv, note in commands:
+        code, out = run(capsys, ["--cache-dir", str(tmp_path), *argv])
+        assert code == 0, argv
+        if note is None:
+            continue
+        if note.startswith("{"):  # the named JSON fields of the output
+            expected = json.loads(note)
+            assert {k: json.loads(out)[k] for k in expected} == expected, argv
+        else:  # CSV lines, separated by " / "
+            assert out == note.replace(" / ", "\n") + "\n", argv
 
 
 def test_limit_pair_past_its_cap_exits_3(capsys, monkeypatch):

@@ -251,7 +251,7 @@ def is_restriction(b0: QuaternionAlgebraQ, field: QuadraticField,
 
 def _place_tokens(text: str, indexed: bool):
     """(place of Q, index or None) for each comma-separated token: `inf` or a
-    prime, followed by `.1` or `.2` when indexed allows it."""
+    prime in ASCII digits, followed by `.1` or `.2` when indexed allows it."""
     text = text.strip()
     if not text:
         return
@@ -263,10 +263,9 @@ def _place_tokens(text: str, indexed: bool):
         if head == "inf":
             base = INFINITY
         else:
-            try:
-                p = int(head)
-            except ValueError:
-                raise ValueError(f"malformed place token {token!r}") from None
+            if not (head.isascii() and head.isdigit()):
+                raise ValueError(f"malformed place token {token!r}")
+            p = int(head)
             if p < 2 or factorize(p) != [(p, 1)]:
                 raise ValueError(f"{p} is not a prime")
             base = PlaceQ.finite(p)

@@ -3,12 +3,16 @@ side of every counting theorem, and the Dirichlet-coefficient oracle that
 reproduces them through an entirely independent route (exact multiplication
 of Euler factors).
 
-Ramification data is generated by one bounded product-of-primes enumerator
-(arith.squarefree_products) over ascending primes; each census folds its own
-state along the way (a residue distribution of local invariants, or a
-parity) and sums per-node weights into threshold slots, so counts never
-depend on enumeration order.  Each census kind builds its spec, the CLI's
-cache key, in one function.
+Quaternion algebras have |disc| = q^2 for the squarefree product q of their
+finite ramified primes, so the quaternion division and subfield censuses are
+prefix counts of squarefree q <= sqrt(x): one sieve count (_sieve_counts)
+strikes the split primes from the Moebius array of the shared sieve.  The
+other censuses (central simple algebras, division algebras of degree n >= 3)
+come from one bounded product-of-primes enumerator
+(arith.squarefree_products) over ascending primes; each folds its residue
+distribution of local invariants along the way and sums per-node weights into
+threshold slots, so counts never depend on enumeration order.  Each census
+kind builds its spec, the CLI's cache key, in one function.
 Splitting data comes from the vector kernel arith.kronecker_vec, at one prime
 for a whole discriminant list or for one discriminant at a whole prime list.
 """
@@ -27,6 +31,7 @@ import numpy as np
 from . import arith
 from .arith import (
     divisors,
+    factorize,
     iroot,
     kronecker_vec,
     mobius,
@@ -170,14 +175,26 @@ def count_csa(m: int, n: int, x: int) -> int:
 
 
 def census_division(n: int, thresholds) -> CountTable:
-    """Division algebras of dimension n^2, counted two independent ways: a
-    direct count of the Hasse data of division degree exactly n, and the
-    Moebius inclusion-exclusion over the N_{m,n}.  The m = n term weighs the
-    same nodes as the direct count, in the same pass.  Raises
-    InternalInconsistency if the routes disagree anywhere."""
+    """Division algebras of dimension n^2, counted two independent ways.
+
+    n = 2: the sieve count of squarefree q <= sqrt(x), less q = 1 (the real
+    place fixes the parity, so each q > 1 is one division algebra), checked
+    against the sum over d <= x^(1/4) of mu(d) floor(sqrt(x)/d^2), with mu(d)
+    by trial division.  n >= 3: a direct count of the Hasse data of division
+    degree exactly n, and the Moebius inclusion-exclusion over the N_{m,n};
+    the m = n term weighs the same nodes as the direct count, in the same
+    pass.  Raises InternalInconsistency if the routes disagree anywhere."""
     if n < 2:
         raise ValueError("n must be >= 2")
     thresholds = _ascending(thresholds)
+    if n == 2:
+        ys = [isqrt(x) for x in thresholds]
+        sieved = [c - 1 for c in _sieve_counts((), ys)]
+        moebius = [c - 1 for c in _squarefree_counts_by_moebius(ys)]
+        if sieved != moebius:
+            raise InternalInconsistency(
+                f"division census mismatch: sieve {sieved} vs Moebius sum {moebius}")
+        return CountTable(tuple(thresholds), tuple(sieved))
     direct = [0] * len(thresholds)
     incl_excl = [0] * len(thresholds)
     for disc, node in _csa_nodes(n, n, thresholds[-1]):
@@ -259,13 +276,52 @@ def census_embedding_quads(algebra: QuaternionAlgebraQ, thresholds,
 
 # -- quaternion algebras with prescribed subfields ---------------------------
 
+def _split_mask(deltas: tuple[int, ...], primes: np.ndarray) -> np.ndarray:
+    """Which of the primes split in some field Q(sqrt(delta_i))."""
+    split = np.zeros(len(primes), dtype=bool)
+    for d in deltas:
+        split |= kronecker_vec(d, primes) == 1
+    return split
+
+
 def _nonsplit_primes(deltas: tuple[int, ...], limit: int) -> list[int]:
     """Finite primes p <= limit that split in none of the given fields."""
     primes = primes_upto(limit)
-    keep = np.ones(len(primes), dtype=bool)
-    for d in deltas:
-        keep &= kronecker_vec(d, primes) != 1
-    return primes[keep].tolist()
+    return primes[~_split_mask(deltas, primes)].tolist()
+
+
+def _sieve_counts(deltas: tuple[int, ...], ys: list[int], even_only: bool = False) -> list[int]:
+    """For each ascending y >= 1, the number of squarefree q <= y with no
+    prime factor split in any Q(sqrt(delta_i)); with even_only, only those
+    with mu(q) = 1.
+
+    Starts from the Moebius array of the shared sieve and strikes the
+    multiples of every split prime: directly for p <= sqrt(y), and the way
+    SieveTable flips mu for P > sqrt(y), striking k * P for each k <= y / P.
+    Each threshold then counts its own slice of the array, so nothing larger
+    than the sieve is allocated."""
+    y, root = ys[-1], isqrt(ys[-1])
+    mu = shared_sieve(y).mu[:y + 1]
+    ok = mu == 1 if even_only else mu != 0
+    primes = primes_upto(y)
+    split = primes[_split_mask(deltas, primes)]
+    cut = np.searchsorted(split, root, side="right")
+    for p in split[:cut].tolist():
+        ok[p::p] = False
+    big = split[cut:]
+    for k in range(1, root + 1):
+        ok[k * big[:np.searchsorted(big, y // k, side="right")]] = False
+    edges = [0] + [b + 1 for b in ys]
+    return list(accumulate(int(np.count_nonzero(ok[a:b])) for a, b in zip(edges, edges[1:])))
+
+
+def _squarefree_counts_by_moebius(ys: list[int]) -> list[int]:
+    """For each ascending y, the number of squarefree q <= y as the sum over
+    d <= sqrt(y) of mu(d) floor(y / d^2), with mu(d) from trial division:
+    a route that shares nothing with the sieve."""
+    mu = [0] + [0 if any(e > 1 for _, e in f) else (-1) ** len(f)
+                for f in map(factorize, range(1, isqrt(ys[-1]) + 1))]
+    return [sum(mu[d] * (y // (d * d)) for d in range(1, isqrt(y) + 1)) for y in ys]
 
 
 def check_independent(deltas) -> None:
@@ -282,15 +338,14 @@ def census_quat_with_subfields(deltas, thresholds) -> CountTable:
     maximal subfield, with |disc| <= x.  Ramification stays inside the places
     nonsplit in every field, and |disc| = q^2 for the product q of the finite
     ones; when the real place qualifies (all delta_i < 0) it absorbs either
-    parity of the finite part, otherwise only even sets count."""
+    parity of the finite part, otherwise only even sets count.  One sieve
+    count of such q <= sqrt(x); the Dirichlet-coefficient oracle
+    (dirichlet_coefficients_embed) is the independent route."""
     deltas = tuple(int(d) for d in deltas)
     check_independent(deltas)
     thresholds = _ascending(thresholds)
-    y = isqrt(thresholds[-1])
-    any_parity = all(d < 0 for d in deltas)
-    products = squarefree_products(_nonsplit_primes(deltas, y), y, 0, lambda odd, p, _: 1 - odd)
-    counts = _counts_at_thresholds(
-        ((q * q, 1) for q, odd in products if any_parity or not odd), thresholds)
+    counts = _sieve_counts(deltas, [isqrt(x) for x in thresholds],
+                           even_only=not all(d < 0 for d in deltas))
     return CountTable(tuple(thresholds), tuple(counts))
 
 

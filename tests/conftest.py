@@ -28,6 +28,24 @@ def _brute_quaternion_algebras(max_disc: int) -> list[QuaternionAlgebraQ]:
     return out
 
 
+def _mu_trial_division(n: int) -> int:
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+def _squarefree_count(y: int) -> int:
+    """Squarefree integers in [1, y], as the sum over d <= sqrt(y) of
+    mu(d) floor(y / d^2), with mu by trial division: no sieve involved."""
+    return sum(_mu_trial_division(d) * (y // (d * d)) for d in range(1, math.isqrt(y) + 1))
+
+
 @pytest.fixture(autouse=True)
 def _private_census_cache(tmp_path, monkeypatch):
     """Point the default census cache at the test's own directory, so that no
@@ -38,3 +56,8 @@ def _private_census_cache(tmp_path, monkeypatch):
 @pytest.fixture
 def brute_quaternion_algebras():
     return _brute_quaternion_algebras
+
+
+@pytest.fixture
+def squarefree_count():
+    return _squarefree_count

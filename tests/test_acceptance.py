@@ -36,30 +36,12 @@ def _report(num, text):
     print(f"ACCEPTANCE {num:>2}: PASS  {text}")
 
 
-def _mu_trial_division(n):
-    out, d = 1, 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    return -out if n > 1 else out
-
-
-def _squarefree_count(y):
-    """Squarefree integers in [1, y], as the sum over d <= sqrt(y) of
-    mu(d) floor(y / d^2), with mu by trial division: no sieve involved."""
-    return sum(_mu_trial_division(d) * (y // (d * d)) for d in range(1, math.isqrt(y) + 1))
-
-
-def test_criterion_01_quaternion_census_exactness():
+def test_criterion_01_quaternion_census_exactness(squarefree_count):
     start = time.monotonic()
     xs = sorted({(10 ** 10 * (k + 1)) // 50 for k in range(50)})
     table = census_division(2, xs)
     for x, c in table.rows():
-        assert c == _squarefree_count(math.isqrt(x)) - 1, x
+        assert c == squarefree_count(math.isqrt(x)) - 1, x
     elapsed = time.monotonic() - start
     assert elapsed < 60
     _report(1, f"50 thresholds to 1e10 match the squarefree oracle in {elapsed:.1f}s")

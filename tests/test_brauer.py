@@ -133,8 +133,11 @@ def test_ram_set_text_roundtrip():
     for text in ("", "2,inf", "2,3", "2,3,5,inf", "3,11", "7,101"):
         b = parse_ram_set(text)
         assert format_ram_set(b.ramification) == text
-    # an index names a place of a quadratic field, never one of Q
-    for bad in ("4,inf", "x", "2.1", "inf.1", "1,2", "2,", "6,inf"):
+    # an index names a place of a quadratic field, never one of Q; a prime is
+    # ASCII digits only, though int() would also read 1_1 (as 11), +2 and the
+    # Arabic-Indic digit three
+    for bad in ("4,inf", "x", "2.1", "inf.1", "1,2", "2,", "6,inf", "1_1", "1_1,2", "+2",
+                "\u0663", "-3"):
         with pytest.raises(ValueError):
             parse_ram_set(bad)
     qi = make_field(-4)

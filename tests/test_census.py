@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -6,11 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatrig import census
-from quatrig.arith import count_squarefree, is_fundamental_discriminant
+from quatrig.arith import (
+    is_fundamental_discriminant,
+    kronecker_symbol,
+    primes_upto,
+    squarefree_products,
+)
 from quatrig.brauer import parse_ram_set
 from quatrig.census import (
     CountTable,
     DependentDiscriminants,
+    InternalInconsistency,
     census_csa,
     census_division,
     census_embedding_quads,
@@ -44,9 +51,42 @@ def test_count_division_spec_values():
         count_division(1, 10)
 
 
-def test_division_matches_squarefree_oracle():
-    for x in (100, 5000, 123456, 10 ** 7):
-        assert count_division(2, x) == count_squarefree(math.isqrt(x)) - 1
+def test_division_matches_squarefree_oracle(squarefree_count):
+    for x in (100, 5000, 123456, 10 ** 7, 10 ** 12):
+        assert count_division(2, x) == squarefree_count(math.isqrt(x)) - 1
+
+
+# thresholds x: the smallest ones, perfect squares and their neighbours
+_SIEVE_XS = sorted({1, 3, 4, 8, 9, 10, 99, 100, 101, 12344, 12345, 35 ** 4,
+                    10 ** 8 - 1, 10 ** 8, 10 ** 8 + 1, 97 ** 4 + 1, 10 ** 10})
+
+
+@pytest.mark.parametrize("deltas", [(-3,), (-4,), (-15,), (5,), (8,), (-4, 5), (-3, -4)],
+                         ids=str)
+def test_sieve_counts_match_the_enumerator(deltas):
+    # the old route: every product of nonsplit primes, its parity folded along
+    y = math.isqrt(_SIEVE_XS[-1])
+    nonsplit = [p for p in primes_upto(y).tolist()
+                if all(kronecker_symbol(d, p) != 1 for d in deltas)]
+    even_only = not all(d < 0 for d in deltas)
+    qs = sorted(q for q, odd in squarefree_products(nonsplit, y, 0, lambda odd, p, _: 1 - odd)
+                if not (even_only and odd))
+    expected = [bisect_right(qs, math.isqrt(x)) for x in _SIEVE_XS]
+    ys = [math.isqrt(x) for x in _SIEVE_XS]
+    assert census._sieve_counts(deltas, ys, even_only) == expected
+    # each threshold as the largest, where the strikes stop
+    assert [census._sieve_counts(deltas, [y], even_only)[0] for y in ys] == expected
+    assert census_quat_with_subfields(deltas, _SIEVE_XS).counts == tuple(expected)
+
+
+def test_division_sieve_mismatch_names_both_lists(monkeypatch):
+    real = census._squarefree_counts_by_moebius
+    monkeypatch.setattr(census, "_squarefree_counts_by_moebius",
+                        lambda ys: [c + (y == 10) for c, y in zip(real(ys), ys)])
+    with pytest.raises(InternalInconsistency) as info:
+        census_division(2, [4, 100, 10 ** 4])
+    assert "sieve [1, 6, 60]" in str(info.value)
+    assert "Moebius sum [1, 7, 60]" in str(info.value)
 
 
 def test_csa_n4_inclusion_exclusion():

@@ -387,6 +387,8 @@ def test_exp_bound_overflow_exits_2(capsys, argv):
     ["volumes", "kleinian", "--field", "-4", "--bl", "4,6"],
     ["volumes", "kleinian", "--field", "-4", "--bl", "9.1,9.2"],
     ["surfaces", "census", "--field", "-4", "--bl", "4,6", "--x", "1000"],
+    # and a prime is ASCII digits: int() would read 1_1 as 11
+    ["census", "embed-quads", "--b", "1_1,2", "--x", "100"],
 ], ids=" ".join)
 def test_invalid_inputs_exit_2_with_a_message(capsys, tmp_path, argv):
     argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]

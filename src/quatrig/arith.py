@@ -16,6 +16,7 @@ from math import gcd, isqrt
 
 import numpy as np
 from mpmath import mp
+from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_log, mpf_mul_int, mpf_sqrt
 
 PRECISION_BITS = 80
 
@@ -316,9 +317,13 @@ class PellSolution:
     u1: int
 
     def regulator(self):
-        """log((t + u*sqrt(delta))/2), the log of the fundamental unit."""
-        with mp.workprec(PRECISION_BITS):
-            return mp.log((self.t + self.u * mp.sqrt(self.delta)) / 2)
+        """log((t + u*sqrt(delta))/2), the log of the fundamental unit: the
+        libmp steps of mp.log((t + u*mp.sqrt(delta))/2) at PRECISION_BITS,
+        rounded to nearest, without a working-precision context."""
+        prec = PRECISION_BITS
+        root = mpf_sqrt(from_int(self.delta), prec, "n")
+        unit = mpf_add(mpf_mul_int(root, self.u, prec, "n"), from_int(self.t), prec, "n")
+        return mp.make_mpf(mpf_log(mpf_div(unit, from_int(2), prec, "n"), prec, "n"))
 
 
 def pell_fundamental(delta: int) -> PellSolution:
@@ -339,12 +344,14 @@ def pell_fundamental(delta: int) -> PellSolution:
     root = isqrt(delta)
     b = root - (root - delta) % 2
     pp, qq, q_prev, q_cur, period = b, 2, 1, 0, 0  # P, Q; q_{k-2}, q_{k-1}
-    while not period or (pp, qq) != (b, 2):
+    while True:
         a = (pp + root) // qq
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         pp = a * qq - pp
         qq = (delta - pp * pp) // qq
         period += 1
+        if qq == 2 and pp == b:
+            break
     t, u, norm = b * q_cur + 2 * q_prev, q_cur, (-1) ** period
     if norm == 1:
         t1, u1 = t, u

@@ -26,6 +26,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -68,18 +69,25 @@ def _json_number(value):
         return {"log10": float(mp.log10(value))}
 
 
-def _emit(args, payload, csv_rows=None, csv_header=None):
-    """csv_rows/csv_header drive csv format; payload drives json."""
-    if (args.format or args.default_format) == "csv" and csv_rows is not None:
-        lines = [csv_header] + [",".join(str(c) for c in row) for row in csv_rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=None)
-        text += "\n"
+def _json(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ": "))
+
+
+def _write(args, text: str) -> None:
+    """The one place output goes: the --out file, else stdout."""
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, payload, csv_rows=None, csv_header=None):
+    """csv_rows/csv_header drive csv format; payload drives json."""
+    if (args.format or args.default_format) == "csv" and csv_rows is not None:
+        lines = [csv_header] + [",".join(str(c) for c in row) for row in csv_rows]
+        _write(args, "\n".join(lines) + "\n")
+    else:
+        _write(args, _json(payload) + "\n")
 
 
 def _thresholds(args) -> list[int]:
@@ -214,11 +222,18 @@ def _rigidity_distinguish(args):
 
 
 def _rigidity_scan(args):
+    """Print the JSON _emit would for {x, delta_max, pairs: [{pair: [a, b],
+    minimal_delta: d}, ...], max_abs_delta, bound_log10, all_distinguished}
+    without a dict per pair: each name is encoded once, each pair is one
+    f-string, and the list goes where "pairs" sorts, before "x"."""
     report = rigidity.rigidity_scan(args.x, args.delta_max, args.not_totally_complex)
-    _emit(args, {"x": report.x, "delta_max": report.delta_max,
-                 "pairs": [{"pair": [a, b], "minimal_delta": d} for a, b, d in report.pairs],
-                 "max_abs_delta": report.max_abs_delta, "bound_log10": report.bound_log10,
-                 "all_distinguished": report.all_distinguished})
+    head = _json({"all_distinguished": report.all_distinguished,
+                  "bound_log10": report.bound_log10, "delta_max": report.delta_max,
+                  "max_abs_delta": report.max_abs_delta})
+    names = [_json(name) for name in report.names]
+    pairs = ",".join(f'{{"minimal_delta": {d},"pair": [{a},{b}]}}'
+                     for (a, b), d in zip(combinations(names, 2), report.witnesses))
+    _write(args, f'{head[:-1]},"pairs": [{pairs}],"x": {report.x}}}\n')
 
 
 def _rigidity_limit_pair(args):

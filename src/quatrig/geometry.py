@@ -80,17 +80,27 @@ class GeodesicDatum:
             raise ValueError("length must be positive")
 
 
+def _float_length_from_trace(t1: int) -> float:
+    """2 arccosh(t1/2) in libm floats, for a trace t1 > 2; past 1000 bits,
+    where t1/2 nears the float range, 2 log(t1), which differs from it by
+    less than 2/t1^2."""
+    if t1.bit_length() < 1000:
+        return 2 * math.acosh(t1 / 2)
+    return 2 * math.log(t1)
+
+
 def geodesic_from_field(delta: int) -> GeodesicDatum:
     """The geodesic of the real quadratic field of discriminant delta, from
     one pell_fundamental call and its regulator R: the length is 2R, or 4R
     when the fundamental unit has norm -1 (its square is the norm-one unit),
-    checked against 2 arccosh(t1/2); the squared unit length is 4R."""
+    checked against 2 arccosh(t1/2), computed apart from R in floats; the
+    squared unit length is 4R."""
     if delta <= 0:
         raise InvalidDiscriminant("geodesics require a real quadratic field")
     sol = pell_fundamental(delta)
     reg = float(sol.regulator())
     datum = GeodesicDatum(delta, sol.t1, (2 if sol.norm == 1 else 4) * reg, 4 * reg)
-    arccosh_form = length_from_trace(sol.t1)
+    arccosh_form = _float_length_from_trace(sol.t1)
     if abs(arccosh_form - datum.length) > 1e-9:
         raise AssertionError(
             f"length formulas disagree at delta={delta}: {arccosh_form} vs {datum.length}")

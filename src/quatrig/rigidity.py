@@ -193,15 +193,24 @@ def distinguish_quaternions(b1: QuaternionAlgebraQ, b2: QuaternionAlgebraQ,
 
 @dataclass(frozen=True)
 class ScanReport:
+    """`names` holds repr(algebra) per algebra, `witnesses` the least
+    distinguishing delta per pair of them in combinations() order."""
+
     x: int
     delta_max: int
-    pairs: tuple  # ((ram1, ram2, delta), ...)
+    names: tuple[str, ...]
+    witnesses: tuple[int, ...]
     max_abs_delta: int
     bound_log10: float
 
     @property
+    def pairs(self) -> tuple:
+        """((name1, name2, delta), ...) in combinations() order."""
+        return tuple((a, b, d) for (a, b), d in zip(combinations(self.names, 2), self.witnesses))
+
+    @property
     def all_distinguished(self) -> bool:
-        return all(d is not None for _, _, d in self.pairs)
+        return None not in self.witnesses
 
 
 def _all_quaternion_algebras(x: int) -> list[QuaternionAlgebraQ]:
@@ -228,14 +237,13 @@ def rigidity_scan(x: int, delta_max: int = 10 ** 6,
         b1, b2 = next(islice(combinations(algebras, 2), int(np.argmax(found < 0)), None))
         raise NotFoundWithinBound(
             f"pair {b1}, {b2} not distinguished by |delta| <= {delta_max}")
-    witnesses = deltas[found].tolist()
-    names = [repr(b) for b in algebras]
-    results = [(a, b, d) for (a, b), d in zip(combinations(names, 2), witnesses)]
-    max_abs = max(abs(d) for d in witnesses)
+    witnesses = deltas[found]
+    max_abs = int(np.abs(witnesses).max())
     bound = recognizing_bound(1, 1, x)
     if math.log(max_abs) > bound.log10 * math.log(10):
         raise NotFoundWithinBound("empirical maximum exceeds the recognizing bound")
-    return ScanReport(x, delta_max, tuple(results), max_abs, bound.log10)
+    return ScanReport(x, delta_max, tuple(repr(b) for b in algebras),
+                      tuple(witnesses.tolist()), max_abs, bound.log10)
 
 
 def distinguish_brauer_pairs(l1: QuadraticField, l2: QuadraticField,

@@ -35,6 +35,8 @@ from quatrig.arith import (
     squarefree_products,
     zeta_k_at_2,
 )
+from quatrig.fields import make_field
+from quatrig.fields import regulator as fields_regulator
 
 
 def test_kronecker_spec_values():
@@ -326,6 +328,26 @@ def test_pell_rejects_bad_input():
         pell_fundamental(-4)
     with pytest.raises(InvalidDiscriminant):
         pell_fundamental(10)
+
+
+def _regulator_oracle(sol):
+    with mp.workprec(PRECISION_BITS):
+        return mp.log((sol.t + sol.u * mp.sqrt(sol.delta)) / 2)
+
+
+def test_regulator_bits_match_mpmath_log():
+    # the libmp steps give the bits of the workprec expression, to the last one
+    near_1e7 = [d for d in range(10 ** 7 - 40, 10 ** 7 + 40) if is_fundamental_discriminant(d)]
+    deltas = [d for d in range(2, 2 * 10 ** 4) if is_fundamental_discriminant(d)] + near_1e7
+    assert len(near_1e7) >= 10
+    for delta in deltas:
+        sol = pell_fundamental(delta)
+        got = sol.regulator()
+        assert isinstance(got, mp.mpf)
+        assert got._mpf_ == _regulator_oracle(sol)._mpf_, delta
+    for delta in near_1e7[:3]:
+        oracle = _regulator_oracle(pell_fundamental(delta))
+        assert fields_regulator(make_field(delta))._mpf_ == oracle._mpf_
 
 
 def test_class_numbers():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from quatrig import census
 from quatrig.cli import build_parser, main
+from quatrig.rigidity import rigidity_scan
 
 # stdout and exit code of one small argv per leaf command (both formats for
 # the CSV-default groups), and the --help text of every parser node; a change
@@ -85,6 +86,35 @@ def test_out_file(capsys, tmp_path):
     assert code == 0
     assert target.read_text() == "x,count\n100,6\n"
     assert capsys.readouterr().out == ""
+
+
+def _scan_oracle(x, not_totally_complex):
+    """The scan's JSON as json.dumps prints the dict payload of every pair."""
+    rep = rigidity_scan(x, 10 ** 6, not_totally_complex)
+    payload = {"x": rep.x, "delta_max": rep.delta_max,
+               "pairs": [{"pair": [a, b], "minimal_delta": d} for a, b, d in rep.pairs],
+               "max_abs_delta": rep.max_abs_delta, "bound_log10": rep.bound_log10,
+               "all_distinguished": rep.all_distinguished}
+    return json.dumps(payload, sort_keys=True, separators=(",", ": ")) + "\n"
+
+
+@pytest.mark.parametrize("not_totally_complex", [False, True])
+@pytest.mark.parametrize("x", [4, 36, 400, 10 ** 4])
+def test_rigidity_scan_text_matches_json_dumps(capsys, tmp_path, x, not_totally_complex):
+    argv = ["rigidity", "scan", "--x", str(x)] + ["--not-totally-complex"] * not_totally_complex
+    code, out = run(capsys, argv)
+    assert code == 0 and out == _scan_oracle(x, not_totally_complex)
+    target = tmp_path / "scan.json"
+    assert main(["--out", str(target), *argv]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == out.encode()
+
+
+def test_rigidity_scan_unwritable_out(capsys, tmp_path):
+    target = tmp_path / "missing" / "scan.json"
+    assert main(["--out", str(target), "rigidity", "scan", "--x", "36"]) == 2
+    assert capsys.readouterr().out == ""
+    assert not target.exists()
 
 
 def test_warm_cache_byte_identical(capsys, tmp_path):

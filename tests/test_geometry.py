@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+from quatrig import geometry
 from quatrig.arith import (
     InvalidDiscriminant,
+    PellSolution,
     is_fundamental_discriminant,
     pell_fundamental,
     zeta_k_at_2,
@@ -65,6 +67,30 @@ def test_length_consistency_sample():
         if is_fundamental_discriminant(delta):
             g = geodesic_from_field(delta)  # raises internally on >1e-9 mismatch
             assert g.length > 0
+
+
+def test_float_arccosh_check_matches_length_from_trace():
+    # the check's libm route agrees with the public mpmath one, through the
+    # acosh branch (t1 < 2^1000) and past it, where delta = 28081 has a
+    # 1011-bit t1 and the check takes 2 log(t1)
+    traces = [pell_fundamental(d).t1 for d in range(2, 2 * 10 ** 4)
+              if is_fundamental_discriminant(d)]
+    assert max(t.bit_length() for t in traces) < 1000
+    t_big = pell_fundamental(28081).t1
+    assert t_big.bit_length() >= 1000
+    for t1 in traces + [t_big]:
+        assert abs(geometry._float_length_from_trace(t1) - length_from_trace(t1)) < 1e-12, t1
+    assert abs(geodesic_from_field(28081).length - length_from_trace(t_big)) < 1e-9
+
+
+def test_length_check_reports_both_values(monkeypatch):
+    regulator = PellSolution.regulator
+    monkeypatch.setattr(PellSolution, "regulator", lambda sol: regulator(sol) + 1e-8)
+    with pytest.raises(AssertionError) as exc:
+        geodesic_from_field(13)
+    arccosh_form = length_from_trace(pell_fundamental(13).t1)
+    skewed = 4 * float(regulator(pell_fundamental(13)) + 1e-8)  # norm -1: length 4R
+    assert f"{arccosh_form} vs {skewed}" in str(exc.value)
 
 
 def test_rational_classes():

@@ -164,14 +164,16 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
-def squarefree_products(primes, bound, state, fold, options=None):
+def squarefree_products(primes, bound, state=(), fold=None, options=None):
     """Every product of distinct primes from the ascending list `primes` that
     is at most `bound`, as (product, state) pairs: the empty product (1, state)
     first, the rest in no promised order.
 
     options(p) lists the (factor, tag) choices prime p contributes, ascending
     by factor, with least factors nondecreasing along `primes` (default: the
-    single factor p).  A child's state is fold(parent_state, p, tag).
+    single factor p).  A child's state is fold(parent_state, p, tag); with no
+    fold, it is the parent's tuple with p appended, so the default state of a
+    node is its chosen primes, ascending.
     """
     if bound < 1:
         return
@@ -189,15 +191,10 @@ def squarefree_products(primes, bound, state, fold, options=None):
                 q = prod * factor
                 if q > bound:
                     break
-                child = fold(st, p, tag)
+                child = fold(st, p, tag) if fold else st + (p,)
                 yield q, child
                 if q * least_next <= bound:
                     stack.append((q, child, k + 1))
-
-
-def add_prime(chosen: tuple, p: int, _tag) -> tuple:
-    """squarefree_products fold recording the chosen primes."""
-    return chosen + (p,)
 
 
 class SieveTable:
@@ -292,14 +289,6 @@ def chebyshev_theta(x: float) -> float:
     primes = primes_upto(math.floor(x))
     # 64-bit-mantissa accumulation keeps the summation error below 1e-12.
     return float(np.log(primes.astype(np.longdouble)).sum())
-
-
-def theta_table(limit: int) -> np.ndarray:
-    """theta(x) for every integer x in [0, limit] as one array."""
-    vals = np.zeros(limit + 1, dtype=np.longdouble)
-    primes = primes_upto(limit)
-    vals[primes] = np.log(primes.astype(np.longdouble))
-    return np.cumsum(vals).astype(np.float64)
 
 
 # -- Pell equation ---------------------------------------------------------

@@ -6,15 +6,17 @@ of Euler factors).
 Quaternion algebras have |disc| = q^2 for the squarefree product q of their
 finite ramified primes, so the quaternion division and subfield censuses are
 prefix counts of squarefree q <= sqrt(x): one sieve count (_sieve_counts)
-strikes the split primes from the Moebius array of the shared sieve.  The
-other censuses (central simple algebras, division algebras of degree n >= 3)
-come from one bounded product-of-primes enumerator
-(arith.squarefree_products) over ascending primes; each folds its residue
-distribution of local invariants along the way and sums per-node weights into
-threshold slots, so counts never depend on enumeration order.  Each census
-kind builds its spec, the CLI's cache key, in one function.
-Splitting data comes from the vector kernel arith.kronecker_vec, at one prime
-for a whole discriminant list or for one discriminant at a whole prime list.
+strikes the split primes from the Moebius array of the shared sieve, and one
+listing (quaternion_algebras_by_disc) yields the same q with their primes for
+the callers that need the algebras themselves.  The other censuses (central
+simple algebras, division algebras of degree n >= 3) come from one bounded
+product-of-primes enumerator (arith.squarefree_products) over ascending
+primes; each folds its residue distribution of local invariants along the
+way and sums per-node weights into threshold slots, so counts never depend on
+enumeration order.  Each census kind builds its spec, the CLI's cache key, in
+one function.  Splitting data comes from the vector kernel arith.kronecker_vec,
+at one prime for a whole discriminant list or for one discriminant at a whole
+prime list.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, isqrt, lcm, log
+from math import gcd, isqrt, lcm, log, prod
 
 import numpy as np
 
@@ -78,7 +80,7 @@ def division_spec(n: int) -> dict:
 
 
 def embed_quads_spec(algebra: QuaternionAlgebraQ, not_totally_complex: bool) -> dict:
-    return {"kind": "embed_quads", "ram": sorted(map(repr, algebra.ramification)),
+    return {"kind": "embed_quads", "ram": [repr(v) for v in sorted(algebra.ramification)],
             "not_totally_complex": not_totally_complex}
 
 
@@ -148,16 +150,6 @@ def _completions(node, exact: int | None = None) -> int:
     if m % 2 == 0 and exact in (None, lcm(lcm_f, 2)):
         ways += dist[m // 2]
     return ways
-
-
-def _csa_disc_counts(m: int, n: int, bound: int) -> list[tuple[int, int]]:
-    """Sorted (disc, multiplicity) pairs of the N_{m,n} census, |disc| <= bound."""
-    counts: dict[int, int] = {}
-    for disc, node in _csa_nodes(m, n, bound):
-        w = _completions(node)
-        if w:
-            counts[disc] = counts.get(disc, 0) + w
-    return sorted(counts.items())
 
 
 def census_csa(m: int, n: int, thresholds) -> CountTable:
@@ -269,7 +261,7 @@ def census_embedding_quads(algebra: QuaternionAlgebraQ, thresholds,
     ok = _embeds_mask(algebra, deltas)
     if not_totally_complex:
         ok &= deltas > 0
-    admissible = np.sort(np.abs(deltas[ok]))
+    admissible = np.abs(deltas[ok])  # ascending: the list is ordered by |delta|
     counts = [int(np.searchsorted(admissible, x, side="right")) for x in thresholds]
     return CountTable(tuple(thresholds), tuple(counts))
 
@@ -313,6 +305,22 @@ def _sieve_counts(deltas: tuple[int, ...], ys: list[int], even_only: bool = Fals
         ok[k * big[:np.searchsorted(big, y // k, side="right")]] = False
     edges = [0] + [b + 1 for b in ys]
     return list(accumulate(int(np.count_nonzero(ok[a:b])) for a, b in zip(edges, edges[1:])))
+
+
+def quaternion_algebras_by_disc(y: int, deltas=(), base=()) -> list[tuple[int, tuple]]:
+    """(q, primes) in ascending q <= y for every squarefree q made of all the
+    `base` primes and any others that split in none of the fields
+    Q(sqrt(delta_i)), primes ascending: the quaternion algebras over Q of
+    |disc| = q^2 that ramify at the base primes and otherwise admit every
+    field.  Each base prime must split in one of the fields, as the primes
+    of a descended algebra do.  With no base, _sieve_counts(deltas, [y])
+    counts the same q."""
+    base = tuple(sorted(base))
+    b = prod(base)
+    if b > y:
+        return []
+    rows = squarefree_products(_nonsplit_primes(tuple(deltas), y // b), y // b)
+    return sorted((b * r, tuple(sorted(base + chosen))) for r, chosen in rows)
 
 
 def _squarefree_counts_by_moebius(ys: list[int]) -> list[int]:

@@ -18,7 +18,6 @@ from mpmath import mp
 from .arith import (
     PRECISION_BITS,
     InvalidDiscriminant,
-    add_prime,
     pell_fundamental,
     primes_upto,
     squarefree_products,
@@ -30,7 +29,13 @@ from .brauer import (
     descends,
     is_restriction,
 )
-from .census import _embeds_mask, _nonsplit_primes, check_independent, fundamental_discriminants
+from .census import (
+    _embeds_mask,
+    _nonsplit_primes,
+    check_independent,
+    fundamental_discriminants,
+    quaternion_algebras_by_disc,
+)
 
 
 class NonHyperbolicTrace(ValueError):
@@ -213,12 +218,12 @@ class CommensurabilityClass:
     ramification: frozenset
 
 
-def _indefinite_algebras_by_coarea_bound(prod_bound: float):
-    """All indefinite quaternion algebras over Q whose ramified primes p have
-    prod(p - 1) <= prod_bound, as sorted prime tuples (even cardinality)."""
+def _indefinite_algebras_by_coarea_bound(prod_bound: float, pool: list[int]):
+    """All indefinite quaternion algebras over Q ramified only at primes of
+    the ascending list `pool`, with prod(p - 1) <= prod_bound over their
+    ramified primes p, as sorted prime tuples (even cardinality)."""
     return sorted(chosen for _, chosen in squarefree_products(
-        primes_upto(int(prod_bound) + 1).tolist(), prod_bound, (), add_prime,
-        lambda p: ((p - 1, None),))
+        pool, prod_bound, options=lambda p: ((p - 1, None),))
         if len(chosen) % 2 == 0)
 
 
@@ -230,7 +235,8 @@ def fuchsian_classes(volume: float) -> list[CommensurabilityClass]:
     prod_bound = volume * 3 / math.pi ** 2
     out = [CommensurabilityClass(
         1, QuaternionAlgebraQ.from_primes(primes).ramification)
-        for primes in _indefinite_algebras_by_coarea_bound(prod_bound)]
+        for primes in _indefinite_algebras_by_coarea_bound(
+            prod_bound, primes_upto(int(prod_bound) + 1).tolist())]
     if len(set(out)) != len(out):
         raise AssertionError("census emitted duplicate commensurability classes")
     return out
@@ -250,10 +256,9 @@ def class_census_with_lengths(deltas, volume: float) -> int:
         if any(d < 0 for d in deltas):
             raise InvalidDiscriminant("geodesic fields are real quadratic")
     prod_bound = volume * 3 / math.pi ** 2
-    nonsplit = set(_nonsplit_primes(deltas, int(prod_bound) + 1))
+    pool = _nonsplit_primes(deltas, int(prod_bound) + 1)
     # geodesic existence needs a finite ramified place
-    return sum(1 for primes in _indefinite_algebras_by_coarea_bound(prod_bound)
-               if primes and nonsplit.issuperset(primes))
+    return sum(1 for primes in _indefinite_algebras_by_coarea_bound(prod_bound, pool) if primes)
 
 
 def _finite(compute, what: str) -> float:
@@ -292,7 +297,7 @@ def geodesic_census(algebra: QuaternionAlgebraQ, x: int, volume: float = 0.0,
         raise DefiniteAlgebra("geodesic census requires an indefinite algebra")
     deltas = fundamental_discriminants(x)
     mask = _embeds_mask(algebra, deltas) & (deltas > 0)
-    data = tuple(geodesic_from_field(int(d)) for d in sorted(deltas[mask].tolist()))
+    data = tuple(map(geodesic_from_field, deltas[mask].tolist()))  # ascending delta > 0
     classes = len(rational_classes(data))
     max_len = max((d.length for d in data), default=0.0)
     bound = _times_exp_cv(2.0 * x, const_c, volume)
@@ -318,18 +323,10 @@ def surface_census(algebra_l: QuaternionAlgebraL, x: int, volume: float = 1.0,
     desc = descends(algebra_l)
     if desc is None:
         return []
-    base = sorted(desc)
-    base_disc = math.prod(base)
-    if base_disc ** 2 > x:
-        return []
-    rest = math.isqrt(x) // base_disc
-    pool = _nonsplit_primes((field.delta,), rest)  # the descended primes split
-    # the added primes must make the ramified set even
-    found = sorted((base_disc * q, tuple(sorted(base + list(chosen))))
-                   for q, chosen in squarefree_products(pool, rest, (), add_prime)
-                   if len(chosen) % 2 == len(base) % 2)
     out = []
-    for disc, primes in found:
+    for disc, primes in quaternion_algebras_by_disc(math.isqrt(max(x, 0)), (field.delta,), desc):
+        if len(primes) % 2:
+            continue  # an indefinite algebra ramifies at an even set of primes
         b0 = QuaternionAlgebraQ.from_primes(primes)
         if not is_restriction(b0, field, algebra_l):
             raise AssertionError(f"constructed algebra {b0} fails restriction replay")

@@ -19,23 +19,9 @@ from itertools import combinations, islice
 import numpy as np
 from mpmath import mp
 
-from .arith import (
-    add_prime,
-    chebyshev_theta,
-    kronecker_vec,
-    primes_upto,
-    squarefree_products,
-    squarefree_kernel,
-)
-from .brauer import (
-    QuaternionAlgebraL,
-    QuaternionAlgebraQ,
-    descends,
-    embeds,
-    is_restriction,
-    quaternion_iso,
-)
-from .census import _embeds_mask, fundamental_discriminants
+from .arith import chebyshev_theta, kronecker_vec, primes_upto, squarefree_kernel
+from .brauer import QuaternionAlgebraL, QuaternionAlgebraQ, descends, embeds, quaternion_iso
+from .census import _embeds_mask, fundamental_discriminants, quaternion_algebras_by_disc
 from .fields import QuadraticField
 
 _BOUND_PREC = 100
@@ -214,11 +200,11 @@ class ScanReport:
 
 
 def _all_quaternion_algebras(x: int) -> list[QuaternionAlgebraQ]:
-    """Quaternion algebras over Q with |disc| <= x (disc = q^2 for squarefree
-    q; the parity of the finite part fixes the real place)."""
-    y = math.isqrt(x)
+    """Quaternion algebras over Q with |disc| <= x, by ascending disc
+    (disc = q^2 for squarefree q; the parity of the finite part fixes the
+    real place)."""
     return [QuaternionAlgebraQ.from_primes(fs, include_infinity=len(fs) % 2 == 1)
-            for _, fs in sorted(squarefree_products(primes_upto(y).tolist(), y, (), add_prime))]
+            for _, fs in quaternion_algebras_by_disc(math.isqrt(x))]
 
 
 def rigidity_scan(x: int, delta_max: int = 10 ** 6,
@@ -251,23 +237,26 @@ def distinguish_brauer_pairs(l1: QuadraticField, l2: QuadraticField,
                              x_max: int = 10 ** 8) -> QuaternionAlgebraQ | None:
     """The least-|disc| indefinite algebra over Q restricting to exactly one
     of the two given quaternion algebras (None when the restriction data
-    already agree).  Both inputs must descend."""
+    already agree).  Both inputs must descend.  Over an imaginary field L,
+    B restricts to B_L exactly when its finite ramification is the descended
+    set of B_L plus primes nonsplit in L, so the witness is the least disc in
+    the symmetric difference of the two listings of such even sets."""
     if l1.is_real or l2.is_real:
         raise ValueError("the desk experiments run over imaginary quadratic fields")
+    if bl1.field != l1 or bl2.field != l2:
+        raise ValueError("algebra is not defined over the given field")
     d1 = descends(bl1)
     d2 = descends(bl2)
     if d1 is None or d2 is None:
         raise ValueError("both algebras must be restrictions from Q")
     if l1.delta == l2.delta and bl1.ramification == bl2.ramification:
         return None
-    for b in _all_quaternion_algebras(x_max):
-        if b.ramified_at_infinity:
-            continue
-        r1 = is_restriction(b, l1, bl1)
-        r2 = is_restriction(b, l2, bl2)
-        if r1 != r2:
-            return b
-    raise NotFoundWithinBound(f"no distinguishing algebra with |disc| <= {x_max}")
+    y = math.isqrt(x_max)
+    r1, r2 = ({fs for _, fs in quaternion_algebras_by_disc(y, (field.delta,), d)
+               if len(fs) % 2 == 0} for field, d in ((l1, d1), (l2, d2)))
+    if r1 == r2:
+        raise NotFoundWithinBound(f"no distinguishing algebra with |disc| <= {x_max}")
+    return QuaternionAlgebraQ.from_primes(min(r1 ^ r2, key=math.prod))
 
 
 def limit_pair(m: int) -> tuple[int, int, int, int]:

@@ -7,8 +7,8 @@ import time
 
 import numpy as np
 
-from quatrig import arith, asymptotics, census, rigidity
-from quatrig.arith import chebyshev_theta, theta_table
+from quatrig import arith, asymptotics, rigidity
+from quatrig.arith import chebyshev_theta
 from quatrig.brauer import (
     descends,
     embeds,
@@ -18,6 +18,7 @@ from quatrig.brauer import (
     restrict,
 )
 from quatrig.census import (
+    census_csa,
     census_division,
     count_division,
     count_embedding_quads,
@@ -34,6 +35,21 @@ from quatrig.rigidity import _all_quaternion_algebras, limit_pair, recognizing_b
 
 def _report(num, text):
     print(f"ACCEPTANCE {num:>2}: PASS  {text}")
+
+
+def csa_disc_counts(m, n, n_max):
+    """Multiplicity of every |disc| in 0..n_max in the N_{m,n} census: the
+    successive differences of its counts at x = 1..n_max."""
+    counts = census_csa(m, n, range(1, n_max + 1)).counts
+    return [0] + [b - a for a, b in zip((0,) + counts, counts)]
+
+
+def theta_table(limit):
+    """theta(x) for every integer x in [0, limit] as one array."""
+    vals = np.zeros(limit + 1, dtype=np.longdouble)
+    primes = arith.primes_upto(limit)
+    vals[primes] = np.log(primes.astype(np.longdouble))
+    return np.cumsum(vals).astype(np.float64)
 
 
 def test_criterion_01_quaternion_census_exactness(squarefree_count):
@@ -71,10 +87,7 @@ def test_criterion_03_n3_identity_and_growth():
 def test_criterion_04_dirichlet_coefficient_oracle():
     n_max = 10 ** 4
     for m, n in ((2, 2), (3, 3)):
-        coeffs = dirichlet_coefficients_csa(m, n, n_max)
-        by_disc = dict(census._csa_disc_counts(m, n, n_max))
-        for big_n in range(1, n_max + 1):
-            assert coeffs[big_n] == by_disc.get(big_n, 0), (m, n, big_n)
+        assert dirichlet_coefficients_csa(m, n, n_max) == csa_disc_counts(m, n, n_max), (m, n)
     for deltas in ((-4,), (-3, 5)):
         coeffs = dirichlet_coefficients_embed(deltas, n_max)
         running = 0
@@ -125,7 +138,7 @@ def test_criterion_08_theta_bound():
     margin = bound - table[3:]
     assert margin.min() > 1e-9
     # spot-check the table against the compensated scalar evaluation
-    for x in (3, 100, 12345, 999983, limit):
+    for x in (2, 3, 100, 1000, 2999, 12345, 999983, limit):
         assert abs(table[x] - chebyshev_theta(x)) < 1e-9
     _report(8, f"theta(x) <= 21x/log^3 x + x for all 2 < x <= 1e6 (min margin {margin.min():.2f})")
 

@@ -249,12 +249,6 @@ def test_theta():
         assert chebyshev_theta(x) <= 21 * x / math.log(x) ** 3 + x
 
 
-def test_theta_table_matches_scalar():
-    table = arith.theta_table(3000)
-    for x in (2, 3, 100, 1000, 2999):
-        assert abs(table[x] - chebyshev_theta(x)) < 1e-9
-
-
 def _pell_brute(delta, cap=4000):
     for u in range(1, cap):
         for sign in (-4, 4):
@@ -525,6 +519,14 @@ def test_squarefree_products_options_and_state():
         if q <= bound:
             want.append((q, chosen))
     assert got == sorted(want)
+
+
+def test_squarefree_products_default_state_is_the_chosen_primes():
+    primes, bound = [2, 3, 5, 7, 11], 100
+    got = sorted(squarefree_products(primes, bound))
+    want = sorted((math.prod(c), c) for k in range(len(primes) + 1)
+                  for c in itertools.combinations(primes, k) if math.prod(c) <= bound)
+    assert got == want
 
 
 def test_factorize_and_derived_helpers():

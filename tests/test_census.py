@@ -79,6 +79,30 @@ def test_sieve_counts_match_the_enumerator(deltas):
     assert census_quat_with_subfields(deltas, _SIEVE_XS).counts == tuple(expected)
 
 
+@pytest.mark.parametrize("deltas", [(), (-3,), (-4,), (5,), (8,), (-4, 5), (-3, -4, 5)],
+                         ids=str)
+def test_quaternion_algebras_by_disc_matches_the_sieve_count(deltas):
+    # two routes to one set: the listing enumerates products of nonsplit
+    # primes, the sieve count strikes the split primes from the Moebius array
+    for y in (0, 1, 2, 30, 1000, 10 ** 5):
+        rows = census.quaternion_algebras_by_disc(y, deltas)
+        assert len(rows) == (census._sieve_counts(deltas, [y])[0] if y else 0)
+        assert [q for q, _ in rows] == sorted({q for q, _ in rows})
+        for q, primes in rows[:300]:
+            assert math.prod(primes) == q and list(primes) == sorted(primes)
+            assert all(kronecker_symbol(d, p) != 1 for d in deltas for p in primes)
+
+
+def test_quaternion_algebras_by_disc_with_base():
+    # 5 splits in Q(i): every row ramifies at 5, the rest inert or ramified
+    rows = census.quaternion_algebras_by_disc(100, (-4,), (5,))
+    assert rows == [(5, (5,)), (10, (2, 5)), (15, (3, 5)), (30, (2, 3, 5)), (35, (5, 7)),
+                    (55, (5, 11)), (70, (2, 5, 7)), (95, (5, 19))]
+    assert census.quaternion_algebras_by_disc(4, (-4,), (5,)) == []
+    assert census.quaternion_algebras_by_disc(10 ** 4, (-4,), (5, 13))[:3] == [
+        (65, (5, 13)), (130, (2, 5, 13)), (195, (3, 5, 13))]
+
+
 def test_division_sieve_mismatch_names_both_lists(monkeypatch):
     real = census._squarefree_counts_by_moebius
     monkeypatch.setattr(census, "_squarefree_counts_by_moebius",
@@ -189,11 +213,10 @@ def test_dirichlet_coefficients_csa_spec_values():
 def test_oracle_equivalence_csa():
     for m, n in ((2, 2), (3, 3), (2, 4), (4, 4)):
         n_max = 3000
-        co = dirichlet_coefficients_csa(m, n, n_max)
-        pairs = census._csa_disc_counts(m, n, n_max)
-        by_disc = dict(pairs)
-        for big_n in range(1, n_max + 1):
-            assert co[big_n] == by_disc.get(big_n, 0), (m, n, big_n)
+        # per-disc multiplicities: successive differences of the census at x = 1..n_max
+        counts = census.census_csa(m, n, range(1, n_max + 1)).counts
+        by_disc = [0] + [b - a for a, b in zip((0,) + counts, counts)]
+        assert dirichlet_coefficients_csa(m, n, n_max) == by_disc, (m, n)
 
 
 def test_oracle_equivalence_embed():

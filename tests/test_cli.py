@@ -13,6 +13,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from quatrig import census
+from quatrig.cache import CensusCache
+from quatrig.census import CountTable
 from quatrig.cli import build_parser, main
 from quatrig.rigidity import rigidity_scan
 
@@ -160,6 +162,18 @@ def test_cache_truncated_file_recomputed(capsys, tmp_path):
         assert code == 0 and out == cold
         assert cache_file.read_text() == text  # rewritten whole
     assert list(tmp_path.iterdir()) == [cache_file]  # no temporary file left
+
+
+def test_embed_quads_cache_under_the_string_ram_order_is_a_miss(capsys, tmp_path):
+    # the spec once listed "ram" as sorted strings ("11" before "2"); a file
+    # stored under that key is another key's file: recomputed, not corruption
+    stale = {"kind": "embed_quads", "ram": ["11", "2"], "not_totally_complex": False,
+             "thresholds": [100]}
+    CensusCache(tmp_path).store(stale, CountTable((100,), (999,)))
+    code, out = run(capsys, ["--cache-dir", str(tmp_path), "census", "embed-quads",
+                             "--b", "2,11", "--x", "100"])
+    assert (code, out) == (0, "x,count\n100,22\n")
+    assert len(list(tmp_path.iterdir())) == 2
 
 
 def test_precision_validation(capsys):

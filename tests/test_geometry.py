@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 
@@ -10,8 +11,8 @@ from quatrig.arith import (
     pell_fundamental,
     zeta_k_at_2,
 )
-from quatrig.brauer import QuaternionAlgebraL, parse_ram_set, parse_ram_set_l
-from quatrig.fields import make_field
+from quatrig.brauer import QuaternionAlgebraL, is_restriction, parse_ram_set, parse_ram_set_l
+from quatrig.fields import PlaceQ, SplittingType, make_field, places_above, splitting
 from quatrig.geometry import (
     DefiniteAlgebra,
     NonHyperbolicTrace,
@@ -226,16 +227,56 @@ def test_surface_census_spec_values():
 
 
 def test_surface_census_independent_check(brute_quaternion_algebras):
-    from quatrig.brauer import is_restriction
-
-    qi = make_field(-4)
-    bl = parse_ram_set_l("5.1,5.2", qi)
+    # every (field, descended set) with field -24 < delta < 0 and descended
+    # primes <= 13, against restrict-and-compare over a trial-division listing
     x = 10 ** 6
-    rows = surface_census(bl, x)
-    brute = [b for b in brute_quaternion_algebras(x)
-             if not b.ramified_at_infinity and is_restriction(b, qi, bl)]
-    assert sorted(r.algebra.finite_primes for r in rows) == \
-        sorted(b.finite_primes for b in brute)
+    indefinite = sorted((b for b in brute_quaternion_algebras(x) if not b.ramified_at_infinity),
+                        key=lambda b: b.disc_norm)
+    checked = 0
+    for delta in range(-3, -24, -1):
+        if not is_fundamental_discriminant(delta):
+            continue
+        field = make_field(delta)
+        split = [p for p in (2, 3, 5, 7, 11, 13)
+                 if splitting(field, PlaceQ.finite(p)) is SplittingType.SPLIT]
+        for k in (0, 1, 2):
+            for primes in combinations(split, k):
+                bl = QuaternionAlgebraL(field, frozenset(
+                    v for p in primes for v in places_above(field, PlaceQ.finite(p))))
+                rows = surface_census(bl, x)
+                assert [r.algebra for r in rows] == \
+                    [b for b in indefinite if is_restriction(b, field, bl)], (delta, primes)
+                checked += len(rows)
+    assert checked > 1000
+
+
+def _coarea_oracle(deltas, volume):
+    """class_census_with_lengths by filtering every even set of primes with
+    prod(p - 1) <= 3V/pi^2, primes by trial division, splitting by the
+    scalar place layer."""
+    bound = volume * 3 / math.pi ** 2
+    primes = [p for p in range(2, int(bound) + 2) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    fields = [make_field(d) for d in deltas]
+    count = 0
+
+    def rec(start, weight, chosen):
+        nonlocal count
+        if chosen and len(chosen) % 2 == 0 and all(
+                splitting(f, PlaceQ.finite(p)) is not SplittingType.SPLIT
+                for f in fields for p in chosen):
+            count += 1
+        for k in range(start, len(primes)):
+            if weight * (primes[k] - 1) <= bound:
+                rec(k + 1, weight * (primes[k] - 1), chosen + [primes[k]])
+
+    rec(0, 1, [])
+    return count
+
+
+@pytest.mark.parametrize("deltas", [(), (5,), (8,), (13,), (5, 8), (12, 13)], ids=str)
+def test_class_census_with_lengths_matches_filter_all_oracle(deltas):
+    for volume in (1.0, 10.0, 33.3, 100.0, 400.0, 3000.0):
+        assert class_census_with_lengths(deltas, volume) == _coarea_oracle(deltas, volume)
 
 
 def test_commensurability_class_equivalence():

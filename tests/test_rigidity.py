@@ -5,9 +5,16 @@ import pytest
 from mpmath import mp
 
 from quatrig.arith import is_fundamental_discriminant
-from quatrig.brauer import QuaternionAlgebraL, embeds, parse_ram_set, parse_ram_set_l
+from quatrig import brauer, rigidity
+from quatrig.brauer import (
+    QuaternionAlgebraL,
+    embeds,
+    is_restriction,
+    parse_ram_set,
+    parse_ram_set_l,
+)
 from quatrig.census import fundamental_discriminants
-from quatrig.fields import QuadraticField, make_field
+from quatrig.fields import PlaceQ, QuadraticField, make_field, places_above
 from quatrig.rigidity import (
     NotFoundWithinBound,
     brauer_rigidity_bound,
@@ -226,6 +233,55 @@ def test_distinguish_brauer_pairs_nontrivial_ramification():
     assert is_restriction(b, qi, bl1) != is_restriction(b, q7, bl2)
 
 
+def _descended_algebra(delta, primes):
+    """The algebra over Q(sqrt(delta)) ramified at both places over each of
+    the given split primes."""
+    field = make_field(delta)
+    return field, QuaternionAlgebraL(field, frozenset(
+        v for p in primes for v in places_above(field, PlaceQ.finite(p))))
+
+
+# (field, descended primes): every prime splits in its field
+_BRAUER_CLASSES = [(-3, ()), (-3, (7,)), (-4, ()), (-4, (5,)), (-4, (5, 13)), (-7, ()),
+                   (-7, (2,)), (-8, (3,)), (-15, ()), (-15, (2,)), (-20, (3, 7))]
+
+
+def test_distinguish_brauer_pairs_matches_brute_force(brute_quaternion_algebras):
+    # brute force: the least-disc indefinite algebra on which the two
+    # restriction maps disagree, over a trial-division listing of algebras
+    seen = set()
+    for x_max in (10 ** 6, 400, 36):
+        indefinite = sorted((b for b in brute_quaternion_algebras(x_max)
+                             if not b.ramified_at_infinity), key=lambda b: b.disc_norm)
+        for c1, c2 in combinations(_BRAUER_CLASSES + [_BRAUER_CLASSES[0]], 2):
+            (l1, bl1), (l2, bl2) = _descended_algebra(*c1), _descended_algebra(*c2)
+            if c1 == c2:
+                want = None
+            else:
+                want = next((b for b in indefinite
+                             if is_restriction(b, l1, bl1) != is_restriction(b, l2, bl2)),
+                            NotFoundWithinBound)
+            if want is NotFoundWithinBound:
+                with pytest.raises(NotFoundWithinBound):
+                    distinguish_brauer_pairs(l1, l2, bl1, bl2, x_max)
+            else:
+                assert distinguish_brauer_pairs(l1, l2, bl1, bl2, x_max) == want, (c1, c2)
+            seen.add(want if want in (None, NotFoundWithinBound) else "witness")
+    assert seen == {None, NotFoundWithinBound, "witness"}
+
+
+def test_distinguish_brauer_pairs_calls_no_restriction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("restriction map called")
+
+    for module in (brauer, rigidity):
+        for name in ("is_restriction", "restrict"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    l1, bl1 = _descended_algebra(-3, ())
+    l2, bl2 = _descended_algebra(-51, ())
+    assert distinguish_brauer_pairs(l1, l2, bl1, bl2).finite_primes == (2, 5)
+
+
 def test_distinguish_brauer_pairs_validation():
     l1 = make_field(-4)
     bad = parse_ram_set_l("3,5.1", l1)
@@ -234,4 +290,7 @@ def test_distinguish_brauer_pairs_validation():
     with pytest.raises(ValueError):
         distinguish_brauer_pairs(make_field(5), l1,
                                  QuaternionAlgebraL(make_field(5), frozenset()),
+                                 QuaternionAlgebraL(l1, frozenset()))
+    with pytest.raises(ValueError):  # an algebra over another field
+        distinguish_brauer_pairs(l1, make_field(-3), QuaternionAlgebraL(l1, frozenset()),
                                  QuaternionAlgebraL(l1, frozenset()))

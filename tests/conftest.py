@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from quatrig import arith
 from quatrig.brauer import QuaternionAlgebraQ
 
 
@@ -46,6 +48,15 @@ def _squarefree_count(y: int) -> int:
     return sum(_mu_trial_division(d) * (y // (d * d)) for d in range(1, math.isqrt(y) + 1))
 
 
+def _theta_table(limit: int) -> np.ndarray:
+    """theta(x) for every integer x in [0, limit] as one array: a long-double
+    cumulative sum of log p over the sieve's primes."""
+    vals = np.zeros(limit + 1, dtype=np.longdouble)
+    primes = arith.primes_upto(limit)
+    vals[primes] = np.log(primes.astype(np.longdouble))
+    return np.cumsum(vals).astype(np.float64)
+
+
 @pytest.fixture(autouse=True)
 def _private_census_cache(tmp_path, monkeypatch):
     """Point the default census cache at the test's own directory, so that no
@@ -61,3 +72,8 @@ def brute_quaternion_algebras():
 @pytest.fixture
 def squarefree_count():
     return _squarefree_count
+
+
+@pytest.fixture
+def theta_table():
+    return _theta_table

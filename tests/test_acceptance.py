@@ -44,14 +44,6 @@ def csa_disc_counts(m, n, n_max):
     return [0] + [b - a for a, b in zip((0,) + counts, counts)]
 
 
-def theta_table(limit):
-    """theta(x) for every integer x in [0, limit] as one array."""
-    vals = np.zeros(limit + 1, dtype=np.longdouble)
-    primes = arith.primes_upto(limit)
-    vals[primes] = np.log(primes.astype(np.longdouble))
-    return np.cumsum(vals).astype(np.float64)
-
-
 def test_criterion_01_quaternion_census_exactness(squarefree_count):
     start = time.monotonic()
     xs = sorted({(10 ** 10 * (k + 1)) // 50 for k in range(50)})
@@ -130,7 +122,7 @@ def test_criterion_07_wood_densities():
     _report(7, "real-place 0.5/0.5 and split==inert at p = 3, 5, 7 within 0.005")
 
 
-def test_criterion_08_theta_bound():
+def test_criterion_08_theta_bound(theta_table):
     limit = 10 ** 6
     table = theta_table(limit)
     xs = np.arange(3, limit + 1, dtype=np.float64)

@@ -249,6 +249,12 @@ def test_theta():
         assert chebyshev_theta(x) <= 21 * x / math.log(x) ** 3 + x
 
 
+def test_theta_table_matches_scalar(theta_table):
+    table = theta_table(3000)
+    for x in (2, 3, 100, 1000, 2999):
+        assert abs(table[x] - chebyshev_theta(x)) < 1e-9
+
+
 def _pell_brute(delta, cap=4000):
     for u in range(1, cap):
         for sign in (-4, 4):

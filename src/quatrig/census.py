@@ -13,10 +13,9 @@ simple algebras, division algebras of degree n >= 3) come from one bounded
 product-of-primes enumerator (arith.squarefree_products) over ascending
 primes; each folds its residue distribution of local invariants along the
 way and sums per-node weights into threshold slots, so counts never depend on
-enumeration order.  Each census kind builds its spec, the CLI's cache key, in
-one function.  Splitting data comes from the vector kernel arith.kronecker_vec,
-at one prime for a whole discriminant list or for one discriminant at a whole
-prime list.
+enumeration order.  Splitting data comes from the vector kernel
+arith.kronecker_vec, at one prime for a whole discriminant list or for one
+discriminant at a whole prime list.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from .arith import (
     divisors,
     factorize,
     iroot,
+    kronecker_symbol,
     kronecker_vec,
     mobius,
     primes_upto,
@@ -69,23 +69,6 @@ class CountTable:
 
     def rows(self):
         return list(zip(self.thresholds, self.counts))
-
-
-def csa_spec(m: int, n: int) -> dict:
-    return {"kind": "csa", "m": m, "n": n}
-
-
-def division_spec(n: int) -> dict:
-    return {"kind": "division", "n": n}
-
-
-def embed_quads_spec(algebra: QuaternionAlgebraQ, not_totally_complex: bool) -> dict:
-    return {"kind": "embed_quads", "ram": [repr(v) for v in sorted(algebra.ramification)],
-            "not_totally_complex": not_totally_complex}
-
-
-def quat_subfields_spec(deltas) -> dict:
-    return {"kind": "quat_subfields", "deltas": [int(d) for d in deltas]}
 
 
 def _ascending(thresholds) -> list[int]:
@@ -406,11 +389,12 @@ def dirichlet_coefficients_csa(m: int, n: int, n_max: int) -> list[int]:
 
 def dirichlet_coefficients_embed(deltas, n_max: int) -> list[int]:
     """Coefficients a_N of the series counting quaternion algebras admitting
-    all the given subfields, |disc| = N."""
+    all the given subfields, |disc| = N; its primes come from trial division
+    and the scalar Kronecker symbol, a route that shares nothing with the sieve."""
     deltas = tuple(int(d) for d in deltas)
     check_independent(deltas)
-    y = isqrt(n_max)
-    primes = _nonsplit_primes(deltas, y)
+    primes = [p for p in range(2, isqrt(n_max) + 1) if factorize(p) == [(p, 1)]
+              and all(kronecker_symbol(d, p) != 1 for d in deltas)]
     c0 = [0] * (n_max + 1)
     c0[1] = 1
     c1 = c0.copy()

@@ -17,7 +17,7 @@ as the `run` default and every command group its default output format, so
 Exit codes: 0 success, 2 validation error, 3 invariant violation (an
 internal-inconsistency or a failed theorem-level search).  Output is CSV for
 tables and JSON elsewhere; counts are emitted as exact decimal strings in
-JSON, and values beyond 1e308 as {"log10": ...} objects.
+JSON, and numbers past the float range as {"log10": ...} objects (_json_value).
 """
 
 from __future__ import annotations
@@ -56,17 +56,22 @@ def finite_float(text: str) -> float:
     return value
 
 
-def _json_number(value):
-    if isinstance(value, int):
-        return str(value)
-    try:
-        f = float(value)
-    except (OverflowError, ValueError):
-        f = None
-    if f is not None and abs(f) < 1e308:
-        return f
-    with mp.workprec(100):
-        return {"log10": float(mp.log10(value))}
+_JSON_PREC = 100  # bits, for the float-range test and for the log10 of a bound
+
+
+def _json_value(value):
+    """A float or mpf as JSON: the float if |value| < 10^308, else {"log10": ...},
+    or {"log10_log10": ...} once that log10 reaches 10^308; ValueError at <= -10^308."""
+    with mp.workprec(_JSON_PREC):
+        edge = mp.mpf(10) ** 308
+        if value <= -edge:
+            raise ValueError(f"{mp.nstr(value, 6)} is below -1e308 and has no JSON form")
+        if value < edge:
+            return float(value)
+        log10 = mp.log10(value)
+        if log10 < edge:
+            return {"log10": float(log10)}
+        return {"log10_log10": float(mp.log10(log10))}
 
 
 def _json(payload) -> str:
@@ -97,43 +102,41 @@ def _thresholds(args) -> list[int]:
 
 # -- runners: the `run` default of each leaf parser ---------------------------
 
-def _census(args, spec: dict, compute, cached: bool = True) -> None:
+def _census(args, spec: dict, compute) -> None:
     """Print the census table compute(thresholds): the one output path of
-    every census leaf.  A cached table is read from the census cache when
-    warm, else computed and stored; the key is the spec plus the thresholds."""
+    every census leaf.  The table is read from the census cache when warm,
+    else computed and stored; the key is the spec plus the thresholds."""
     xs = _thresholds(args)
-    if cached:
-        cache = CensusCache(args.cache_dir)
-        key = {**spec, "thresholds": xs}
-        table = cache.load(key)
-        if table is None:
-            table = compute(xs)
-            cache.store(key, table)
-    else:
+    cache = CensusCache(args.cache_dir)
+    key = {**spec, "thresholds": xs}
+    table = cache.load(key)
+    if table is None:
         table = compute(xs)
+        cache.store(key, table)
     rows = table.rows()
     _emit(args, {"spec": spec, "rows": [{"x": str(x), "count": str(c)} for x, c in rows]},
           rows, "x,count")
 
 
 def _census_csa(args):
-    _census(args, census.csa_spec(args.m, args.n),
+    _census(args, {"kind": "csa", "m": args.m, "n": args.n},
             lambda xs: census.census_csa(args.m, args.n, xs))
 
 
 def _census_division(args):
-    _census(args, census.division_spec(args.n), lambda xs: census.census_division(args.n, xs))
+    _census(args, {"kind": "division", "n": args.n}, lambda xs: census.census_division(args.n, xs))
 
 
 def _census_embed_quads(args):
     b, ntc = parse_ram_set(args.b), args.not_totally_complex
-    _census(args, census.embed_quads_spec(b, ntc),
+    _census(args, {"kind": "embed_quads", "ram": [repr(v) for v in sorted(b.ramification)],
+                   "not_totally_complex": ntc},
             lambda xs: census.census_embedding_quads(b, xs, ntc))
 
 
 def _census_quat_subfields(args):
     deltas = _parse_int_list(args.fields)
-    _census(args, census.quat_subfields_spec(deltas),
+    _census(args, {"kind": "quat_subfields", "deltas": deltas},
             lambda xs: census.census_quat_with_subfields(deltas, xs))
 
 
@@ -149,7 +152,7 @@ def _fund_disc_table(xs: list[int]) -> CountTable:
 
 
 def _census_fund_disc(args):
-    _census(args, {"kind": "fund_disc"}, _fund_disc_table, cached=False)
+    _census(args, {"kind": "fund_disc"}, _fund_disc_table)
 
 
 def _emit_constant(args, value: asymptotics.EulerProductValue, **fields):
@@ -209,7 +212,7 @@ def _surfaces_census(args):
     rows = geometry.surface_census(bl, args.x, args.volume, args.const_c_upper)
     _emit(args, {"count": len(rows),
                  "rows": [{"ram_set": format_ram_set(r.algebra.ramification), "area": r.area,
-                           "ggs_area_bound": _json_number(r.ggs_area_bound)} for r in rows]},
+                           "ggs_area_bound": _json_value(r.ggs_area_bound)} for r in rows]},
           [[f'"{format_ram_set(r.algebra.ramification)}"', repr(r.area)] for r in rows],
           "ram_set,area")
 
@@ -249,8 +252,10 @@ def _rigidity_family(args):
 
 
 def _emit_bound(args, rep: rigidity.BoundReport):
+    with mp.workprec(_JSON_PREC):
+        log10 = mp.log10(rep.value)
     _emit(args, {"bound": rep.name, "inputs": rep.inputs,
-                 "value": rep.as_json_value(), "log10": _json_number(rep.log10_mpf)})
+                 "value": _json_value(rep.value), "log10": _json_value(log10)})
 
 
 # -- parser -------------------------------------------------------------------

@@ -2,7 +2,8 @@
 absolute constants exposed as user parameters (default 1), plus the desk
 experiments that exercise the distinguishing mechanisms the rigidity proofs
 rely on: minimal distinguishing subfields, descent-distinguishing algebras,
-arbitrarily-overlapping field pairs, and length-preserving families.
+arbitrarily-overlapping field pairs, and length-preserving families.  A bound
+is a BoundReport: an mpf value, however large, and its float log10.
 
 Search orders are fixed for reproducibility: discriminants by ascending
 absolute value with the negative sign first on ties, primes ascending.
@@ -38,7 +39,7 @@ class NotFoundWithinBound(RuntimeError):
 @dataclass(frozen=True)
 class BoundReport:
     """An evaluated bound, kept in mpmath form so astronomically large values
-    survive; log10 is always finite-precision printable."""
+    survive; how it is printed is the CLI's business."""
 
     name: str
     inputs: dict
@@ -50,22 +51,8 @@ class BoundReport:
 
     @property
     def log10(self) -> float:
-        return float(self.log10_mpf)  # inf past the float range
-
-    @property
-    def log10_mpf(self):
         with mp.workprec(_BOUND_PREC):
-            return mp.log10(self.value)
-
-    def as_json_value(self):
-        v = self.value
-        with mp.workprec(_BOUND_PREC):
-            if v < mp.mpf(10) ** 308:
-                return float(v)
-            l10 = mp.log10(v)
-            if l10 < mp.mpf(10) ** 308:
-                return {"log10": float(l10)}
-            return {"log10_log10": float(mp.log10(l10))}
+            return float(mp.log10(self.value))  # inf past the float range
 
 
 def recognizing_bound(n_k: int, d_k: int, x: float) -> BoundReport:

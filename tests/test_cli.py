@@ -125,6 +125,7 @@ def test_warm_cache_byte_identical(capsys, tmp_path):
         "division": ["division", "--n", "2"],
         "embed-quads": ["embed-quads", "--b", "2,inf"],
         "quat-subfields": ["quat-subfields", "--fields=-4"],
+        "fund-disc": ["fund-disc"],
     }
     for name, args in censuses.items():
         for fmt in ("csv", "json"):
@@ -422,6 +423,9 @@ def test_exp_bound_overflow_exits_2(capsys, argv):
     ["bounds", "gw", "--b-omega", "0", "--x", "10"],
     ["bounds", "gw", "--b-omega", "-1", "--x", "10"],
     ["bounds", "brauer", "--disc1", "1", "--disc2", "1"],
+    # a bound whose log10 is at or below -1e308 has no JSON form
+    ["bounds", "mcreid", "--volume", "1e300", "--const-c=-1e9"],
+    ["bounds", "chlr", "--volume", "1e6", "--dim", "2", "--const-c2=-1"],
     ["volumes", "min-cf", "--dk", "-5", "--nk", "1"],
     ["volumes", "min-cf", "--dk", "1", "--nk", "400"],
     ["volumes", "min-cf", "--dk", "4", "--nk", "2", "--ram-norms=-3,1"],
@@ -495,8 +499,9 @@ def test_census_without_cache_dir_writes_only_the_test_cache(capsys, tmp_path, m
 
 
 # small values for every option of every leaf command, so that no draw runs
-# at a default scale (--cutoff, --x, --delta-max and the rest are always given)
-_FUZZ_FLOATS = ["0", "-1", "0.5", "2.5", "1e300"]
+# at a default scale (--cutoff, --x, --delta-max and the rest are always given);
+# 1e300 and -1e9 push exponent constants past the float range either way
+_FUZZ_FLOATS = ["0", "-1", "0.5", "2.5", "1e300", "-1e9"]
 _FUZZ_STRINGS = {
     "b": ["", "2,3", "2,inf", "3,inf", "2,3,5,7", "2", "inf", "4,inf"],
     "fields": ["-4", "5", "-4,5", "-3,-4", "8", "-4,-4", "1", "12", ""],

@@ -62,7 +62,7 @@ def test_chlr_bounds():
     rep = chlr_length_bound(math.e, 3)
     assert float(rep.value) == pytest.approx(math.e, rel=1e-12)
     rep2 = chlr_length_bound(math.e, 2, 1, 1)
-    assert rep2.as_json_value()["log10"] == pytest.approx(math.e ** 130 / math.log(10), rel=1e-6)
+    assert rep2.log10 == pytest.approx(math.e ** 130 / math.log(10), rel=1e-6)
     grid = [chlr_length_bound(v, 3).log10 for v in (3, 5, 10, 100)]
     assert grid == sorted(grid)
     with pytest.raises(ValueError):

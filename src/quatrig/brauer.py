@@ -215,8 +215,9 @@ def restrict(algebra: QuaternionAlgebraQ, field: QuadraticField) -> QuaternionAl
     and the real place survives exactly when the field is real."""
     ram: set[QuadraticPlace] = set()
     for v in algebra.ramification:
-        if splitting(field, v) is SplittingType.SPLIT:
-            ram.update(places_above(field, v))
+        above = places_above(field, v)
+        if len(above) == 2:  # a split place
+            ram.update(above)
     return QuaternionAlgebraL(field, frozenset(ram))
 
 

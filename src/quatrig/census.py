@@ -13,9 +13,10 @@ simple algebras, division algebras of degree n >= 3) come from one bounded
 product-of-primes enumerator (arith.squarefree_products) over ascending
 primes; each folds its residue distribution of local invariants along the
 way and sums per-node weights into threshold slots, so counts never depend on
-enumeration order.  Splitting data comes from the vector kernel
-arith.kronecker_vec, at one prime for a whole discriminant list or for one
-discriminant at a whole prime list.
+enumeration order.  Quadratic fields come from one table
+(fundamental_discriminants), all of them counted by the embed-quads census of
+the matrix algebra; splitting data from the vector kernel arith.kronecker_vec;
+and every least-prime search from least_primes.
 """
 
 from __future__ import annotations
@@ -200,6 +201,11 @@ def fundamental_discriminants(limit: int) -> np.ndarray:
     with the negative one first on ties."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
+    # the table and its sieve peak near 20 bytes per unit of limit (tracemalloc
+    # at 10^7), against the 2.5 bytes per entry SIEVE_MEMORY_BUDGET stands for
+    if 20 * limit > 2.5 * arith.SIEVE_MEMORY_BUDGET:
+        raise arith.SieveBudgetError(
+            f"fundamental-discriminant table to {limit} exceeds budget: about {20 * limit} bytes")
     sq = shared_sieve(limit).mu[:limit + 1] != 0
     # row k flags (-k, +k): +-k for squarefree k = 1, 3 mod 4 (the sign fixed
     # by k mod 4), or +-4m for squarefree m with +-m = 2, 3 mod 4
@@ -430,29 +436,36 @@ def splitting_density(place: PlaceQ, x: int) -> tuple[Fraction, Fraction, Fracti
     return tuple(Fraction(k, total) for k in (split, inert, total - split - inert))
 
 
-def _least_inert_primes(deltas: np.ndarray) -> np.ndarray:
-    """The least prime inert in each field, by walking the primes in ascending
-    order against the discriminants still unresolved, the prime range grown
-    tenfold from 10^3.  It is the least n with (delta|n) = -1, so it lies
-    below |delta| and the walk ends."""
-    least = np.zeros(len(deltas), dtype=np.int64)
-    todo = np.arange(len(deltas))
-    done, limit = 0, 10 ** 3
-    while len(todo):
+def least_primes(count: int, keep) -> list[int]:
+    """The `count` least primes among those the vector predicate keep(primes)
+    selects, the sieve grown tenfold from 10^3 until enough are found."""
+    limit = 10 ** 3
+    while True:
         primes = primes_upto(limit)
-        for p in primes[primes > done]:
-            if not len(todo):
-                break
-            inert = kronecker_vec(deltas[todo], p) == -1
-            least[todo[inert]] = p
-            todo = todo[~inert]
-        done, limit = limit, limit * 10
-    return least
+        found = primes[keep(primes)][:count].tolist()
+        if len(found) == count:
+            return found
+        limit *= 10
 
 
 def smallest_inert_prime(field: QuadraticField) -> int:
     """Least rational prime inert in the field."""
-    return int(_least_inert_primes(np.array([field.delta]))[0])
+    return least_primes(1, lambda ps: kronecker_vec(field.delta, ps) == -1)[0]
+
+
+def _least_inert_primes(deltas: np.ndarray) -> np.ndarray:
+    """The least prime inert in each field, walking the primes <= max |delta|
+    against the unresolved discriminants: chi_delta is non-principal mod |delta|,
+    so (delta|n) = -1 for some n < |delta|, and a prime factor of n is inert."""
+    least = np.zeros(len(deltas), dtype=np.int64)
+    todo = np.arange(len(deltas))
+    for p in primes_upto(int(np.abs(deltas).max(initial=0))).tolist():
+        if not len(todo):
+            break
+        inert = kronecker_vec(deltas[todo], p) == -1
+        least[todo[inert]] = p
+        todo = todo[~inert]
+    return least
 
 
 def smallest_inert_stats(x: int) -> dict:

@@ -29,13 +29,12 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
-import numpy as np
 from mpmath import mp
 
 from . import arith, asymptotics, census, geometry, rigidity
-from .brauer import parse_ram_set, parse_ram_set_l, format_ram_set
+from .brauer import QuaternionAlgebraQ, parse_ram_set, parse_ram_set_l, format_ram_set
 from .cache import CacheCorruption, CensusCache
-from .census import CountTable, DependentDiscriminants, InternalInconsistency
+from .census import DependentDiscriminants, InternalInconsistency
 from .fields import QuadraticField
 from .rigidity import NotFoundWithinBound
 
@@ -140,19 +139,10 @@ def _census_quat_subfields(args):
             lambda xs: census.census_quat_with_subfields(deltas, xs))
 
 
-def _fund_disc_table(xs: list[int]) -> CountTable:
-    """Every threshold counted from the one discriminant list at the largest,
-    which is sorted by |delta|."""
-    if xs[0] < 1:
-        raise ValueError("x must be >= 1")
-    largest = census.fundamental_discriminant_count(xs[-1])
-    abs_deltas = np.abs(census.fundamental_discriminants(xs[-1]))
-    counts = np.searchsorted(abs_deltas, xs[:-1], side="right").tolist() + [largest]
-    return CountTable(tuple(xs), tuple(counts))
-
-
 def _census_fund_disc(args):
-    _census(args, {"kind": "fund_disc"}, _fund_disc_table)
+    # every quadratic field embeds in the matrix algebra: its embed-quads census
+    _census(args, {"kind": "fund_disc"},
+            lambda xs: census.census_embedding_quads(QuaternionAlgebraQ.from_primes(()), xs))
 
 
 def _emit_constant(args, value: asymptotics.EulerProductValue, **fields):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import combinations
 from math import isqrt, prod
 
 from mpmath import mp
@@ -19,6 +20,7 @@ from .arith import (
     is_fundamental_discriminant,
     kronecker_symbol,
     pell_fundamental,
+    squarefree_kernel,
 )
 
 
@@ -233,16 +235,17 @@ def basis_bound(field: QuadraticField):
         return (1 + mod) ** 2
 
 
+def square_subproducts(deltas):
+    """The nonempty sub-tuples of the discriminants whose product is a square,
+    lazily: by size, then in combinations() order."""
+    deltas = tuple(deltas)
+    for k in range(1, len(deltas) + 1):
+        for combo in combinations(deltas, k):
+            if squarefree_kernel(prod(combo)) == 1:
+                yield combo
+
+
 def independent_mod_squares(deltas) -> bool:
     """True when no nonempty subproduct of the discriminants is a square,
     i.e. the compositum of the fields has full degree 2^r."""
-    from itertools import combinations
-
-    from .arith import squarefree_kernel
-
-    ds = list(deltas)
-    for k in range(1, len(ds) + 1):
-        for combo in combinations(ds, k):
-            if squarefree_kernel(prod(combo)) == 1:
-                return False
-    return True
+    return next(square_subproducts(deltas), None) is None

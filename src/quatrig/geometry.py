@@ -1,7 +1,8 @@
 """The geometric dictionary: traces versus lengths, closed geodesics from
 real quadratic fields, rational-equivalence classes, the maximal-order
 coarea/covolume formulas, disc-versus-volume bounds, and the geometric
-censuses built on the algebraic engines.
+censuses built on the algebraic engines, with one listing of the Fuchsian
+classes by coarea (fuchsian_classes), with or without geodesic fields.
 
 Volume formulas are implemented exactly as displayed by their sources even
 where other normalizations exist in the literature; every inequality tested
@@ -19,7 +20,6 @@ from .arith import (
     PRECISION_BITS,
     InvalidDiscriminant,
     pell_fundamental,
-    primes_upto,
     squarefree_products,
     zeta_k_at_2,
 )
@@ -218,25 +218,17 @@ class CommensurabilityClass:
     ramification: frozenset
 
 
-def _indefinite_algebras_by_coarea_bound(prod_bound: float, pool: list[int]):
-    """All indefinite quaternion algebras over Q ramified only at primes of
-    the ascending list `pool`, with prod(p - 1) <= prod_bound over their
-    ramified primes p, as sorted prime tuples (even cardinality)."""
-    return sorted(chosen for _, chosen in squarefree_products(
-        pool, prod_bound, options=lambda p: ((p - 1, None),))
-        if len(chosen) % 2 == 0)
-
-
-def fuchsian_classes(volume: float) -> list[CommensurabilityClass]:
-    """Commensurability classes over Q with maximal-order coarea at most V,
-    the coarea formula standing proxy for the class minimum."""
+def fuchsian_classes(volume: float, deltas=()) -> list[CommensurabilityClass]:
+    """Commensurability classes over Q with maximal-order coarea at most V (the
+    proxy for the class minimum): indefinite algebras ramified at even sets of
+    primes nonsplit in every Q(sqrt(delta_i)), prod(p - 1) <= 3V / pi^2, sorted."""
     if volume <= 0:
         raise ValueError("volume must be positive")
     prod_bound = volume * 3 / math.pi ** 2
-    out = [CommensurabilityClass(
-        1, QuaternionAlgebraQ.from_primes(primes).ramification)
-        for primes in _indefinite_algebras_by_coarea_bound(
-            prod_bound, primes_upto(int(prod_bound) + 1).tolist())]
+    pool = _nonsplit_primes(tuple(deltas), int(prod_bound) + 1)
+    out = [CommensurabilityClass(1, QuaternionAlgebraQ.from_primes(primes).ramification)
+           for primes in sorted(chosen for _, chosen in squarefree_products(
+               pool, prod_bound, options=lambda p: ((p - 1, None),)) if len(chosen) % 2 == 0)]
     if len(set(out)) != len(out):
         raise AssertionError("census emitted duplicate commensurability classes")
     return out
@@ -251,14 +243,11 @@ def class_census_with_lengths(deltas, volume: float) -> int:
     indefinite algebras admitting all the fields, with at least one finite
     ramified place, and coarea at most V."""
     deltas = tuple(int(d) for d in deltas)
-    if deltas:
-        check_independent(deltas)
-        if any(d < 0 for d in deltas):
-            raise InvalidDiscriminant("geodesic fields are real quadratic")
-    prod_bound = volume * 3 / math.pi ** 2
-    pool = _nonsplit_primes(deltas, int(prod_bound) + 1)
+    check_independent(deltas)
+    if any(d < 0 for d in deltas):
+        raise InvalidDiscriminant("geodesic fields are real quadratic")
     # geodesic existence needs a finite ramified place
-    return sum(1 for primes in _indefinite_algebras_by_coarea_bound(prod_bound, pool) if primes)
+    return sum(1 for c in fuchsian_classes(volume, deltas) if c.ramification)
 
 
 def _finite(compute, what: str) -> float:

@@ -20,10 +20,12 @@ from itertools import combinations, islice
 import numpy as np
 from mpmath import mp
 
-from .arith import chebyshev_theta, kronecker_vec, primes_upto, squarefree_kernel
+from . import arith
+from .arith import chebyshev_theta, kronecker_vec, primes_upto
 from .brauer import QuaternionAlgebraL, QuaternionAlgebraQ, descends, embeds, quaternion_iso
-from .census import _embeds_mask, fundamental_discriminants, quaternion_algebras_by_disc
-from .fields import QuadraticField
+from .census import (_embeds_mask, fundamental_discriminants, least_primes,
+                     quaternion_algebras_by_disc)
+from .fields import QuadraticField, square_subproducts
 
 _BOUND_PREC = 100
 # limit_pair's largest candidate table: every m <= 47 is answered within it,
@@ -204,6 +206,12 @@ def rigidity_scan(x: int, delta_max: int = 10 ** 6,
     if x < 4:
         raise ValueError("x must be >= 4")
     algebras = _all_quaternion_algebras(x)
+    pairs = len(algebras) * (len(algebras) - 1) // 2
+    # the scan and its printout take about 200 bytes per pair (peak RSS at x = 10^7),
+    # against the 2.5 bytes per entry SIEVE_MEMORY_BUDGET stands for
+    if 200 * pairs > 2.5 * arith.SIEVE_MEMORY_BUDGET:
+        raise arith.SieveBudgetError(
+            f"{pairs} algebra pairs exceed budget: about {200 * pairs} bytes")
     deltas = fundamental_discriminants(delta_max)
     found = _first_witnesses(algebras, deltas, not_totally_complex)
     if (found < 0).any():
@@ -269,22 +277,10 @@ def limit_pair(m: int) -> tuple[int, int, int, int]:
             match &= kronecker_vec(deltas, p) == kronecker_vec(d1, p)
         if match.any():
             d = int(deltas[match.argmax()])
-            return (d1, d, *_least_primes(2, lambda ps: (kronecker_vec(d1, ps) == 1)
-                                          & (kronecker_vec(d, ps) == -1)))
+            return (d1, d, *least_primes(2, lambda ps: (kronecker_vec(d1, ps) == 1)
+                                         & (kronecker_vec(d, ps) == -1)))
         cap *= 10
     raise NotFoundWithinBound(f"m = {m}: no partner of {d1} with |delta| <= {LIMIT_PAIR_CAP}")
-
-
-def _least_primes(count: int, keep) -> list[int]:
-    """The `count` least primes among those the vector predicate keep(primes)
-    selects, the sieve grown tenfold until enough are found."""
-    limit = 10 ** 3
-    while True:
-        primes = primes_upto(limit)
-        found = primes[keep(primes)][:count].tolist()
-        if len(found) == count:
-            return found
-        limit *= 10
 
 
 def length_preserving_family(algebra: QuaternionAlgebraQ, deltas, count: int
@@ -292,7 +288,7 @@ def length_preserving_family(algebra: QuaternionAlgebraQ, deltas, count: int
     """`count` pairwise non-isomorphic algebras strictly containing the given
     ramification set, each still admitting every field Q(sqrt(delta_i)):
     the moduli disc(B) p1 p2, disc(B) p1 p3, ... over ascending primes
-    nonsplit in all the fields and outside Ram(B)."""
+    inert in all the fields and outside Ram(B)."""
     if count < 0:
         raise ValueError("count must be >= 0")
     deltas = tuple(int(d) for d in deltas)
@@ -300,15 +296,13 @@ def length_preserving_family(algebra: QuaternionAlgebraQ, deltas, count: int
         f = QuadraticField(d)
         if not embeds(f, algebra):
             raise ValueError(f"field {d} does not embed in {algebra}")
-    # infinitude of common nonsplit primes fails exactly on an odd-order
+    # infinitude of common inert primes fails exactly on an odd-order
     # square relation among the discriminants
-    for k in range(1, len(deltas) + 1, 2):
-        for combo in combinations(deltas, k):
-            if squarefree_kernel(math.prod(combo)) == 1:
-                raise ValueError(
-                    f"odd-order relation {combo}: no common inert primes")
-    picked = _least_primes(count + 1, lambda ps: ~np.isin(ps, algebra.finite_primes)
-                           & np.all([kronecker_vec(d, ps) == -1 for d in deltas], axis=0))
+    for combo in square_subproducts(deltas):
+        if len(combo) % 2:
+            raise ValueError(f"odd-order relation {combo}: no common inert primes")
+    picked = least_primes(count + 1, lambda ps: ~np.isin(ps, algebra.finite_primes)
+                          & np.all([kronecker_vec(d, ps) == -1 for d in deltas], axis=0))
     base = picked[0]
     out = [QuaternionAlgebraQ.from_primes(algebra.finite_primes + (base, extra),
                                           algebra.ramified_at_infinity)

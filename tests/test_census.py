@@ -258,6 +258,28 @@ def test_smallest_inert_prime_reads_only_the_primes_it_needs(monkeypatch):
     assert limits == [10 ** 3]
 
 
+def _least_inert_prime_oracle(delta):
+    """The least prime p with (delta|p) = -1: primes by trial division, the
+    scalar Kronecker symbol."""
+    p = 2
+    while any(p % d == 0 for d in range(2, math.isqrt(p) + 1)) or kronecker_symbol(delta, p) != -1:
+        p += 1
+    return p
+
+
+def test_smallest_inert_prime_and_stats_match_trial_division_oracle():
+    x = 3000
+    # |delta| ascending, the negative one first on ties
+    deltas = sorted((d for d in range(-x, x + 1) if is_fundamental_discriminant(d)),
+                    key=lambda d: (abs(d), d))
+    least = [_least_inert_prime_oracle(d) for d in deltas]
+    assert [smallest_inert_prime(make_field(d)) for d in deltas] == least
+    for y in (3, 5, 12, 100, x):  # the walk for the smallest tables ends at |delta| itself
+        rows = [(math.log(p) / math.log(abs(d)), d, p) for d, p in zip(deltas, least) if abs(d) <= y]
+        ratio, d, p = max(rows, key=lambda row: row[0])
+        assert census.smallest_inert_stats(y) == {"max_ratio": ratio, "delta": d, "prime": p, "x": y}
+
+
 def test_census_inputs_validated():
     with pytest.raises(ValueError, match="m and n must be >= 1"):
         census_csa(0, 3, [100])

@@ -238,6 +238,59 @@ def test_fund_disc_thresholds_share_one_table(capsys, monkeypatch):
     assert set(limits) == {1000}
 
 
+def test_fund_disc_is_the_embed_quads_census_of_the_matrix_algebra(capsys, tmp_path):
+    tail = ["--x", "1000", "--thresholds", "1,3,4,5,8,12,999"]
+    for fmt in ([], ["--format", "json"]):
+        outs = [run(capsys, [*fmt, "--cache-dir", str(tmp_path / name), "census", *leaf, *tail])
+                for name, leaf in (("a", ["fund-disc"]), ("b", ["embed-quads", "--b="]))]
+        assert [code for code, _ in outs] == [0, 0]
+        if fmt:
+            outs = [strict_json(out)["rows"] for _, out in outs]
+        assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["census", "fund-disc", "--x", "20000"], "fundamental-discriminant table to 20000"),
+    (["rigidity", "scan", "--x", "10000"], "1830 algebra pairs"),
+    (["rigidity", "scan", "--x", "100", "--delta-max", "20000"],
+     "fundamental-discriminant table to 20000"),
+])
+def test_tables_past_the_memory_budget_exit_2(capsys, monkeypatch, tmp_path, argv, what):
+    from quatrig import arith
+
+    # 2.5 * 10^5 bytes: a table to 12,500 or 1,250 algebra pairs
+    monkeypatch.setattr(arith, "SIEVE_MEMORY_BUDGET", 10 ** 5)
+    code = main(["--cache-dir", str(tmp_path), *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and what in captured.err
+
+
+def test_memory_budget_stops_the_sizes_that_ran_out_and_admits_the_rest(capsys, monkeypatch):
+    from quatrig import rigidity
+
+    # at the real budget: 19,224 algebras (184,771,476 pairs) at x = 10^9, and a
+    # table to 3 * 10^8, both stopped before anything large is allocated
+    for argv, what in ((["rigidity", "scan", "--x", "1000000000"], "184771476 algebra pairs"),
+                       (["census", "fund-disc", "--x", "300000000"], "table to 300000000")):
+        assert main(argv) == 2
+        assert what in capsys.readouterr().err
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    # the largest sizes that must still run get past their checks
+    monkeypatch.setattr(census, "shared_sieve", admitted)
+    with pytest.raises(Admitted):
+        census.fundamental_discriminants(10 ** 8)
+    monkeypatch.setattr(rigidity, "fundamental_discriminants", admitted)
+    with pytest.raises(Admitted):
+        rigidity.rigidity_scan(3 * 10 ** 7)
+
+
 def _subcommands(parser):
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return action.choices

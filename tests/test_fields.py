@@ -18,6 +18,7 @@ from quatrig.fields import (
     places_above,
     regulator,
     splitting,
+    square_subproducts,
 )
 
 
@@ -203,3 +204,24 @@ def test_independent_mod_squares():
     assert independent_mod_squares([-3, 5, -7])
     assert not independent_mod_squares([-3, -3])
     assert not independent_mod_squares([-3, 5, -15])
+
+
+def test_square_subproducts():
+    assert list(square_subproducts(())) == []
+    assert list(square_subproducts((-4, 5))) == []
+    assert list(square_subproducts((-3, -3))) == [(-3, -3)]
+    assert list(square_subproducts((-3, 5, -15))) == [(-3, 5, -15)]
+    assert list(square_subproducts((5, 5, 13))) == [(5, 5)]
+
+
+def test_square_subproducts_stops_at_the_first_square(monkeypatch):
+    from quatrig import fields
+
+    calls = []
+    kernel = fields.squarefree_kernel
+    monkeypatch.setattr(fields, "squarefree_kernel", lambda n: calls.append(n) or kernel(n))
+    deltas = [5, 5] + [p for p in range(13, 400, 4) if all(p % d for d in range(2, p))][:18]
+    assert len(deltas) == 20
+    assert not independent_mod_squares(deltas)
+    # the 20 single fields, then the pair (5, 5): never the 2^20 subproducts
+    assert len(calls) == 21

@@ -21,6 +21,7 @@ from quatrig.geometry import (
     coarea_maximal_order,
     covolume_kleinian,
     disc_bound_from_volume,
+    fuchsian_classes,
     geodesic_census,
     geodesic_from_field,
     length_from_trace,
@@ -251,32 +252,45 @@ def test_surface_census_independent_check(brute_quaternion_algebras):
 
 
 def _coarea_oracle(deltas, volume):
-    """class_census_with_lengths by filtering every even set of primes with
-    prod(p - 1) <= 3V/pi^2, primes by trial division, splitting by the
-    scalar place layer."""
+    """The prime sets of fuchsian_classes(volume, deltas), ascending: every
+    even set of primes with prod(p - 1) <= 3V/pi^2, none split in a field,
+    primes by trial division, splitting by the scalar place layer."""
     bound = volume * 3 / math.pi ** 2
     primes = [p for p in range(2, int(bound) + 2) if all(p % d for d in range(2, math.isqrt(p) + 1))]
     fields = [make_field(d) for d in deltas]
-    count = 0
+    sets = []
 
     def rec(start, weight, chosen):
-        nonlocal count
-        if chosen and len(chosen) % 2 == 0 and all(
+        if weight <= bound and len(chosen) % 2 == 0 and all(
                 splitting(f, PlaceQ.finite(p)) is not SplittingType.SPLIT
                 for f in fields for p in chosen):
-            count += 1
+            sets.append(tuple(chosen))
         for k in range(start, len(primes)):
             if weight * (primes[k] - 1) <= bound:
                 rec(k + 1, weight * (primes[k] - 1), chosen + [primes[k]])
 
     rec(0, 1, [])
-    return count
+    return sorted(sets)
 
 
 @pytest.mark.parametrize("deltas", [(), (5,), (8,), (13,), (5, 8), (12, 13)], ids=str)
 def test_class_census_with_lengths_matches_filter_all_oracle(deltas):
     for volume in (1.0, 10.0, 33.3, 100.0, 400.0, 3000.0):
-        assert class_census_with_lengths(deltas, volume) == _coarea_oracle(deltas, volume)
+        sets = _coarea_oracle(deltas, volume)
+        classes = fuchsian_classes(volume, deltas)
+        assert [c.field_delta for c in classes] == [1] * len(sets)
+        assert [tuple(sorted(v.p for v in c.ramification)) for c in classes] == sets
+        # geodesic existence needs a finite ramified place: all sets but the empty one
+        assert class_census_with_lengths(deltas, volume) == sum(1 for s in sets if s)
+
+
+@pytest.mark.parametrize("volume", [0.0, -1.0])
+def test_nonpositive_volume_raises(volume):
+    for count in (fuchsian_classes, class_census_fuchsian,
+                  lambda v: class_census_with_lengths((), v),
+                  lambda v: class_census_with_lengths([5], v)):
+        with pytest.raises(ValueError, match="volume must be positive"):
+            count(volume)
 
 
 def test_commensurability_class_equivalence():

@@ -21,7 +21,7 @@ and every least-prime search from least_primes.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -198,14 +198,14 @@ def count_division(n: int, x: int) -> int:
 @lru_cache(maxsize=8)
 def fundamental_discriminants(limit: int) -> np.ndarray:
     """All fundamental discriminants with |delta| <= limit, sorted by |delta|
-    with the negative one first on ties."""
+    with the negative one first on ties; read-only, since it is cached."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    # the table and its sieve peak near 20 bytes per unit of limit (tracemalloc
+    # the table and its sieve peak near 10 bytes per unit of limit (tracemalloc
     # at 10^7), against the 2.5 bytes per entry SIEVE_MEMORY_BUDGET stands for
-    if 20 * limit > 2.5 * arith.SIEVE_MEMORY_BUDGET:
+    if 10 * limit > 2.5 * arith.SIEVE_MEMORY_BUDGET:
         raise arith.SieveBudgetError(
-            f"fundamental-discriminant table to {limit} exceeds budget: about {20 * limit} bytes")
+            f"fundamental-discriminant table to {limit} exceeds budget: about {10 * limit} bytes")
     sq = shared_sieve(limit).mu[:limit + 1] != 0
     # row k flags (-k, +k): +-k for squarefree k = 1, 3 mod 4 (the sign fixed
     # by k mod 4), or +-4m for squarefree m with +-m = 2, 3 mod 4
@@ -215,8 +215,15 @@ def fundamental_discriminants(limit: int) -> np.ndarray:
     flags[4::16, 0] = sq[1:limit // 4 + 1:4]
     flags[8::16] = sq[2:limit // 4 + 1:4, None]
     flags[12::16, 1] = sq[3:limit // 4 + 1:4]
+    del sq
     found = np.flatnonzero(flags)  # 2 |delta|, plus 1 for the positive one
-    return (found >> 1) * ((found & 1) * 2 - 1)
+    del flags
+    # signs in place: the only int64 array is the one returned
+    positive = np.bitwise_and(found, 1, out=np.empty(len(found), np.int8), casting="unsafe")
+    found >>= 1
+    np.negative(found, out=found, where=positive == 0)
+    found.flags.writeable = False
+    return found
 
 
 def fundamental_discriminant_count(x: int) -> int:
@@ -250,8 +257,9 @@ def census_embedding_quads(algebra: QuaternionAlgebraQ, thresholds,
     ok = _embeds_mask(algebra, deltas)
     if not_totally_complex:
         ok &= deltas > 0
-    admissible = np.abs(deltas[ok])  # ascending: the list is ordered by |delta|
-    counts = [int(np.searchsorted(admissible, x, side="right")) for x in thresholds]
+    # deltas is ordered by |delta|: each threshold ends a slice of it
+    ends = [bisect_right(deltas, x, key=abs) for x in thresholds]
+    counts = accumulate(int(np.count_nonzero(ok[a:b])) for a, b in zip([0, *ends], ends))
     return CountTable(tuple(thresholds), tuple(counts))
 
 

@@ -23,11 +23,11 @@ JSON, and numbers past the float range as {"log10": ...} objects (_json_value).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
-from itertools import combinations
-from pathlib import Path
+from itertools import combinations, islice
 
 from mpmath import mp
 
@@ -77,21 +77,20 @@ def _json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ": "))
 
 
-def _write(args, text: str) -> None:
-    """The one place output goes: the --out file, else stdout."""
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _write(args, parts) -> None:
+    """The one place output goes: the text parts in order, to the --out file,
+    else to stdout."""
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        out.writelines(parts)
 
 
 def _emit(args, payload, csv_rows=None, csv_header=None):
     """csv_rows/csv_header drive csv format; payload drives json."""
     if (args.format or args.default_format) == "csv" and csv_rows is not None:
         lines = [csv_header] + [",".join(str(c) for c in row) for row in csv_rows]
-        _write(args, "\n".join(lines) + "\n")
+        _write(args, ["\n".join(lines) + "\n"])
     else:
-        _write(args, _json(payload) + "\n")
+        _write(args, [_json(payload) + "\n"])
 
 
 def _thresholds(args) -> list[int]:
@@ -214,19 +213,33 @@ def _rigidity_distinguish(args):
                  "minimal_delta": delta})
 
 
+# pairs per printed part of a rigidity scan
+_SCAN_CHUNK = 2 ** 14
+
+
 def _rigidity_scan(args):
     """Print the JSON _emit would for {x, delta_max, pairs: [{pair: [a, b],
     minimal_delta: d}, ...], max_abs_delta, bound_log10, all_distinguished}
     without a dict per pair: each name is encoded once, each pair is one
-    f-string, and the list goes where "pairs" sorts, before "x"."""
+    f-string, and the list goes where "pairs" sorts, before "x", written
+    _SCAN_CHUNK pairs at a time."""
     report = rigidity.rigidity_scan(args.x, args.delta_max, args.not_totally_complex)
     head = _json({"all_distinguished": report.all_distinguished,
                   "bound_log10": report.bound_log10, "delta_max": report.delta_max,
                   "max_abs_delta": report.max_abs_delta})
     names = [_json(name) for name in report.names]
-    pairs = ",".join(f'{{"minimal_delta": {d},"pair": [{a},{b}]}}'
-                     for (a, b), d in zip(combinations(names, 2), report.witnesses))
-    _write(args, f'{head[:-1]},"pairs": [{pairs}],"x": {report.x}}}\n')
+    pairs = zip(combinations(names, 2), report.witnesses)
+
+    def parts():
+        yield f'{head[:-1]},"pairs": ['
+        sep = ""
+        while chunk := list(islice(pairs, _SCAN_CHUNK)):
+            yield sep + ",".join(f'{{"minimal_delta": {d},"pair": [{a},{b}]}}'
+                                 for (a, b), d in chunk)
+            sep = ","
+        yield f'],"x": {report.x}}}\n'
+
+    _write(args, parts())
 
 
 def _rigidity_limit_pair(args):

@@ -124,6 +124,10 @@ def brauer_rigidity_bound(d_base: float, c: float, disc1: float, disc2: float) -
 
 # -- distinguishing experiments ----------------------------------------------
 
+# the index of the lowest set bit of each nonzero byte
+_LOWEST_BIT = np.array([(k & -k).bit_length() - 1 for k in range(256)])
+
+
 def _first_witnesses(algebras, deltas, not_totally_complex=False) -> np.ndarray:
     """For each pair of algebras, in combinations() order, the index into
     deltas of the first field that embeds in exactly one of the two, or -1;
@@ -143,7 +147,9 @@ def _first_witnesses(algebras, deltas, not_totally_complex=False) -> np.ndarray:
         diff = bits[first[todo]] ^ bits[second[todo]]
         diff[real_only[todo]] &= np.packbits(prefix > 0, bitorder="little")
         hit = diff.any(axis=1)
-        found[todo[hit]] = np.unpackbits(diff[hit], axis=1, bitorder="little").argmax(axis=1)
+        diff = diff[hit]
+        byte = (diff != 0).argmax(axis=1)
+        found[todo[hit]] = 8 * byte + _LOWEST_BIT[diff[np.arange(len(diff)), byte]]
         todo = todo[~hit]
         if length >= len(deltas):
             break
@@ -207,11 +213,11 @@ def rigidity_scan(x: int, delta_max: int = 10 ** 6,
         raise ValueError("x must be >= 4")
     algebras = _all_quaternion_algebras(x)
     pairs = len(algebras) * (len(algebras) - 1) // 2
-    # the scan and its printout take about 200 bytes per pair (peak RSS at x = 10^7),
+    # the scan and its printout take about 90 bytes per pair (peak RSS at x = 10^7),
     # against the 2.5 bytes per entry SIEVE_MEMORY_BUDGET stands for
-    if 200 * pairs > 2.5 * arith.SIEVE_MEMORY_BUDGET:
+    if 90 * pairs > 2.5 * arith.SIEVE_MEMORY_BUDGET:
         raise arith.SieveBudgetError(
-            f"{pairs} algebra pairs exceed budget: about {200 * pairs} bytes")
+            f"{pairs} algebra pairs exceed budget: about {90 * pairs} bytes")
     deltas = fundamental_discriminants(delta_max)
     found = _first_witnesses(algebras, deltas, not_totally_complex)
     if (found < 0).any():

@@ -138,7 +138,6 @@ def test_fundamental_discriminants():
     assert fd[:6] == [-3, -4, 5, -7, -8, 8]
     for d in fd:
         assert is_fundamental_discriminant(int(d))
-    scan = [d for s in (-1, 1) for d in range(2, 25) if False]
     full = sorted(int(d) for d in fd)
     expected = sorted(d for d in list(range(-24, 0)) + list(range(2, 25))
                       if is_fundamental_discriminant(d))
@@ -161,6 +160,30 @@ def test_fundamental_discriminants_negative_limit():
         fundamental_discriminants(-1)
 
 
+def test_fundamental_discriminants_are_read_only():
+    # the table is cached: a write would reach every later caller
+    table = fundamental_discriminants(100)
+    with pytest.raises(ValueError):
+        table[0] = 1
+    assert fundamental_discriminants(100)[0] == -3
+
+
+def test_fundamental_discriminants_peak_memory():
+    # no int64 array beyond the returned table: about 7 bytes per unit of
+    # limit on a built sieve, where four int64 temporaries took about 18
+    import tracemalloc
+
+    limit = 10 ** 6
+    census.shared_sieve(limit)
+    tracemalloc.start()
+    try:
+        fundamental_discriminants.__wrapped__(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * limit
+
+
 def test_fundamental_count_asymptotic():
     c = fundamental_discriminant_count(10 ** 6)
     assert abs(c - (6 / math.pi ** 2) * 10 ** 6) < 2000
@@ -178,11 +201,27 @@ def test_count_embedding_quads_spec_values():
     assert count_embedding_quads(b, 24, not_totally_complex=True) == 0
 
 
+def _embeds_by_filter(places, delta):
+    """Q(sqrt(delta)) embeds when no ramified place splits in it: delta < 0
+    at inf, and the scalar Kronecker symbol is not 1 at each finite prime."""
+    return all(delta < 0 if v == "inf" else kronecker_symbol(delta, int(v)) != 1
+               for v in places)
+
+
 def test_embedding_quads_census_matches_scalar():
-    b = parse_ram_set("2,3")
-    t = census_embedding_quads(b, [50, 500, 5000])
-    for x, c in t.rows():
-        assert c == count_embedding_quads(b, x)
+    limit = 2000
+    deltas = [d for d in range(-limit, limit + 1) if is_fundamental_discriminant(d)]
+    last = max(abs(d) for d in deltas)
+    # 1, ties +-k at k = 8 mod 16, and the last |delta| of the table
+    thresholds = [1, 8, 24, 40, 999, last]
+    for ram in ("", "2,inf", "2,3", "3,5,7,inf"):
+        places = ram.split(",") if ram else []
+        for ntc in (False, True):
+            kept = [abs(d) for d in deltas
+                    if _embeds_by_filter(places, d) and (d > 0 or not ntc)]
+            expected = tuple(sum(k <= x for k in kept) for x in thresholds)
+            got = census_embedding_quads(parse_ram_set(ram), thresholds, ntc)
+            assert got.counts == expected, (ram, ntc)
 
 
 def test_count_quat_with_subfields_spec_values():

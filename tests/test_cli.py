@@ -112,6 +112,21 @@ def test_rigidity_scan_text_matches_json_dumps(capsys, tmp_path, x, not_totally_
     assert target.read_bytes() == out.encode()
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 13])
+def test_rigidity_scan_chunks_join_to_the_pin(capsys, tmp_path, monkeypatch, chunk):
+    # 78 pairs: 13 divides them, 7 leaves one pair for a last short chunk
+    from quatrig import cli
+
+    argv = "rigidity scan --x 400 --delta-max 10000 --not-totally-complex"
+    (pin,) = [p for p in PINS["runs"] if p["argv"] == argv]
+    monkeypatch.setattr(cli, "_SCAN_CHUNK", chunk)
+    assert run(capsys, argv.split()) == (0, pin["stdout"])
+    target = tmp_path / "scan.json"
+    assert main(["--out", str(target), *argv.split()]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == pin["stdout"]
+
+
 def test_rigidity_scan_unwritable_out(capsys, tmp_path):
     target = tmp_path / "missing" / "scan.json"
     assert main(["--out", str(target), "rigidity", "scan", "--x", "36"]) == 2
@@ -258,8 +273,8 @@ def test_fund_disc_is_the_embed_quads_census_of_the_matrix_algebra(capsys, tmp_p
 def test_tables_past_the_memory_budget_exit_2(capsys, monkeypatch, tmp_path, argv, what):
     from quatrig import arith
 
-    # 2.5 * 10^5 bytes: a table to 12,500 or 1,250 algebra pairs
-    monkeypatch.setattr(arith, "SIEVE_MEMORY_BUDGET", 10 ** 5)
+    # 10^5 bytes: a table to 10,000 or 1,111 algebra pairs
+    monkeypatch.setattr(arith, "SIEVE_MEMORY_BUDGET", 4 * 10 ** 4)
     code = main(["--cache-dir", str(tmp_path), *argv])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
@@ -285,10 +300,10 @@ def test_memory_budget_stops_the_sizes_that_ran_out_and_admits_the_rest(capsys, 
     # the largest sizes that must still run get past their checks
     monkeypatch.setattr(census, "shared_sieve", admitted)
     with pytest.raises(Admitted):
-        census.fundamental_discriminants(10 ** 8)
+        census.fundamental_discriminants(25 * 10 ** 7)
     monkeypatch.setattr(rigidity, "fundamental_discriminants", admitted)
     with pytest.raises(Admitted):
-        rigidity.rigidity_scan(3 * 10 ** 7)
+        rigidity.rigidity_scan(15 * 10 ** 7)  # 27,717,735 pairs
 
 
 def _subcommands(parser):

@@ -20,7 +20,8 @@ from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_log, mpf_mul_int, mpf_s
 
 PRECISION_BITS = 80
 
-# SieveTable(10**8) peaks at 2.5 bytes per entry (tracemalloc), so this caps a build near 2.5 GB.
+# SieveTable(10**8) peaks at 2.5 bytes per entry (tracemalloc), so this caps a build near 2.5 GB;
+# the census block kernel refuses ranges past it as well.
 SIEVE_MEMORY_BUDGET = 10 ** 9
 
 
@@ -98,7 +99,11 @@ def kronecker_vec(a, n) -> np.ndarray:
         p = int(n)
         if factorize(p) != [(p, 1)]:
             raise ValueError(f"{p} is not prime")
-        return _TWO_PARTS[8][np.asarray(a) % 8] if p == 2 else _legendre(np.asarray(a) % p, p)
+        a, m = np.asarray(a), 8 if p == 2 else p
+        # residues straight into int32: no int64 temporary as long as a table of a
+        r = np.remainder(a, m, out=np.empty(a.shape, np.int32 if m < 2 ** 31 else np.int64),
+                         casting="unsafe")
+        return _TWO_PARTS[8][r] if p == 2 else _legendre(r, p)
     n = np.asarray(n)
     out = np.ones(n.shape, dtype=np.int8)
     two_part = a
@@ -108,7 +113,7 @@ def kronecker_vec(a, n) -> np.ndarray:
             two_part //= p if p % 4 == 1 else -p
     if two_part not in _TWO_PARTS:
         raise InvalidDiscriminant(f"{a} is not a fundamental discriminant")
-    return out * _TWO_PARTS[two_part][n % 8]
+    return out * _TWO_PARTS[two_part][n & 7]  # n mod 8, negative n included
 
 
 def is_fundamental_discriminant(d: int) -> bool:

@@ -5,23 +5,27 @@ of Euler factors).
 
 Quaternion algebras have |disc| = q^2 for the squarefree product q of their
 finite ramified primes, so the quaternion division and subfield censuses are
-prefix counts of squarefree q <= sqrt(x): one sieve count (_sieve_counts)
-strikes the split primes from the Moebius array of the shared sieve, and one
-listing (quaternion_algebras_by_disc) yields the same q with their primes for
-the callers that need the algebras themselves.  The other censuses (central
+prefix counts of squarefree q <= sqrt(x).  One block kernel (_blocks) walks
+0..y in blocks of SEGMENT integers with only the primes up to sqrt(y), in
+O(sqrt(y) + SEGMENT) memory: it flags the squarefree n whose primes all stay
+nonsplit, and _sieve_counts counts the flags at each threshold.  One listing
+(quaternion_algebras_by_disc) yields the same q with their primes for the
+callers that need the algebras themselves.  The other censuses (central
 simple algebras, division algebras of degree n >= 3) come from one bounded
 product-of-primes enumerator (arith.squarefree_products) over ascending
 primes; each folds its residue distribution of local invariants along the
 way and sums per-node weights into threshold slots, so counts never depend on
-enumeration order.  Quadratic fields come from one table
-(fundamental_discriminants), all of them counted by the embed-quads census of
-the matrix algebra; splitting data from the vector kernel arith.kronecker_vec;
-and every least-prime search from least_primes.
+enumeration order.  Quadratic fields come from the same kernel, one block of
+fundamental discriminants at a time (_fundamental_blocks): the embed-quads
+census counts them block by block (census fund-disc is the one of the matrix
+algebra), and fundamental_discriminants fills the one table that the
+rigidity and geometry searches read.  Splitting data comes from the vector
+kernel arith.kronecker_vec, and every least-prime search from least_primes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -40,7 +44,6 @@ from .arith import (
     mobius,
     primes_upto,
     ramanujan_sum,
-    shared_sieve,
     squarefree_products,
 )
 from .brauer import QuaternionAlgebraQ
@@ -193,37 +196,122 @@ def count_division(n: int, x: int) -> int:
     return census_division(n, [x]).counts[0]
 
 
-# -- fundamental discriminants (vectorized) ---------------------------------
+# -- the block kernel ---------------------------------------------------------
+
+# Every sieve census walks its range in blocks of SEGMENT integers, so its
+# arrays stay a few MB at any range (2^18 measured fastest at 10^7); the
+# fundamental-discriminant blocks need a multiple of 16.
+SEGMENT = 1 << 18
+
+
+def _blocks(y: int, step: int, deltas: tuple[int, ...] = (), even_only: bool = False):
+    """(lo, ok) for each block [lo, lo + step) of 0..y, in order: ok[i] says
+    that n = lo + i >= 1 is squarefree with no prime factor split in any
+    Q(sqrt(delta_i)), and, with even_only, that mu(n) = 1.
+
+    Only the primes p <= sqrt(y) are sieved.  Each block strikes the
+    multiples of p when p splits, and of p^2 otherwise (at most one per block
+    once p^2 >= step, struck together).  Each n <= y has at most one prime
+    factor P > sqrt(y), so dividing the product of its nonsplit small primes
+    out of a squarefree n leaves 1 or that P: one kronecker_vec call per
+    field decides P, and the parity of the factor count gives mu(n).  Memory
+    is O(sqrt(y) + step); a y past SIEVE_MEMORY_BUDGET (which also keeps
+    every n in uint32) raises SieveBudgetError."""
+    if y > arith.SIEVE_MEMORY_BUDGET:
+        raise arith.SieveBudgetError(
+            f"census to {y} exceeds budget {arith.SIEVE_MEMORY_BUDGET}")
+    primes = primes_upto(isqrt(y))
+    split = _split_mask(deltas, primes)
+    squares = primes[~split] ** 2
+    struck = [*primes[split].tolist(), *squares[squares < step].tolist()]  # one stride each
+    squares = squares[squares >= step]
+    factor = bool(deltas) or even_only  # P has to be found
+    nonsplit = primes[~split].tolist()
+    for lo in range(0, y + 1, step):
+        size = min(step, y + 1 - lo)
+        ok = np.ones(size, dtype=bool)
+        ok[0] = lo > 0  # n = 0 counts nothing
+        for m in struck:
+            ok[-lo % m::m] = False
+        first = -lo % squares
+        ok[first[first < size]] = False
+        if factor:
+            small = np.ones(size, dtype=np.uint32)  # product of the nonsplit prime factors
+            odd = np.zeros(size, dtype=bool)  # parity of their number
+            for p in nonsplit:
+                small[-lo % p::p] *= p
+                if even_only:
+                    odd[-lo % p::p] ^= True
+            live = np.flatnonzero(ok)
+            cofactor = (live + lo).astype(np.uint32) // small[live]  # 1 or P
+            big = cofactor > 1
+            drop = odd[live] != big if even_only else np.zeros(len(live), dtype=bool)
+            for d in deltas:
+                drop |= big & (kronecker_vec(d, cofactor) == 1)
+            ok[live[drop]] = False
+        yield lo, ok
+
+
+def _sieve_counts(deltas: tuple[int, ...], ys: list[int], even_only: bool = False) -> list[int]:
+    """For each ascending y >= 1, the number of squarefree q <= y with no
+    prime factor split in any Q(sqrt(delta_i)); with even_only, only those
+    with mu(q) = 1.  One pass of the block kernel to the largest y, each
+    block counting the flags at or below every threshold."""
+    counts = np.zeros(len(ys), dtype=np.int64)
+    for lo, ok in _blocks(ys[-1], SEGMENT, deltas, even_only):
+        counts += _prefix_counts(ok, np.clip(np.array(ys) + 1 - lo, 0, len(ok)).tolist())
+    return counts.tolist()
+
+
+def _prefix_counts(flags: np.ndarray, ends: list[int]) -> list[int]:
+    """The number of set flags in flags[:e] for each ascending end e."""
+    return list(accumulate(int(np.count_nonzero(flags[a:b])) for a, b in zip([0, *ends], ends)))
+
+
+# -- fundamental discriminants ---------------------------------------------------
+
+def _fundamental_blocks(limit: int):
+    """The fundamental discriminants with |delta| <= limit, one int64 array
+    per block of |delta|, sorted by |delta| with the negative one first on
+    ties.  Block [lo, lo + SEGMENT) takes the squarefree flags of k in it and
+    of m in [lo/4, (lo + SEGMENT)/4): +-k for squarefree k = 1, 3 mod 4 (the
+    sign fixed by k mod 4), and +-4m for squarefree m with +-m = 2, 3 mod 4."""
+    for (lo, sq), (_, sq4) in zip(_blocks(limit, SEGMENT), _blocks(limit // 4, SEGMENT // 4)):
+        # row i flags (-(lo + i), +(lo + i)); SEGMENT is a multiple of 16
+        flags = np.zeros((len(sq), 2), dtype=bool)
+        flags[1::4, 1] = sq[1::4]
+        flags[3::4, 0] = sq[3::4]
+        flags[4::16, 0] = sq4[1::4]
+        flags[8::16] = sq4[2::4, None]
+        flags[12::16, 1] = sq4[3::4]
+        if lo == 0:
+            flags[1:2, 1] = False  # 1 is not a discriminant
+        found = np.flatnonzero(flags)  # 2 |delta|, plus 1 for the positive one
+        deltas = (found >> 1) + lo
+        deltas *= (found & 1) * 2 - 1
+        yield deltas
+
 
 @lru_cache(maxsize=8)
 def fundamental_discriminants(limit: int) -> np.ndarray:
     """All fundamental discriminants with |delta| <= limit, sorted by |delta|
-    with the negative one first on ties; read-only, since it is cached."""
+    with the negative one first on ties; read-only, since it is cached.  A
+    first pass over _fundamental_blocks counts them and a second fills the
+    table, the only array as long as the limit."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    # the table and its sieve peak near 10 bytes per unit of limit (tracemalloc
-    # at 10^7), against the 2.5 bytes per entry SIEVE_MEMORY_BUDGET stands for
-    if 10 * limit > 2.5 * arith.SIEVE_MEMORY_BUDGET:
+    # the table peaks near 5.3 bytes per unit of limit (tracemalloc at 10^7),
+    # against the 2.5 bytes per entry SIEVE_MEMORY_BUDGET stands for
+    if 6 * limit > 2.5 * arith.SIEVE_MEMORY_BUDGET:
         raise arith.SieveBudgetError(
-            f"fundamental-discriminant table to {limit} exceeds budget: about {10 * limit} bytes")
-    sq = shared_sieve(limit).mu[:limit + 1] != 0
-    # row k flags (-k, +k): +-k for squarefree k = 1, 3 mod 4 (the sign fixed
-    # by k mod 4), or +-4m for squarefree m with +-m = 2, 3 mod 4
-    flags = np.zeros((limit + 1, 2), dtype=bool)
-    flags[5::4, 1] = sq[5::4]
-    flags[3::4, 0] = sq[3::4]
-    flags[4::16, 0] = sq[1:limit // 4 + 1:4]
-    flags[8::16] = sq[2:limit // 4 + 1:4, None]
-    flags[12::16, 1] = sq[3:limit // 4 + 1:4]
-    del sq
-    found = np.flatnonzero(flags)  # 2 |delta|, plus 1 for the positive one
-    del flags
-    # signs in place: the only int64 array is the one returned
-    positive = np.bitwise_and(found, 1, out=np.empty(len(found), np.int8), casting="unsafe")
-    found >>= 1
-    np.negative(found, out=found, where=positive == 0)
-    found.flags.writeable = False
-    return found
+            f"fundamental-discriminant table to {limit} exceeds budget: about {6 * limit} bytes")
+    table = np.empty(sum(map(len, _fundamental_blocks(limit))), dtype=np.int64)
+    end = 0
+    for deltas in _fundamental_blocks(limit):
+        table[end:end + len(deltas)] = deltas
+        end += len(deltas)
+    table.flags.writeable = False
+    return table
 
 
 def fundamental_discriminant_count(x: int) -> int:
@@ -252,15 +340,19 @@ def count_embedding_quads(algebra: QuaternionAlgebraQ, x: int,
 
 def census_embedding_quads(algebra: QuaternionAlgebraQ, thresholds,
                            not_totally_complex: bool = False) -> CountTable:
+    """Quadratic fields with |delta| <= x embedding into the algebra, for
+    each threshold: one pass over the blocks of fundamental discriminants,
+    each block counting its embedding fields at or below every threshold;
+    no table as long as the largest threshold is built."""
     thresholds = _ascending(thresholds)
-    deltas = fundamental_discriminants(thresholds[-1])
-    ok = _embeds_mask(algebra, deltas)
-    if not_totally_complex:
-        ok &= deltas > 0
-    # deltas is ordered by |delta|: each threshold ends a slice of it
-    ends = [bisect_right(deltas, x, key=abs) for x in thresholds]
-    counts = accumulate(int(np.count_nonzero(ok[a:b])) for a, b in zip([0, *ends], ends))
-    return CountTable(tuple(thresholds), tuple(counts))
+    counts = np.zeros(len(thresholds), dtype=np.int64)
+    for deltas in _fundamental_blocks(thresholds[-1]):
+        ok = _embeds_mask(algebra, deltas)
+        if not_totally_complex:
+            ok &= deltas > 0
+        ends = np.searchsorted(np.abs(deltas), thresholds, side="right")
+        counts += _prefix_counts(ok, ends.tolist())
+    return CountTable(tuple(thresholds), tuple(counts.tolist()))
 
 
 # -- quaternion algebras with prescribed subfields ---------------------------
@@ -277,31 +369,6 @@ def _nonsplit_primes(deltas: tuple[int, ...], limit: int) -> list[int]:
     """Finite primes p <= limit that split in none of the given fields."""
     primes = primes_upto(limit)
     return primes[~_split_mask(deltas, primes)].tolist()
-
-
-def _sieve_counts(deltas: tuple[int, ...], ys: list[int], even_only: bool = False) -> list[int]:
-    """For each ascending y >= 1, the number of squarefree q <= y with no
-    prime factor split in any Q(sqrt(delta_i)); with even_only, only those
-    with mu(q) = 1.
-
-    Starts from the Moebius array of the shared sieve and strikes the
-    multiples of every split prime: directly for p <= sqrt(y), and the way
-    SieveTable flips mu for P > sqrt(y), striking k * P for each k <= y / P.
-    Each threshold then counts its own slice of the array, so nothing larger
-    than the sieve is allocated."""
-    y, root = ys[-1], isqrt(ys[-1])
-    mu = shared_sieve(y).mu[:y + 1]
-    ok = mu == 1 if even_only else mu != 0
-    primes = primes_upto(y)
-    split = primes[_split_mask(deltas, primes)]
-    cut = np.searchsorted(split, root, side="right")
-    for p in split[:cut].tolist():
-        ok[p::p] = False
-    big = split[cut:]
-    for k in range(1, root + 1):
-        ok[k * big[:np.searchsorted(big, y // k, side="right")]] = False
-    edges = [0] + [b + 1 for b in ys]
-    return list(accumulate(int(np.count_nonzero(ok[a:b])) for a, b in zip(edges, edges[1:])))
 
 
 def quaternion_algebras_by_disc(y: int, deltas=(), base=()) -> list[tuple[int, tuple]]:

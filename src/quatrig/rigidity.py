@@ -134,11 +134,15 @@ def _first_witnesses(algebras, deltas, not_totally_complex=False) -> np.ndarray:
     with not_totally_complex, pairs of indefinite algebras skip deltas < 0.
     Embedding masks are bit-packed on a prefix of deltas, 64 long and doubled
     while a pair agrees on all of it: the lowest set bit of a XOR wins."""
-    first, second = np.triu_indices(len(algebras), 1)
+    # the two algebras of each pair, int32: the pair budget keeps pairs below 2^31
+    row = np.arange(len(algebras) - 1, -1, -1, dtype=np.int32)  # pairs led by algebra i
+    first = np.repeat(np.arange(len(algebras), dtype=np.int32), row)
+    second = np.arange(len(first), dtype=np.int32)
+    second -= np.repeat((np.cumsum(row) - row - np.arange(1, len(row) + 1)).astype(np.int32), row)
     indefinite = np.array([not b.ramified_at_infinity for b in algebras])
     real_only = not_totally_complex & indefinite[first] & indefinite[second]
-    found = np.full(len(first), -1)
-    todo = np.arange(len(first))
+    found = np.full(len(first), -1, dtype=np.int32)
+    todo = np.arange(len(first), dtype=np.int32)
     length = 64
     while len(todo) and len(deltas):
         prefix = deltas[:length]
@@ -213,11 +217,11 @@ def rigidity_scan(x: int, delta_max: int = 10 ** 6,
         raise ValueError("x must be >= 4")
     algebras = _all_quaternion_algebras(x)
     pairs = len(algebras) * (len(algebras) - 1) // 2
-    # the scan and its printout take about 90 bytes per pair (peak RSS at x = 10^7),
+    # the scan and its printout take about 75 bytes per pair (peak RSS at x = 10^7),
     # against the 2.5 bytes per entry SIEVE_MEMORY_BUDGET stands for
-    if 90 * pairs > 2.5 * arith.SIEVE_MEMORY_BUDGET:
+    if 75 * pairs > 2.5 * arith.SIEVE_MEMORY_BUDGET:
         raise arith.SieveBudgetError(
-            f"{pairs} algebra pairs exceed budget: about {90 * pairs} bytes")
+            f"{pairs} algebra pairs exceed budget: about {75 * pairs} bytes")
     deltas = fundamental_discriminants(delta_max)
     found = _first_witnesses(algebras, deltas, not_totally_complex)
     if (found < 0).any():

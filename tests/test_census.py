@@ -1,5 +1,6 @@
 import math
 from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from quatrig.arith import (
     is_fundamental_discriminant,
     kronecker_symbol,
     primes_upto,
+    shared_sieve,
     squarefree_products,
 )
 from quatrig.brauer import parse_ram_set
@@ -59,10 +61,10 @@ def test_division_matches_squarefree_oracle(squarefree_count):
 # thresholds x: the smallest ones, perfect squares and their neighbours
 _SIEVE_XS = sorted({1, 3, 4, 8, 9, 10, 99, 100, 101, 12344, 12345, 35 ** 4,
                     10 ** 8 - 1, 10 ** 8, 10 ** 8 + 1, 97 ** 4 + 1, 10 ** 10})
+_SIEVE_DELTAS = [(-3,), (-4,), (-15,), (5,), (8,), (-4, 5), (-3, -4)]
 
 
-@pytest.mark.parametrize("deltas", [(-3,), (-4,), (-15,), (5,), (8,), (-4, 5), (-3, -4)],
-                         ids=str)
+@pytest.mark.parametrize("deltas", _SIEVE_DELTAS, ids=str)
 def test_sieve_counts_match_the_enumerator(deltas):
     # the old route: every product of nonsplit primes, its parity folded along
     y = math.isqrt(_SIEVE_XS[-1])
@@ -77,6 +79,38 @@ def test_sieve_counts_match_the_enumerator(deltas):
     # each threshold as the largest, where the strikes stop
     assert [census._sieve_counts(deltas, [y], even_only)[0] for y in ys] == expected
     assert census_quat_with_subfields(deltas, _SIEVE_XS).counts == tuple(expected)
+
+
+def _whole_array_sieve_counts(deltas, ys, even_only=False):
+    """The whole-array route the block kernel replaced: strike the split
+    primes from the Moebius array of the shared sieve to max(ys), p <= sqrt(y)
+    directly and k * P for each larger split P, then count each slice."""
+    y, root = ys[-1], math.isqrt(ys[-1])
+    mu = shared_sieve(y).mu[:y + 1]
+    ok = mu == 1 if even_only else mu != 0
+    primes = primes_upto(y)
+    split = primes[census._split_mask(deltas, primes)]
+    cut = np.searchsorted(split, root, side="right")
+    for p in split[:cut].tolist():
+        ok[p::p] = False
+    big = split[cut:]
+    for k in range(1, root + 1):
+        ok[k * big[:np.searchsorted(big, y // k, side="right")]] = False
+    edges = [0] + [b + 1 for b in ys]
+    return list(accumulate(int(np.count_nonzero(ok[a:b])) for a, b in zip(edges, edges[1:])))
+
+
+@pytest.mark.parametrize("segment", [7, 64, 1000, census.SEGMENT])
+def test_block_kernel_matches_the_whole_array_sieve_across_block_edges(monkeypatch, segment):
+    # small blocks put p^2, k * P and the threshold ends on both sides of
+    # block edges; the whole-array sieve is the reference
+    monkeypatch.setattr(census, "SEGMENT", segment)
+    # 16 passes of 14,286 blocks of 7 to y = 10^5 take 47 s: stop at 10^4
+    ys = [math.isqrt(x) for x in _SIEVE_XS if segment > 7 or x <= 10 ** 8 + 1]
+    for deltas in [(), *_SIEVE_DELTAS]:
+        for even_only in (False, True):
+            assert (census._sieve_counts(deltas, ys, even_only)
+                    == _whole_array_sieve_counts(deltas, ys, even_only)), (deltas, even_only)
 
 
 @pytest.mark.parametrize("deltas", [(), (-3,), (-4,), (5,), (8,), (-4, 5), (-3, -4, 5)],
@@ -168,20 +202,65 @@ def test_fundamental_discriminants_are_read_only():
     assert fundamental_discriminants(100)[0] == -3
 
 
-def test_fundamental_discriminants_peak_memory():
-    # no int64 array beyond the returned table: about 7 bytes per unit of
-    # limit on a built sieve, where four int64 temporaries took about 18
+def _traced_peak(run) -> int:
+    """Peak bytes tracemalloc sees while run() runs, with the 10^4 floor of
+    the shared sieve built beforehand."""
     import tracemalloc
 
-    limit = 10 ** 6
-    census.shared_sieve(limit)
+    shared_sieve(10 ** 4)
     tracemalloc.start()
     try:
-        fundamental_discriminants.__wrapped__(limit)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * limit
+
+
+def test_fundamental_discriminants_peak_memory():
+    # the table (4.9 bytes per unit of limit) is the only array that long:
+    # about 5.3 bytes per unit in all
+    limit = 10 ** 7
+    assert _traced_peak(lambda: fundamental_discriminants.__wrapped__(limit)) < 6 * limit
+
+
+@pytest.mark.parametrize("segment", [16, 64, 1008])
+def test_fundamental_blocks_match_scalar_filters_across_block_edges(monkeypatch, segment):
+    # |delta| ascending, the negative one first on ties; the odd and the 4m
+    # discriminants of a block come from two block passes at 1 and 1/4 scale
+    monkeypatch.setattr(census, "SEGMENT", segment)
+    limit = 3000
+    expected = [d for k in range(1, limit + 1) for d in (-k, k)
+                if is_fundamental_discriminant(d)]
+    for x in (0, 1, 3, 8, 16, 63, 64, 65, 1007, 1008, 1009, limit):
+        got = fundamental_discriminants.__wrapped__(x)
+        assert got.tolist() == [d for d in expected if abs(d) <= x], x
+    thresholds = [1, 8, 24, 40, 64, 999, 1008, limit]
+    for ram in ("", "2,3", "3,5,7,inf"):
+        places = ram.split(",") if ram else []
+        for ntc in (False, True):
+            kept = [abs(d) for d in expected
+                    if _embeds_by_filter(places, d) and (d > 0 or not ntc)]
+            got = census_embedding_quads(parse_ram_set(ram), thresholds, ntc)
+            assert got.counts == tuple(sum(k <= x for k in kept) for x in thresholds), (ram, ntc)
+
+
+def test_census_peak_memory_does_not_grow_with_x():
+    # O(sqrt(y) + SEGMENT): about 4 MB for the subfield census at any x, and
+    # 6 MB for the embed-quads census to 10^7, whose table would take 49 MB
+    quat = {x: _traced_peak(lambda: census_quat_with_subfields((-4,), [x]))
+            for x in (10 ** 12, 10 ** 14)}
+    assert max(quat.values()) < 8 * 10 ** 6
+    assert abs(quat[10 ** 14] - quat[10 ** 12]) < 2 * 10 ** 6
+    embed = _traced_peak(lambda: census_embedding_quads(parse_ram_set(""), [10 ** 7]))
+    assert embed < 12 * 10 ** 6
+
+
+def test_embeds_mask_allocates_no_int64_array_of_the_table_length():
+    # residues mod p go straight into int32: about 6 bytes per discriminant,
+    # where an int64 remainder alone takes 8
+    table = fundamental_discriminants(10 ** 6)
+    peak = _traced_peak(lambda: census._embeds_mask(parse_ram_set("2,3"), table))
+    assert peak < 8 * len(table)
 
 
 def test_fundamental_count_asymptotic():

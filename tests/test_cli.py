@@ -13,6 +13,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from quatrig import census
+from quatrig.brauer import parse_ram_set
 from quatrig.cache import CensusCache
 from quatrig.census import CountTable
 from quatrig.cli import build_parser, main
@@ -240,17 +241,19 @@ def _brute_fundamental_count(x):
     return sum(fundamental(d) for d in range(-x, x + 1))
 
 
-def test_fund_disc_thresholds_share_one_table(capsys, monkeypatch):
-    limits = []
-    build = census.fundamental_discriminants
-    monkeypatch.setattr(census, "fundamental_discriminants",
-                        lambda limit: limits.append(limit) or build(limit))
+def test_fund_disc_thresholds_share_one_block_pass(capsys, monkeypatch):
+    # one pass of the block kernel to the largest threshold (and one to a
+    # quarter of it for the discriminants 4m), and no table
+    passes = []
+    blocks = census._blocks
+    monkeypatch.setattr(census, "_blocks", lambda y, *rest: passes.append(y) or blocks(y, *rest))
+    monkeypatch.setattr(census, "fundamental_discriminants", None)
     code, out = run(capsys, ["census", "fund-disc", "--x", "500",
                              "--thresholds", "1,3,4,10,100,1000"])
     assert code == 0
     xs = [1, 3, 4, 10, 100, 500, 1000]
     assert out == "x,count\n" + "".join(f"{x},{_brute_fundamental_count(x)}\n" for x in xs)
-    assert set(limits) == {1000}
+    assert passes == [1000, 250]
 
 
 def test_fund_disc_is_the_embed_quads_census_of_the_matrix_algebra(capsys, tmp_path):
@@ -265,15 +268,18 @@ def test_fund_disc_is_the_embed_quads_census_of_the_matrix_algebra(capsys, tmp_p
 
 
 @pytest.mark.parametrize("argv, what", [
-    (["census", "fund-disc", "--x", "20000"], "fundamental-discriminant table to 20000"),
+    (["geodesics", "census", "--b", "2,3", "--x", "20000"],
+     "fundamental-discriminant table to 20000"),
     (["rigidity", "scan", "--x", "10000"], "1830 algebra pairs"),
     (["rigidity", "scan", "--x", "100", "--delta-max", "20000"],
      "fundamental-discriminant table to 20000"),
+    (["census", "fund-disc", "--x", "50000"], "census to 50000"),
+    (["census", "quat-subfields", "--fields=-4", "--x", "2500000000"], "census to 50000"),
 ])
 def test_tables_past_the_memory_budget_exit_2(capsys, monkeypatch, tmp_path, argv, what):
     from quatrig import arith
 
-    # 10^5 bytes: a table to 10,000 or 1,111 algebra pairs
+    # 10^5 bytes: a table to 16,666, 1,111 algebra pairs or a census to 40,000
     monkeypatch.setattr(arith, "SIEVE_MEMORY_BUDGET", 4 * 10 ** 4)
     code = main(["--cache-dir", str(tmp_path), *argv])
     captured = capsys.readouterr()
@@ -284,10 +290,13 @@ def test_tables_past_the_memory_budget_exit_2(capsys, monkeypatch, tmp_path, arg
 def test_memory_budget_stops_the_sizes_that_ran_out_and_admits_the_rest(capsys, monkeypatch):
     from quatrig import rigidity
 
-    # at the real budget: 19,224 algebras (184,771,476 pairs) at x = 10^9, and a
-    # table to 3 * 10^8, both stopped before anything large is allocated
+    # at the real budget: 19,224 algebras (184,771,476 pairs) at x = 10^9, a
+    # table to 5 * 10^8 and a census to 2 * 10^9, all stopped before anything
+    # large is allocated
     for argv, what in ((["rigidity", "scan", "--x", "1000000000"], "184771476 algebra pairs"),
-                       (["census", "fund-disc", "--x", "300000000"], "table to 300000000")):
+                       (["geodesics", "census", "--b", "2,3", "--x", "500000000"],
+                        "table to 500000000"),
+                       (["census", "fund-disc", "--x", "2000000000"], "census to 2000000000")):
         assert main(argv) == 2
         assert what in capsys.readouterr().err
 
@@ -298,12 +307,14 @@ def test_memory_budget_stops_the_sizes_that_ran_out_and_admits_the_rest(capsys, 
         raise Admitted
 
     # the largest sizes that must still run get past their checks
-    monkeypatch.setattr(census, "shared_sieve", admitted)
+    monkeypatch.setattr(census, "primes_upto", admitted)
     with pytest.raises(Admitted):
-        census.fundamental_discriminants(25 * 10 ** 7)
+        census.fundamental_discriminants(4 * 10 ** 8)
+    with pytest.raises(Admitted):
+        census.census_embedding_quads(parse_ram_set(""), [10 ** 9])
     monkeypatch.setattr(rigidity, "fundamental_discriminants", admitted)
     with pytest.raises(Admitted):
-        rigidity.rigidity_scan(15 * 10 ** 7)  # 27,717,735 pairs
+        rigidity.rigidity_scan(18 * 10 ** 7)  # 33,247,935 pairs
 
 
 def _subcommands(parser):

@@ -16,11 +16,11 @@ product-of-primes enumerator (arith.squarefree_products) over ascending
 primes; each folds its residue distribution of local invariants along the
 way and sums per-node weights into threshold slots, so counts never depend on
 enumeration order.  Quadratic fields come from the same kernel, one block of
-fundamental discriminants at a time (_fundamental_blocks): the embed-quads
-census counts them block by block (census fund-disc is the one of the matrix
-algebra), and fundamental_discriminants fills the one table that the
-rigidity and geometry searches read.  Splitting data comes from the vector
-kernel arith.kronecker_vec, and every least-prime search from least_primes.
+fundamental discriminants at a time (_fundamental_blocks), the one stream
+every reader walks in |delta| order (census fund-disc is the embed-quads census
+of the matrix algebra), so no command builds an array as long as its limit.
+Splitting data comes from the vector kernel arith.kronecker_vec, and every
+least-prime search from least_primes.
 """
 
 from __future__ import annotations
@@ -276,6 +276,8 @@ def _fundamental_blocks(limit: int):
     ties.  Block [lo, lo + SEGMENT) takes the squarefree flags of k in it and
     of m in [lo/4, (lo + SEGMENT)/4): +-k for squarefree k = 1, 3 mod 4 (the
     sign fixed by k mod 4), and +-4m for squarefree m with +-m = 2, 3 mod 4."""
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
     for (lo, sq), (_, sq4) in zip(_blocks(limit, SEGMENT), _blocks(limit // 4, SEGMENT // 4)):
         # row i flags (-(lo + i), +(lo + i)); SEGMENT is a multiple of 16
         flags = np.zeros((len(sq), 2), dtype=bool)
@@ -297,7 +299,8 @@ def fundamental_discriminants(limit: int) -> np.ndarray:
     """All fundamental discriminants with |delta| <= limit, sorted by |delta|
     with the negative one first on ties; read-only, since it is cached.  A
     first pass over _fundamental_blocks counts them and a second fills the
-    table, the only array as long as the limit."""
+    table, the only array as long as the limit.  No command reads it; it
+    serves library callers and tests that want the discriminants as one array."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
     # the table peaks near 5.3 bytes per unit of limit (tracemalloc at 10^7),
@@ -315,10 +318,8 @@ def fundamental_discriminants(limit: int) -> np.ndarray:
 
 
 def fundamental_discriminant_count(x: int) -> int:
-    """Exact number of fundamental discriminants delta != 1 with |delta| <= x."""
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    return len(fundamental_discriminants(x))
+    """The number of fundamental discriminants |delta| <= x: the embed-quads census of M(2, Q)."""
+    return count_embedding_quads(QuaternionAlgebraQ.from_primes(()), x)
 
 
 def _embeds_mask(algebra: QuaternionAlgebraQ, deltas: np.ndarray) -> np.ndarray:
@@ -501,13 +502,11 @@ def splitting_density(place: PlaceQ, x: int) -> tuple[Fraction, Fraction, Fracti
     fundamental |delta| <= x, as exact fractions summing to one."""
     if x < 100:
         raise ValueError("x must be >= 100")
-    deltas = fundamental_discriminants(x)
-    total = len(deltas)
-    if place.is_infinite:
-        split, inert = int((deltas > 0).sum()), 0
-    else:
-        kv = kronecker_vec(deltas, place.p)
-        split, inert = int((kv == 1).sum()), int((kv == -1).sum())
+    counts = np.zeros(3, dtype=np.int64)  # total, split, inert
+    for deltas in _fundamental_blocks(x):
+        kv = (deltas > 0).view(np.int8) if place.is_infinite else kronecker_vec(deltas, place.p)
+        counts += len(kv), np.count_nonzero(kv == 1), np.count_nonzero(kv == -1)
+    total, split, inert = counts.tolist()
     return tuple(Fraction(k, total) for k in (split, inert, total - split - inert))
 
 
@@ -546,8 +545,8 @@ def _least_inert_primes(deltas: np.ndarray) -> np.ndarray:
 def smallest_inert_stats(x: int) -> dict:
     """Empirical view of the effective-Chebotarev exponent: the maximum of
     log(p)/log(d_L) over fundamental |delta| <= x, p the least inert prime."""
-    deltas = fundamental_discriminants(x)
-    rows = zip(deltas.tolist(), _least_inert_primes(deltas).tolist())
+    rows = ((d, p) for deltas in _fundamental_blocks(x)
+            for d, p in zip(deltas.tolist(), _least_inert_primes(deltas).tolist()))
     ratio, d, p = max(((log(p) / log(abs(d)), d, p) for d, p in rows),
                       key=lambda row: row[0], default=(0.0, 0, 0))  # first on ties
     return {"max_ratio": ratio, "delta": d, "prime": p, "x": x}

@@ -31,9 +31,9 @@ from .brauer import (
 )
 from .census import (
     _embeds_mask,
+    _fundamental_blocks,
     _nonsplit_primes,
     check_independent,
-    fundamental_discriminants,
     quaternion_algebras_by_disc,
 )
 
@@ -284,9 +284,8 @@ def geodesic_census(algebra: QuaternionAlgebraQ, x: int, volume: float = 0.0,
     specialization 2x, scaled by e^(cV) when a volume is supplied."""
     if algebra.ramified_at_infinity:
         raise DefiniteAlgebra("geodesic census requires an indefinite algebra")
-    deltas = fundamental_discriminants(x)
-    mask = _embeds_mask(algebra, deltas) & (deltas > 0)
-    data = tuple(map(geodesic_from_field, deltas[mask].tolist()))  # ascending delta > 0
+    data = tuple(geodesic_from_field(d) for deltas in _fundamental_blocks(x)  # ascending delta > 0
+                 for d in deltas[_embeds_mask(algebra, deltas) & (deltas > 0)].tolist())
     classes = len(rational_classes(data))
     max_len = max((d.length for d in data), default=0.0)
     bound = _times_exp_cv(2.0 * x, const_c, volume)

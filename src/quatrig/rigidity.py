@@ -23,13 +23,13 @@ from mpmath import mp
 from . import arith
 from .arith import chebyshev_theta, kronecker_vec, primes_upto
 from .brauer import QuaternionAlgebraL, QuaternionAlgebraQ, descends, embeds, quaternion_iso
-from .census import (_embeds_mask, fundamental_discriminants, least_primes,
+from .census import (_embeds_mask, _fundamental_blocks, least_primes,
                      quaternion_algebras_by_disc)
 from .fields import QuadraticField, square_subproducts
 
 _BOUND_PREC = 100
-# limit_pair's largest candidate table: every m <= 47 is answered within it,
-# m = 47 only at 10^8 (about 20 s on a 2-core Xeon)
+# limit_pair's largest candidate |delta|: every m <= 47 is answered within it,
+# m = 47 only past 10^7 (about 2 s on a 2-core Xeon)
 LIMIT_PAIR_CAP = 10 ** 8
 
 
@@ -128,12 +128,14 @@ def brauer_rigidity_bound(d_base: float, c: float, disc1: float, disc2: float) -
 _LOWEST_BIT = np.array([(k & -k).bit_length() - 1 for k in range(256)])
 
 
-def _first_witnesses(algebras, deltas, not_totally_complex=False) -> np.ndarray:
-    """For each pair of algebras, in combinations() order, the index into
-    deltas of the first field that embeds in exactly one of the two, or -1;
-    with not_totally_complex, pairs of indefinite algebras skip deltas < 0.
-    Embedding masks are bit-packed on a prefix of deltas, 64 long and doubled
-    while a pair agrees on all of it: the lowest set bit of a XOR wins."""
+def _first_witnesses(algebras, blocks, not_totally_complex=False) -> np.ndarray:
+    """For each pair of algebras, in combinations() order, the first delta of
+    the blocks (arrays of discriminants, in search order) whose field embeds
+    in exactly one of the two, or 0 (never a discriminant) for none; with
+    not_totally_complex, pairs of indefinite algebras skip deltas < 0.
+    Embedding masks are bit-packed on a prefix, 64 long and doubled while a
+    pair agrees on all of it (the lowest set bit of a XOR wins); a block is
+    read once the prefix outgrows the blocks before it."""
     # the two algebras of each pair, int32: the pair budget keeps pairs below 2^31
     row = np.arange(len(algebras) - 1, -1, -1, dtype=np.int32)  # pairs led by algebra i
     first = np.repeat(np.arange(len(algebras), dtype=np.int32), row)
@@ -141,10 +143,16 @@ def _first_witnesses(algebras, deltas, not_totally_complex=False) -> np.ndarray:
     second -= np.repeat((np.cumsum(row) - row - np.arange(1, len(row) + 1)).astype(np.int32), row)
     indefinite = np.array([not b.ramified_at_infinity for b in algebras])
     real_only = not_totally_complex & indefinite[first] & indefinite[second]
-    found = np.full(len(first), -1, dtype=np.int32)
+    found = np.zeros(len(first), dtype=np.int64)
     todo = np.arange(len(first), dtype=np.int32)
+    blocks, deltas = iter(blocks), np.zeros(0, dtype=np.int64)
     length = 64
-    while len(todo) and len(deltas):
+    while len(todo):
+        more = [deltas]  # read blocks until they outgrow the prefix or run out
+        while sum(map(len, more)) <= length and (block := next(blocks, None)) is not None:
+            more.append(block)
+        if not len(deltas := np.concatenate(more)):
+            break
         prefix = deltas[:length]
         bits = np.array([np.packbits(_embeds_mask(b, prefix), bitorder="little")
                          for b in algebras])
@@ -153,7 +161,7 @@ def _first_witnesses(algebras, deltas, not_totally_complex=False) -> np.ndarray:
         hit = diff.any(axis=1)
         diff = diff[hit]
         byte = (diff != 0).argmax(axis=1)
-        found[todo[hit]] = 8 * byte + _LOWEST_BIT[diff[np.arange(len(diff)), byte]]
+        found[todo[hit]] = prefix[8 * byte + _LOWEST_BIT[diff[np.arange(len(diff)), byte]]]
         todo = todo[~hit]
         if length >= len(deltas):
             break
@@ -168,12 +176,11 @@ def distinguish_quaternions(b1: QuaternionAlgebraQ, b2: QuaternionAlgebraQ,
     are isomorphic.  Raises NotFoundWithinBound past delta_max."""
     if quaternion_iso(b1, b2):
         return None
-    deltas = fundamental_discriminants(delta_max)
-    (k,) = _first_witnesses([b1, b2], deltas)
-    if k < 0:
+    (delta,) = _first_witnesses([b1, b2], _fundamental_blocks(delta_max))
+    if not delta:
         raise NotFoundWithinBound(
             f"no distinguishing |delta| <= {delta_max} for {b1} vs {b2}")
-    return int(deltas[k])
+    return int(delta)
 
 
 @dataclass(frozen=True)
@@ -222,13 +229,11 @@ def rigidity_scan(x: int, delta_max: int = 10 ** 6,
     if 75 * pairs > 2.5 * arith.SIEVE_MEMORY_BUDGET:
         raise arith.SieveBudgetError(
             f"{pairs} algebra pairs exceed budget: about {75 * pairs} bytes")
-    deltas = fundamental_discriminants(delta_max)
-    found = _first_witnesses(algebras, deltas, not_totally_complex)
-    if (found < 0).any():
-        b1, b2 = next(islice(combinations(algebras, 2), int(np.argmax(found < 0)), None))
+    witnesses = _first_witnesses(algebras, _fundamental_blocks(delta_max), not_totally_complex)
+    if not witnesses.all():
+        b1, b2 = next(islice(combinations(algebras, 2), int(np.argmax(witnesses == 0)), None))
         raise NotFoundWithinBound(
             f"pair {b1}, {b2} not distinguished by |delta| <= {delta_max}")
-    witnesses = deltas[found]
     max_abs = int(np.abs(witnesses).max())
     bound = recognizing_bound(1, 1, x)
     if math.log(max_abs) > bound.log10 * math.log(10):
@@ -279,9 +284,7 @@ def limit_pair(m: int) -> tuple[int, int, int, int]:
         raise ValueError("m must be >= 2")
     small = primes_upto(m).tolist()
     d1 = -3
-    cap = 10 ** 4
-    while cap <= LIMIT_PAIR_CAP:
-        deltas = fundamental_discriminants(cap)
+    for deltas in _fundamental_blocks(LIMIT_PAIR_CAP):
         match = (deltas < 0) & (deltas != d1)
         for p in small:
             match &= kronecker_vec(deltas, p) == kronecker_vec(d1, p)
@@ -289,7 +292,6 @@ def limit_pair(m: int) -> tuple[int, int, int, int]:
             d = int(deltas[match.argmax()])
             return (d1, d, *least_primes(2, lambda ps: (kronecker_vec(d1, ps) == 1)
                                          & (kronecker_vec(d, ps) == -1)))
-        cap *= 10
     raise NotFoundWithinBound(f"m = {m}: no partner of {d1} with |delta| <= {LIMIT_PAIR_CAP}")
 
 

@@ -244,6 +244,41 @@ def test_fundamental_blocks_match_scalar_filters_across_block_edges(monkeypatch,
             assert got.counts == tuple(sum(k <= x for k in kept) for x in thresholds), (ram, ntc)
 
 
+def _stream_readers():
+    """What every reader of the discriminant stream returns at sizes that
+    cross many blocks of the smallest SEGMENT, failed searches included."""
+    from quatrig import geometry, rigidity
+
+    def outcome(search):
+        try:
+            return search()
+        except rigidity.NotFoundWithinBound as e:
+            return str(e)
+
+    algebras = rigidity._all_quaternion_algebras(400)
+    # a witness 100 places down the list: the prefix doubles across blocks
+    algebras += [parse_ram_set(r) for r in ("2,3,5,7,11,13,17,19", "2,3,5,7,11,13,17,19,23,29")]
+    places = [PlaceQ.finite(p) for p in (2, 3, 7)] + [INFINITY]
+    return {
+        "scan": [outcome(lambda: rigidity.rigidity_scan(10 ** 4, delta_max, ntc).witnesses)
+                 for delta_max in (20, 3000) for ntc in (False, True)],
+        "distinguish": [outcome(lambda: rigidity.distinguish_quaternions(b1, b2, delta_max))
+                        for b1, b2 in zip(algebras, algebras[1:]) for delta_max in (5, 3000)],
+        "limit_pair": [rigidity.limit_pair(m) for m in (2, 3, 5, 7, 11, 13)],
+        "geodesics": geometry.geodesic_census(parse_ram_set("2,3"), 3000),
+        "splitting": [splitting_density(v, x) for v in places for x in (100, 1009, 3000)],
+        "inert": [census.smallest_inert_stats(x) for x in (3, 64, 1008, 3000)],
+        "count": [fundamental_discriminant_count(x) for x in (1, 3, 8, 63, 64, 1008, 1009, 3000)],
+    }
+
+
+@pytest.mark.parametrize("segment", [16, 64, 1008])
+def test_stream_readers_match_across_block_edges(monkeypatch, segment):
+    expected = _stream_readers()
+    monkeypatch.setattr(census, "SEGMENT", segment)
+    assert _stream_readers() == expected
+
+
 def test_census_peak_memory_does_not_grow_with_x():
     # O(sqrt(y) + SEGMENT): about 4 MB for the subfield census at any x, and
     # 6 MB for the embed-quads census to 10^7, whose table would take 49 MB

@@ -6,8 +6,10 @@ import math
 import os
 import shlex
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from quatrig.brauer import parse_ram_set
 from quatrig.cache import CensusCache
 from quatrig.census import CountTable
 from quatrig.cli import build_parser, main
+from quatrig.fields import PlaceQ
 from quatrig.rigidity import rigidity_scan
 
 # stdout and exit code of one small argv per leaf command (both formats for
@@ -268,18 +271,19 @@ def test_fund_disc_is_the_embed_quads_census_of_the_matrix_algebra(capsys, tmp_p
 
 
 @pytest.mark.parametrize("argv, what", [
-    (["geodesics", "census", "--b", "2,3", "--x", "20000"],
-     "fundamental-discriminant table to 20000"),
+    (["geodesics", "census", "--b", "2,3", "--x", "50000"], "census to 50000"),
     (["rigidity", "scan", "--x", "10000"], "1830 algebra pairs"),
-    (["rigidity", "scan", "--x", "100", "--delta-max", "20000"],
-     "fundamental-discriminant table to 20000"),
+    (["rigidity", "scan", "--x", "100", "--delta-max", "50000"], "census to 50000"),
+    (["rigidity", "distinguish", "--b1", "2,3", "--b2", "2,5", "--delta-max", "50000"],
+     "census to 50000"),
     (["census", "fund-disc", "--x", "50000"], "census to 50000"),
     (["census", "quat-subfields", "--fields=-4", "--x", "2500000000"], "census to 50000"),
 ])
 def test_tables_past_the_memory_budget_exit_2(capsys, monkeypatch, tmp_path, argv, what):
     from quatrig import arith
 
-    # 10^5 bytes: a table to 16,666, 1,111 algebra pairs or a census to 40,000
+    # 10^5 bytes: 1,111 algebra pairs or a census to 40,000, where the stream
+    # of discriminants stops too
     monkeypatch.setattr(arith, "SIEVE_MEMORY_BUDGET", 4 * 10 ** 4)
     code = main(["--cache-dir", str(tmp_path), *argv])
     captured = capsys.readouterr()
@@ -290,12 +294,9 @@ def test_tables_past_the_memory_budget_exit_2(capsys, monkeypatch, tmp_path, arg
 def test_memory_budget_stops_the_sizes_that_ran_out_and_admits_the_rest(capsys, monkeypatch):
     from quatrig import rigidity
 
-    # at the real budget: 19,224 algebras (184,771,476 pairs) at x = 10^9, a
-    # table to 5 * 10^8 and a census to 2 * 10^9, all stopped before anything
-    # large is allocated
+    # at the real budget: 19,224 algebras (184,771,476 pairs) at x = 10^9 and
+    # a census to 2 * 10^9, both stopped before anything large is allocated
     for argv, what in ((["rigidity", "scan", "--x", "1000000000"], "184771476 algebra pairs"),
-                       (["geodesics", "census", "--b", "2,3", "--x", "500000000"],
-                        "table to 500000000"),
                        (["census", "fund-disc", "--x", "2000000000"], "census to 2000000000")):
         assert main(argv) == 2
         assert what in capsys.readouterr().err
@@ -312,7 +313,7 @@ def test_memory_budget_stops_the_sizes_that_ran_out_and_admits_the_rest(capsys, 
         census.fundamental_discriminants(4 * 10 ** 8)
     with pytest.raises(Admitted):
         census.census_embedding_quads(parse_ram_set(""), [10 ** 9])
-    monkeypatch.setattr(rigidity, "fundamental_discriminants", admitted)
+    monkeypatch.setattr(rigidity, "_fundamental_blocks", admitted)
     with pytest.raises(Admitted):
         rigidity.rigidity_scan(18 * 10 ** 7)  # 33,247,935 pairs
 
@@ -553,16 +554,52 @@ def test_readme_commands_run(capsys, tmp_path):
 def test_limit_pair_past_its_cap_exits_3(capsys, monkeypatch):
     from quatrig import rigidity
 
-    tables = []
-    build = rigidity.fundamental_discriminants
+    # one stream of blocks to the cap, read to its end
+    limits, blocks = [], []
+    stream = rigidity._fundamental_blocks
+
+    def spy(cap):
+        limits.append(cap)
+        for block in stream(cap):
+            blocks.append(block)
+            yield block
+
     monkeypatch.setattr(rigidity, "LIMIT_PAIR_CAP", 10 ** 4)
-    monkeypatch.setattr(rigidity, "fundamental_discriminants",
-                        lambda cap: tables.append(cap) or build(cap))
+    monkeypatch.setattr(rigidity, "_fundamental_blocks", spy)
     code = main(["rigidity", "limit-pair", "--m", "60"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
     assert "m = 60" in captured.err and "10000" in captured.err
-    assert tables == [10 ** 4]
+    assert limits == [10 ** 4]
+    assert np.concatenate(blocks).tolist() == census.fundamental_discriminants(10 ** 4).tolist()
+
+
+def test_negative_limit_keeps_its_message(capsys):
+    code = main(["geodesics", "census", "--b", "2,3", "--x", "-5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: limit must be >= 0\n")
+
+
+def test_no_command_builds_the_discriminant_table(capsys, monkeypatch, tmp_path):
+    # every reader walks census._fundamental_blocks; the table is for library callers
+    def refuse(limit):
+        raise AssertionError(f"table to {limit} built")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("quatrig")]:
+        if hasattr(module, "fundamental_discriminants"):
+            monkeypatch.setattr(module, "fundamental_discriminants", refuse)
+    for argv in (["geodesics", "census", "--b", "2,3", "--x", "3000"],
+                 ["rigidity", "scan", "--x", "1000", "--not-totally-complex"],
+                 ["rigidity", "distinguish", "--b1", "2,3", "--b2", "2,5"],
+                 ["rigidity", "limit-pair", "--m", "13"],
+                 ["census", "fund-disc", "--x", "3000"]):
+        code, _ = run(capsys, ["--cache-dir", str(tmp_path), *argv])
+        assert code == 0, argv
+    assert census.fundamental_discriminant_count(3000) == 1820
+    assert census.splitting_density(PlaceQ.finite(2), 3000) == (
+        Fraction(121, 364), Fraction(152, 455), Fraction(607, 1820))
+    assert census.smallest_inert_stats(3000) == {
+        "max_ratio": math.log(13) / math.log(24), "delta": -24, "prime": 13, "x": 3000}
 
 
 def test_census_without_cache_dir_writes_only_the_test_cache(capsys, tmp_path, monkeypatch):

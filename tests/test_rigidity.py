@@ -155,6 +155,30 @@ def test_rigidity_scan_matches_scalar_embeds(brute_quaternion_algebras, not_tota
     assert list(rigidity_scan(x, delta_max, not_totally_complex).pairs) == want
 
 
+def test_distinguish_reads_only_the_blocks_it_needs(monkeypatch):
+    # a witness among the first 64 fields: one block of 2^18 |delta| of 10^7
+    read = []
+    stream = rigidity._fundamental_blocks
+    monkeypatch.setattr(rigidity, "_fundamental_blocks",
+                        lambda limit: (read.append(len(b)) or b for b in stream(limit)))
+    assert distinguish_quaternions(parse_ram_set("2,3"), parse_ram_set("2,5"), 10 ** 7) == -4
+    assert len(read) == 1
+
+
+def test_limit_pair_allocates_one_block_at_a_time():
+    # the partner at |delta| = 2,711,427 traces about 6 MB through blocks of
+    # 2^18, where tables grown tenfold to 10^7 traced 90 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        assert limit_pair(43) == (-3, -2711427, 61, 67)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 10 ** 6
+
+
 def test_distinguish_quaternions_past_the_first_prefix():
     # witnesses 100 to 266 places down the list: the bit-packed prefix doubles
     deltas = fundamental_discriminants(10 ** 4).tolist()

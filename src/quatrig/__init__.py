@@ -40,8 +40,6 @@ from .census import (
     count_division,
     count_embedding_quads,
     count_quat_with_subfields,
-    dirichlet_coefficients_csa,
-    dirichlet_coefficients_embed,
     fundamental_discriminant_count,
     smallest_inert_prime,
     splitting_density,

@@ -9,14 +9,31 @@ the 1e-9 contract of the callers.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
-import numpy as np
-from mpmath import mp
-from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_log, mpf_mul_int, mpf_sqrt
+
+def _on_first_use(name: str):
+    """The module `name`, executed on its first attribute access rather than
+    now (or as it is, when already imported): a command that never touches
+    numpy or mpmath, such as a warm census, never pays for importing them.
+    The other modules take np and mpmath from here; an `import numpy` of
+    their own would execute it at once."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _on_first_use("numpy")
+mpmath = _on_first_use("mpmath")
 
 PRECISION_BITS = 80
 
@@ -83,10 +100,12 @@ def _legendre(r: np.ndarray, p: int) -> np.ndarray:
     return np.array(chi, dtype=np.int8)[where].reshape(r.shape)
 
 
-# chi_e(n mod 8) for the 2-part e of a fundamental discriminant; chi_8(a) = (a|2)
-_TWO_PARTS = {e: np.array(t, dtype=np.int8) for e, t in (
-    (1, [1] * 8), (-4, [0, 1, 0, -1] * 2), (8, [0, 1, 0, -1, 0, -1, 0, 1]),
-    (-8, [0, 1, 0, 1, 0, -1, 0, -1]))}
+@lru_cache(maxsize=None)
+def _two_parts() -> dict:
+    """chi_e(n mod 8) for the 2-part e of a fundamental discriminant; chi_8(a) = (a|2)."""
+    return {e: np.array(t, dtype=np.int8) for e, t in (
+        (1, [1] * 8), (-4, [0, 1, 0, -1] * 2), (8, [0, 1, 0, -1, 0, -1, 0, 1]),
+        (-8, [0, 1, 0, 1, 0, -1, 0, -1]))}
 
 
 def kronecker_vec(a, n) -> np.ndarray:
@@ -103,7 +122,7 @@ def kronecker_vec(a, n) -> np.ndarray:
         # residues straight into int32: no int64 temporary as long as a table of a
         r = np.remainder(a, m, out=np.empty(a.shape, np.int32 if m < 2 ** 31 else np.int64),
                          casting="unsafe")
-        return _TWO_PARTS[8][r] if p == 2 else _legendre(r, p)
+        return _two_parts()[8][r] if p == 2 else _legendre(r, p)
     n = np.asarray(n)
     out = np.ones(n.shape, dtype=np.int8)
     two_part = a
@@ -111,9 +130,10 @@ def kronecker_vec(a, n) -> np.ndarray:
         if p > 2:
             out *= _legendre(n % p, p)
             two_part //= p if p % 4 == 1 else -p
-    if two_part not in _TWO_PARTS:
+    chi = _two_parts().get(two_part)
+    if chi is None:
         raise InvalidDiscriminant(f"{a} is not a fundamental discriminant")
-    return out * _TWO_PARTS[two_part][n & 7]  # n mod 8, negative n included
+    return out * chi[n & 7]  # n mod 8, negative n included
 
 
 def is_fundamental_discriminant(d: int) -> bool:
@@ -314,39 +334,52 @@ class PellSolution:
         """log((t + u*sqrt(delta))/2), the log of the fundamental unit: the
         libmp steps of mp.log((t + u*mp.sqrt(delta))/2) at PRECISION_BITS,
         rounded to nearest, without a working-precision context."""
-        prec = PRECISION_BITS
-        root = mpf_sqrt(from_int(self.delta), prec, "n")
-        unit = mpf_add(mpf_mul_int(root, self.u, prec, "n"), from_int(self.t), prec, "n")
-        return mp.make_mpf(mpf_log(mpf_div(unit, from_int(2), prec, "n"), prec, "n"))
+        prec, lib = PRECISION_BITS, mpmath.libmp
+        root = lib.mpf_sqrt(lib.from_int(self.delta), prec, "n")
+        unit = lib.mpf_add(lib.mpf_mul_int(root, self.u, prec, "n"), lib.from_int(self.t),
+                           prec, "n")
+        half = lib.mpf_div(unit, lib.from_int(2), prec, "n")
+        return mpmath.mp.make_mpf(lib.mpf_log(half, prec, "n"))
 
 
 def pell_fundamental(delta: int) -> PellSolution:
     """Fundamental solution of t^2 - delta*u^2 = +-4 for a positive
-    fundamental discriminant, from one continued fraction (brute force is
-    kept as a test oracle only).
+    fundamental discriminant, from half the period of one continued fraction
+    (brute force is kept as a test oracle only).
 
     omega = (b + sqrt(delta))/2, with b the largest integer below sqrt(delta)
     and b = delta (mod 2), is reduced, so its expansion is purely periodic:
-    the complete quotients (P + sqrt(delta))/Q start at (P, Q) = (b, 2), each
-    step takes a = floor((P + floor(sqrt(delta)))/Q), P <- aQ - P and
-    Q <- (delta - P^2)/Q, and after the period l they are back at (b, 2).
-    With q_k the convergent denominators the unit is q_{l-1}*omega + q_{l-2}:
-    t = b*q_{l-1} + 2*q_{l-2}, u = q_{l-1}, of norm (-1)^l.
+    the complete quotients (P_k + sqrt(delta))/Q_k start at (P_0, Q_0) = (b, 2),
+    each step takes a_k = floor((P_k + floor(sqrt(delta)))/Q_k),
+    P_{k+1} = a_k Q_k - P_k and Q_{k+1} = (delta - P_{k+1}^2)/Q_k, and after
+    the period l they are back at (b, 2).  With q_k the convergent
+    denominators the unit is q_{l-1}*omega + q_{l-2}, of norm (-1)^l, so
+    u = q_{l-1} and t = sqrt(delta*u^2 + 4*(-1)^l).
+
+    Since -1/omega' is the first complete quotient, a_1 ... a_{l-1} is a
+    palindrome (Galois), so P_{l+1-k} = P_k and Q_{l-k} = Q_k, and the middle
+    of the period is the first k >= 1 with Q_k = Q_{k-1} (l = 2k - 1) or
+    P_{k+1} = P_k (l = 2k).  With M_i = [[a_i, 1], [1, 0]], q_{l-1} is the
+    top left entry of M_1 ... M_{l-1} = H H^T (l odd) or H M_k H^T (l even)
+    for H = M_1 ... M_{k-1}, which only needs the top row (x, y) of H.
     """
     if delta <= 0 or not is_fundamental_discriminant(delta):
         raise InvalidDiscriminant(f"{delta} is not a positive fundamental discriminant")
     root = isqrt(delta)
     b = root - (root - delta) % 2
-    pp, qq, q_prev, q_cur, period = b, 2, 1, 0, 0  # P, Q; q_{k-2}, q_{k-1}
-    while True:
+    q_last, pp, qq = 2, b, (delta - b * b) // 2  # Q_0; P_1, Q_1 (a_0 = b)
+    x, y = 1, 0
+    while qq != q_last:
         a = (pp + root) // qq
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        pp = a * qq - pp
-        qq = (delta - pp * pp) // qq
-        period += 1
-        if qq == 2 and pp == b:
+        p_next = a * qq - pp
+        if p_next == pp:
+            u, norm = x * (a * x + 2 * y), 1
             break
-    t, u, norm = b * q_cur + 2 * q_prev, q_cur, (-1) ** period
+        x, y = a * x + y, x
+        q_last, pp, qq = qq, p_next, (delta - p_next * p_next) // qq
+    else:
+        u, norm = x * x + y * y, -1
+    t = isqrt(delta * u * u + 4 * norm)
     if norm == 1:
         t1, u1 = t, u
     else:
@@ -415,25 +448,25 @@ def dirichlet_L(delta: int, s: int):
         raise InvalidDiscriminant(f"{delta} is not a fundamental discriminant")
     if s not in (1, 2):
         raise ValueError("s must be 1 or 2")
-    with mp.workprec(PRECISION_BITS):
+    with mpmath.mp.workprec(PRECISION_BITS):
         if s == 1:
             h = class_number(delta)
             if delta > 0:
-                return 2 * h * pell_fundamental(delta).regulator() / mp.sqrt(delta)
+                return 2 * h * pell_fundamental(delta).regulator() / mpmath.mp.sqrt(delta)
             w = 6 if delta == -3 else 4 if delta == -4 else 2
-            return 2 * mp.pi * h / (w * mp.sqrt(-delta))
+            return 2 * mpmath.mp.pi * h / (w * mpmath.mp.sqrt(-delta))
         q = abs(delta)
-        total = mp.mpf(0)
+        total = mpmath.mp.mpf(0)
         for a, chi in enumerate(kronecker_vec(delta, np.arange(1, q)).tolist(), 1):
             if chi:
-                total += chi * mp.zeta(2, mp.mpf(a) / q)
+                total += chi * mpmath.mp.zeta(2, mpmath.mp.mpf(a) / q)
         return total / q ** 2
 
 
 def zeta_k_at_2(delta: int):
     """zeta_k(2) for the quadratic field of discriminant delta, or zeta(2)
     itself when delta = 1 (the rational field)."""
-    with mp.workprec(PRECISION_BITS):
+    with mpmath.mp.workprec(PRECISION_BITS):
         if delta == 1:
-            return mp.zeta(2)
-        return mp.zeta(2) * dirichlet_L(delta, 2)
+            return mpmath.mp.zeta(2)
+        return mpmath.mp.zeta(2) * dirichlet_L(delta, 2)

@@ -1,7 +1,7 @@
 """Exact enumeration engines: the empirical counting functions on the left
-side of every counting theorem, and the Dirichlet-coefficient oracle that
-reproduces them through an entirely independent route (exact multiplication
-of Euler factors).
+side of every counting theorem.  The tests hold the Dirichlet-coefficient
+oracle that reproduces them through an entirely independent route (exact
+multiplication of Euler factors).
 
 Quaternion algebras have |disc| = q^2 for the squarefree product q of their
 finite ramified primes, so the quaternion division and subfield censuses are
@@ -32,18 +32,15 @@ from functools import lru_cache
 from itertools import accumulate
 from math import gcd, isqrt, lcm, log, prod
 
-import numpy as np
-
 from . import arith
 from .arith import (
     divisors,
     factorize,
     iroot,
-    kronecker_symbol,
     kronecker_vec,
     mobius,
+    np,
     primes_upto,
-    ramanujan_sum,
     squarefree_products,
 )
 from .brauer import QuaternionAlgebraQ
@@ -199,15 +196,19 @@ def count_division(n: int, x: int) -> int:
 # -- the block kernel ---------------------------------------------------------
 
 # Every sieve census walks its range in blocks of SEGMENT integers, so its
-# arrays stay a few MB at any range (2^18 measured fastest at 10^7); the
-# fundamental-discriminant blocks need a multiple of 16.
+# arrays stay a few MB at any range (2^18 measured fastest at 10^7).  The
+# discriminant stream starts at FIRST_BLOCK and doubles up to SEGMENT, so a
+# reader that stops early reads few; both need a multiple of 16.
 SEGMENT = 1 << 18
+FIRST_BLOCK = 1 << 10
 
 
-def _blocks(y: int, step: int, deltas: tuple[int, ...] = (), even_only: bool = False):
-    """(lo, ok) for each block [lo, lo + step) of 0..y, in order: ok[i] says
-    that n = lo + i >= 1 is squarefree with no prime factor split in any
-    Q(sqrt(delta_i)), and, with even_only, that mu(n) = 1.
+def _blocks(y: int, first: int, step: int, deltas: tuple[int, ...] = (),
+            even_only: bool = False):
+    """(lo, ok) for each block [lo, lo + size) of 0..y, in order, the sizes
+    doubling from `first` up to `step`: ok[i] says that n = lo + i >= 1 is
+    squarefree with no prime factor split in any Q(sqrt(delta_i)), and, with
+    even_only, that mu(n) = 1.
 
     Only the primes p <= sqrt(y) are sieved.  Each block strikes the
     multiples of p when p splits, and of p^2 otherwise (at most one per block
@@ -227,14 +228,15 @@ def _blocks(y: int, step: int, deltas: tuple[int, ...] = (), even_only: bool = F
     squares = squares[squares >= step]
     factor = bool(deltas) or even_only  # P has to be found
     nonsplit = primes[~split].tolist()
-    for lo in range(0, y + 1, step):
-        size = min(step, y + 1 - lo)
+    lo, full = 0, min(first, step)
+    while lo <= y:
+        size = min(full, y + 1 - lo)
         ok = np.ones(size, dtype=bool)
         ok[0] = lo > 0  # n = 0 counts nothing
         for m in struck:
             ok[-lo % m::m] = False
-        first = -lo % squares
-        ok[first[first < size]] = False
+        offset = -lo % squares
+        ok[offset[offset < size]] = False
         if factor:
             small = np.ones(size, dtype=np.uint32)  # product of the nonsplit prime factors
             odd = np.zeros(size, dtype=bool)  # parity of their number
@@ -250,6 +252,7 @@ def _blocks(y: int, step: int, deltas: tuple[int, ...] = (), even_only: bool = F
                 drop |= big & (kronecker_vec(d, cofactor) == 1)
             ok[live[drop]] = False
         yield lo, ok
+        lo, full = lo + full, min(2 * full, step)
 
 
 def _sieve_counts(deltas: tuple[int, ...], ys: list[int], even_only: bool = False) -> list[int]:
@@ -258,7 +261,7 @@ def _sieve_counts(deltas: tuple[int, ...], ys: list[int], even_only: bool = Fals
     with mu(q) = 1.  One pass of the block kernel to the largest y, each
     block counting the flags at or below every threshold."""
     counts = np.zeros(len(ys), dtype=np.int64)
-    for lo, ok in _blocks(ys[-1], SEGMENT, deltas, even_only):
+    for lo, ok in _blocks(ys[-1], SEGMENT, SEGMENT, deltas, even_only):
         counts += _prefix_counts(ok, np.clip(np.array(ys) + 1 - lo, 0, len(ok)).tolist())
     return counts.tolist()
 
@@ -273,13 +276,14 @@ def _prefix_counts(flags: np.ndarray, ends: list[int]) -> list[int]:
 def _fundamental_blocks(limit: int):
     """The fundamental discriminants with |delta| <= limit, one int64 array
     per block of |delta|, sorted by |delta| with the negative one first on
-    ties.  Block [lo, lo + SEGMENT) takes the squarefree flags of k in it and
-    of m in [lo/4, (lo + SEGMENT)/4): +-k for squarefree k = 1, 3 mod 4 (the
+    ties.  Block [lo, lo + size) takes the squarefree flags of k in it and
+    of m in [lo/4, (lo + size)/4): +-k for squarefree k = 1, 3 mod 4 (the
     sign fixed by k mod 4), and +-4m for squarefree m with +-m = 2, 3 mod 4."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    for (lo, sq), (_, sq4) in zip(_blocks(limit, SEGMENT), _blocks(limit // 4, SEGMENT // 4)):
-        # row i flags (-(lo + i), +(lo + i)); SEGMENT is a multiple of 16
+    for (lo, sq), (_, sq4) in zip(_blocks(limit, FIRST_BLOCK, SEGMENT),
+                                  _blocks(limit // 4, FIRST_BLOCK // 4, SEGMENT // 4)):
+        # row i flags (-(lo + i), +(lo + i)); every block size is a multiple of 16
         flags = np.zeros((len(sq), 2), dtype=bool)
         flags[1::4, 1] = sq[1::4]
         flags[3::4, 0] = sq[3::4]
@@ -412,8 +416,8 @@ def census_quat_with_subfields(deltas, thresholds) -> CountTable:
     nonsplit in every field, and |disc| = q^2 for the product q of the finite
     ones; when the real place qualifies (all delta_i < 0) it absorbs either
     parity of the finite part, otherwise only even sets count.  One sieve
-    count of such q <= sqrt(x); the Dirichlet-coefficient oracle
-    (dirichlet_coefficients_embed) is the independent route."""
+    count of such q <= sqrt(x); the tests' Dirichlet-coefficient oracle is
+    the independent route."""
     deltas = tuple(int(d) for d in deltas)
     check_independent(deltas)
     thresholds = _ascending(thresholds)
@@ -424,75 +428,6 @@ def census_quat_with_subfields(deltas, thresholds) -> CountTable:
 
 def count_quat_with_subfields(deltas, x: int) -> int:
     return census_quat_with_subfields(deltas, [x]).counts[0]
-
-
-# -- Dirichlet-coefficient oracle -------------------------------------------
-
-def _multiply_factor(arr: list[int], terms, n_max: int) -> list[int]:
-    out = arr.copy()
-    for pw, c in terms:
-        if c == 0:
-            continue
-        for i in range(1, n_max // pw + 1):
-            if arr[i]:
-                out[i * pw] += c * arr[i]
-    return out
-
-
-def dirichlet_coefficients_csa(m: int, n: int, n_max: int) -> list[int]:
-    """Coefficients a_N (N <= n_max) of the generating Dirichlet series whose
-    partial sums equal the N_{m,n} census: exact root-of-unity averaging of
-    Euler products, with Ramanujan sums as the closed-form numerators."""
-    if n % m != 0:
-        raise ValueError("m must divide n")
-    weights = [(d, n * n - n * n // d) for d in divisors(m) if d > 1]
-    min_w = min((w for _, w in weights), default=None)
-    acc = [0] * (n_max + 1)
-    for j in range(m):
-        arr = [0] * (n_max + 1)
-        arr[1] = 1
-        if min_w is not None:
-            for p in primes_upto(iroot(n_max, min_w)).tolist():
-                terms = [(p ** w, ramanujan_sum(d, j)) for d, w in weights
-                         if p ** w <= n_max]
-                arr = _multiply_factor(arr, terms, n_max)
-        real_factor = (1 + (-1) ** j) if m % 2 == 0 else 1
-        if real_factor:
-            for i in range(1, n_max + 1):
-                acc[i] += real_factor * arr[i]
-    for i in range(1, n_max + 1):
-        if acc[i] % m != 0:
-            raise InternalInconsistency(f"coefficient at {i} not divisible by {m}")
-        acc[i] //= m
-        if acc[i] < 0:
-            raise InternalInconsistency(f"negative coefficient at {i}")
-    return acc
-
-
-def dirichlet_coefficients_embed(deltas, n_max: int) -> list[int]:
-    """Coefficients a_N of the series counting quaternion algebras admitting
-    all the given subfields, |disc| = N; its primes come from trial division
-    and the scalar Kronecker symbol, a route that shares nothing with the sieve."""
-    deltas = tuple(int(d) for d in deltas)
-    check_independent(deltas)
-    primes = [p for p in range(2, isqrt(n_max) + 1) if factorize(p) == [(p, 1)]
-              and all(kronecker_symbol(d, p) != 1 for d in deltas)]
-    c0 = [0] * (n_max + 1)
-    c0[1] = 1
-    c1 = c0.copy()
-    for p in primes:
-        c0 = _multiply_factor(c0, [(p * p, 1)], n_max)
-        c1 = _multiply_factor(c1, [(p * p, -1)], n_max)
-    r1p = 1 if all(d < 0 for d in deltas) else 0
-    out = [0] * (n_max + 1)
-    for i in range(1, n_max + 1):
-        num = (2 if r1p else 1) * c0[i] + (0 if r1p else 1) * c1[i]
-        if num % 2 != 0:
-            raise InternalInconsistency(f"odd numerator at {i}")
-        out[i] = num // 2
-        if out[i] < 0:
-            raise InternalInconsistency(f"negative coefficient at {i}")
-    return out
 
 
 # -- splitting statistics ----------------------------------------------------

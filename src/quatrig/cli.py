@@ -29,9 +29,8 @@ import math
 import sys
 from itertools import combinations, islice
 
-from mpmath import mp
-
 from . import arith, asymptotics, census, geometry, rigidity
+from .arith import mpmath
 from .brauer import QuaternionAlgebraQ, parse_ram_set, parse_ram_set_l, format_ram_set
 from .cache import CacheCorruption, CensusCache
 from .census import DependentDiscriminants, InternalInconsistency
@@ -61,16 +60,16 @@ _JSON_PREC = 100  # bits, for the float-range test and for the log10 of a bound
 def _json_value(value):
     """A float or mpf as JSON: the float if |value| < 10^308, else {"log10": ...},
     or {"log10_log10": ...} once that log10 reaches 10^308; ValueError at <= -10^308."""
-    with mp.workprec(_JSON_PREC):
-        edge = mp.mpf(10) ** 308
+    with mpmath.mp.workprec(_JSON_PREC):
+        edge = mpmath.mp.mpf(10) ** 308
         if value <= -edge:
-            raise ValueError(f"{mp.nstr(value, 6)} is below -1e308 and has no JSON form")
+            raise ValueError(f"{mpmath.mp.nstr(value, 6)} is below -1e308 and has no JSON form")
         if value < edge:
             return float(value)
-        log10 = mp.log10(value)
+        log10 = mpmath.mp.log10(value)
         if log10 < edge:
             return {"log10": float(log10)}
-        return {"log10_log10": float(mp.log10(log10))}
+        return {"log10_log10": float(mpmath.mp.log10(log10))}
 
 
 def _json(payload) -> str:
@@ -255,8 +254,8 @@ def _rigidity_family(args):
 
 
 def _emit_bound(args, rep: rigidity.BoundReport):
-    with mp.workprec(_JSON_PREC):
-        log10 = mp.log10(rep.value)
+    with mpmath.mp.workprec(_JSON_PREC):
+        log10 = mpmath.mp.log10(rep.value)
     _emit(args, {"bound": rep.name, "inputs": rep.inputs,
                  "value": _json_value(rep.value), "log10": _json_value(log10)})
 

@@ -12,13 +12,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt, prod
 
-from mpmath import mp
-
 from .arith import (
     PRECISION_BITS,
     InvalidDiscriminant,
     is_fundamental_discriminant,
     kronecker_symbol,
+    mpmath,
     pell_fundamental,
     squarefree_kernel,
 )
@@ -203,19 +202,19 @@ def height(alpha: QuadraticInteger):
     the minimal polynomial."""
     if alpha.is_zero():
         raise ValueError("height of zero is undefined")
-    with mp.workprec(PRECISION_BITS):
+    with mpmath.mp.workprec(PRECISION_BITS):
         if alpha.degree == 1:
-            return mp.log(max(1, abs(alpha.n)))
+            return mpmath.mp.log(max(1, abs(alpha.n)))
         b, c = alpha.b, alpha.c
         disc = b * b - 4 * c
         if disc < 0:
             # conjugate pair of modulus sqrt(c)
-            return mp.log(max(1, mp.mpf(c))) / 2
-        s = mp.sqrt(disc)
+            return mpmath.mp.log(max(1, mpmath.mp.mpf(c))) / 2
+        s = mpmath.mp.sqrt(disc)
         r1 = (-b + s) / 2
         r2 = (-b - s) / 2
         mahler = max(1, abs(r1)) * max(1, abs(r2))
-        return mp.log(mahler) / 2
+        return mpmath.mp.log(mahler) / 2
 
 
 def basis_bound(field: QuadraticField):
@@ -224,14 +223,14 @@ def basis_bound(field: QuadraticField):
     b = delta mod 2."""
     d = field.delta
     b = d % 2
-    with mp.workprec(PRECISION_BITS):
+    with mpmath.mp.workprec(PRECISION_BITS):
         if d > 0:
-            s = mp.sqrt(d)
+            s = mpmath.mp.sqrt(d)
             w1 = (b + s) / 2
             w2 = (b - s) / 2
             return (1 + abs(w1)) * (1 + abs(w2))
         # complex embeddings: |omega| = sqrt(b^2 + |delta|)/2
-        mod = mp.sqrt(b * b - d) / 2
+        mod = mpmath.mp.sqrt(b * b - d) / 2
         return (1 + mod) ** 2
 
 

@@ -14,11 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from mpmath import mp
-
 from .arith import (
     PRECISION_BITS,
     InvalidDiscriminant,
+    mpmath,
     pell_fundamental,
     squarefree_products,
     zeta_k_at_2,
@@ -50,16 +49,16 @@ def length_from_trace(t) -> float:
     """Geodesic length from a hyperbolic trace: l = 2*arccosh(|t|/2)."""
     if abs(t) <= 2:
         raise NonHyperbolicTrace(f"trace {t} is not hyperbolic")
-    with mp.workprec(PRECISION_BITS):
-        return float(2 * mp.acosh(abs(mp.mpf(t)) / 2))
+    with mpmath.mp.workprec(PRECISION_BITS):
+        return float(2 * mpmath.mp.acosh(abs(mpmath.mp.mpf(t)) / 2))
 
 
 def trace_from_length(length) -> float:
     """Inverse of length_from_trace (positive branch)."""
     if length <= 0:
         raise ValueError("length must be positive")
-    with mp.workprec(PRECISION_BITS):
-        return float(2 * mp.cosh(mp.mpf(length) / 2))
+    with mpmath.mp.workprec(PRECISION_BITS):
+        return float(2 * mpmath.mp.cosh(mpmath.mp.mpf(length) / 2))
 
 
 @dataclass(frozen=True)
@@ -196,12 +195,12 @@ def disc_bound_from_volume(volume: float, dimension: int):
     the given volume: (10^93 V^13)^10 in dimension 2, 10^57 V^7 in 3."""
     if volume <= 0:
         raise ValueError("volume must be positive")
-    with mp.workprec(PRECISION_BITS):
-        v = mp.mpf(volume)
+    with mpmath.mp.workprec(PRECISION_BITS):
+        v = mpmath.mp.mpf(volume)
         if dimension == 2:
-            return (mp.mpf(10) ** 93 * v ** 13) ** 10
+            return (mpmath.mp.mpf(10) ** 93 * v ** 13) ** 10
         if dimension == 3:
-            return mp.mpf(10) ** 57 * v ** 7
+            return mpmath.mp.mpf(10) ** 57 * v ** 7
     raise ValueError("dimension must be 2 or 3")
 
 

@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, islice
 
-import numpy as np
-from mpmath import mp
-
 from . import arith
-from .arith import chebyshev_theta, kronecker_vec, primes_upto
+from .arith import chebyshev_theta, kronecker_vec, mpmath, np, primes_upto
 from .brauer import QuaternionAlgebraL, QuaternionAlgebraQ, descends, embeds, quaternion_iso
 from .census import (_embeds_mask, _fundamental_blocks, least_primes,
                      quaternion_algebras_by_disc)
@@ -48,13 +46,13 @@ class BoundReport:
     value: object  # mpf
 
     def __post_init__(self):
-        if not (isinstance(self.value, mp.mpf) and self.value > 0):
+        if not (isinstance(self.value, mpmath.mp.mpf) and self.value > 0):
             raise ValueError(f"the {self.name} bound {self.value} is not a positive real")
 
     @property
     def log10(self) -> float:
-        with mp.workprec(_BOUND_PREC):
-            return float(mp.log10(self.value))  # inf past the float range
+        with mpmath.mp.workprec(_BOUND_PREC):
+            return float(mpmath.mp.log10(self.value))  # inf past the float range
 
 
 def recognizing_bound(n_k: int, d_k: int, x: float) -> BoundReport:
@@ -63,10 +61,10 @@ def recognizing_bound(n_k: int, d_k: int, x: float) -> BoundReport:
     subfields: 64^(n_k^3) d_k^(n_k) exp(2 n_k (21x/log^3 x + x))."""
     if x <= 2 or n_k < 1 or d_k < 1:
         raise ValueError("x must exceed 2, n_k and d_k must be >= 1")
-    with mp.workprec(_BOUND_PREC):
-        xx = mp.mpf(x)
-        expo = 2 * n_k * (21 * xx / mp.log(xx) ** 3 + xx)
-        value = mp.mpf(64) ** (n_k ** 3) * mp.mpf(d_k) ** n_k * mp.exp(expo)
+    with mpmath.mp.workprec(_BOUND_PREC):
+        xx = mpmath.mp.mpf(x)
+        expo = 2 * n_k * (21 * xx / mpmath.mp.log(xx) ** 3 + xx)
+        value = mpmath.mp.mpf(64) ** (n_k ** 3) * mpmath.mp.mpf(d_k) ** n_k * mpmath.mp.exp(expo)
     return BoundReport("recognizing", {"n_k": n_k, "d_k": d_k, "x": x}, value)
 
 
@@ -76,9 +74,9 @@ def grunwald_wang_conductor_bound(n_k: int, b_omega: float, x: float) -> BoundRe
     if x <= 2 or n_k < 1:
         raise ValueError("x must exceed 2 and n_k must be >= 1")
     theta = chebyshev_theta(x)
-    with mp.workprec(_BOUND_PREC):
-        value = (mp.mpf(32) ** (n_k ** 2) * mp.mpf(b_omega)
-                 * mp.exp(mp.mpf(2) * n_k * theta))
+    with mpmath.mp.workprec(_BOUND_PREC):
+        value = (mpmath.mp.mpf(32) ** (n_k ** 2) * mpmath.mp.mpf(b_omega)
+                 * mpmath.mp.exp(mpmath.mp.mpf(2) * n_k * theta))
     return BoundReport("grunwald_wang", {"n_k": n_k, "b_omega": b_omega, "x": x}, value)
 
 
@@ -86,16 +84,17 @@ def chlr_length_bound(volume: float, dimension: int, c1: float = 1.0,
                       c2: float = 1.0, c3: float = 1.0) -> BoundReport:
     """Length-spectrum agreement radius forcing commensurability:
     c1 e^(c2 log(V) V^130) in dimension 2, c3 e^((log V)^(log V)) in 3."""
-    with mp.workprec(_BOUND_PREC):
-        v = mp.mpf(volume)
+    with mpmath.mp.workprec(_BOUND_PREC):
+        v = mpmath.mp.mpf(volume)
         if dimension == 2:
             if v <= 1:
                 raise ValueError("volume must exceed 1")
-            value = mp.mpf(c1) * mp.exp(mp.mpf(c2) * mp.log(v) * v ** 130)
+            value = mpmath.mp.mpf(c1) * mpmath.mp.exp(
+                mpmath.mp.mpf(c2) * mpmath.mp.log(v) * v ** 130)
         elif dimension == 3:
             if v <= 1:
                 raise ValueError("volume must exceed 1 so log V > 0")
-            value = mp.mpf(c3) * mp.exp(mp.log(v) ** mp.log(v))
+            value = mpmath.mp.mpf(c3) * mpmath.mp.exp(mpmath.mp.log(v) ** mpmath.mp.log(v))
         else:
             raise ValueError("dimension must be 2 or 3")
     return BoundReport("chlr_length", {"volume": volume, "dimension": dimension,
@@ -104,8 +103,8 @@ def chlr_length_bound(volume: float, dimension: int, c1: float = 1.0,
 
 def mcreid_area_bound(volume: float, c: float = 1.0) -> BoundReport:
     """Area radius e^(cV) for totally geodesic surface spectra."""
-    with mp.workprec(_BOUND_PREC):
-        value = mp.exp(mp.mpf(c) * mp.mpf(volume))
+    with mpmath.mp.workprec(_BOUND_PREC):
+        value = mpmath.mp.exp(mpmath.mp.mpf(c) * mpmath.mp.mpf(volume))
     return BoundReport("mcreid_area", {"volume": volume, "c": c}, value)
 
 
@@ -115,17 +114,19 @@ def brauer_rigidity_bound(d_base: float, c: float, disc1: float, disc2: float) -
     The base-field discriminant symbol is taken as an explicit input."""
     if min(d_base, disc1, disc2) <= 0:
         raise ValueError("inputs must be positive")
-    with mp.workprec(_BOUND_PREC):
-        prod = mp.mpf(disc1) * mp.mpf(disc2)
-        value = mp.mpf(d_base) ** (2 * c) * (2 * mp.log(prod)) ** 4 * prod
+    with mpmath.mp.workprec(_BOUND_PREC):
+        prod = mpmath.mp.mpf(disc1) * mpmath.mp.mpf(disc2)
+        value = mpmath.mp.mpf(d_base) ** (2 * c) * (2 * mpmath.mp.log(prod)) ** 4 * prod
     return BoundReport("brauer_rigidity",
                        {"d_base": d_base, "C": c, "disc1": disc1, "disc2": disc2}, value)
 
 
 # -- distinguishing experiments ----------------------------------------------
 
-# the index of the lowest set bit of each nonzero byte
-_LOWEST_BIT = np.array([(k & -k).bit_length() - 1 for k in range(256)])
+@lru_cache(maxsize=None)
+def _lowest_bit() -> np.ndarray:
+    """The index of the lowest set bit of each nonzero byte."""
+    return np.array([(k & -k).bit_length() - 1 for k in range(256)])
 
 
 def _first_witnesses(algebras, blocks, not_totally_complex=False) -> np.ndarray:
@@ -161,7 +162,7 @@ def _first_witnesses(algebras, blocks, not_totally_complex=False) -> np.ndarray:
         hit = diff.any(axis=1)
         diff = diff[hit]
         byte = (diff != 0).argmax(axis=1)
-        found[todo[hit]] = prefix[8 * byte + _LOWEST_BIT[diff[np.arange(len(diff)), byte]]]
+        found[todo[hit]] = prefix[8 * byte + _lowest_bit()[diff[np.arange(len(diff)), byte]]]
         todo = todo[~hit]
         if length >= len(deltas):
             break

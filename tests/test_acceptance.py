@@ -23,8 +23,6 @@ from quatrig.census import (
     count_division,
     count_embedding_quads,
     count_quat_with_subfields,
-    dirichlet_coefficients_csa,
-    dirichlet_coefficients_embed,
     fundamental_discriminants,
     splitting_density,
 )
@@ -76,7 +74,8 @@ def test_criterion_03_n3_identity_and_growth():
     _report(3, f"20 identity checks to 1e12, count/model = {ratio:.3f}, {elapsed:.1f}s")
 
 
-def test_criterion_04_dirichlet_coefficient_oracle():
+def test_criterion_04_dirichlet_coefficient_oracle(dirichlet_coefficients_csa,
+                                                   dirichlet_coefficients_embed):
     n_max = 10 ** 4
     for m, n in ((2, 2), (3, 3)):
         assert dirichlet_coefficients_csa(m, n, n_max) == csa_disc_counts(m, n, n_max), (m, n)

@@ -291,6 +291,37 @@ def test_pell_against_brute_force():
             assert s.u > 3999  # solution out of brute-force reach, identity already checked
 
 
+def _pell_full_period(delta):
+    """(t, u, norm, t1, u1) from whole periods of omega = (b + sqrt(delta))/2:
+    q_{k-1}*omega + q_{k-2} is the fundamental unit when the complete
+    quotients first return to omega (after l steps, norm (-1)^l), and the
+    norm-one unit when they first return after an even number of steps."""
+    root = isqrt(delta)
+    b = root - (root - delta) % 2
+    pp, qq, q_prev, q_cur, steps, units = b, 2, 1, 0, 0, []
+    while True:
+        a = (pp + root) // qq
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+        pp = a * qq - pp
+        qq = (delta - pp * pp) // qq
+        steps += 1
+        if (pp, qq) == (b, 2):
+            units.append((b * q_cur + 2 * q_prev, q_cur))
+            if steps % 2 == 0:
+                break
+    (t, u), (t1, u1) = units[0], units[-1]
+    return t, u, (-1) ** (steps // len(units)), t1, u1
+
+
+def test_pell_half_period_matches_the_full_period():
+    # the palindromic half period gives the same integers as the whole one
+    deltas = [d for d in range(2, 2 * 10 ** 5) if is_fundamental_discriminant(d)]
+    assert len(deltas) == 60788
+    for delta in deltas:
+        s = pell_fundamental(delta)
+        assert (s.t, s.u, s.norm, s.t1, s.u1) == _pell_full_period(delta), delta
+
+
 def test_pell_known_unit_past_brute_force():
     # x^2 - 94 y^2 = 1 at (2143295, 221064), and 94 has no norm -1 unit
     s = pell_fundamental(376)

@@ -28,8 +28,6 @@ from quatrig.census import (
     count_division,
     count_embedding_quads,
     count_quat_with_subfields,
-    dirichlet_coefficients_csa,
-    dirichlet_coefficients_embed,
     fundamental_discriminant_count,
     fundamental_discriminants,
     smallest_inert_prime,
@@ -226,8 +224,10 @@ def test_fundamental_discriminants_peak_memory():
 @pytest.mark.parametrize("segment", [16, 64, 1008])
 def test_fundamental_blocks_match_scalar_filters_across_block_edges(monkeypatch, segment):
     # |delta| ascending, the negative one first on ties; the odd and the 4m
-    # discriminants of a block come from two block passes at 1 and 1/4 scale
+    # discriminants of a block come from two block passes at 1 and 1/4 scale,
+    # with blocks of 16, 32, ... up to the segment
     monkeypatch.setattr(census, "SEGMENT", segment)
+    monkeypatch.setattr(census, "FIRST_BLOCK", 16)
     limit = 3000
     expected = [d for k in range(1, limit + 1) for d in (-k, k)
                 if is_fundamental_discriminant(d)]
@@ -246,7 +246,8 @@ def test_fundamental_blocks_match_scalar_filters_across_block_edges(monkeypatch,
 
 def _stream_readers():
     """What every reader of the discriminant stream returns at sizes that
-    cross many blocks of the smallest SEGMENT, failed searches included."""
+    cross many blocks of the smallest SEGMENT, and the edges of the growing
+    first blocks, failed searches included."""
     from quatrig import geometry, rigidity
 
     def outcome(search):
@@ -274,9 +275,23 @@ def _stream_readers():
 
 @pytest.mark.parametrize("segment", [16, 64, 1008])
 def test_stream_readers_match_across_block_edges(monkeypatch, segment):
+    # the default blocks double from 2^10; here from 16 or 48 up to the segment
     expected = _stream_readers()
     monkeypatch.setattr(census, "SEGMENT", segment)
-    assert _stream_readers() == expected
+    for first in (16, 48):
+        monkeypatch.setattr(census, "FIRST_BLOCK", first)
+        assert _stream_readers() == expected, first
+
+
+def test_fundamental_blocks_double_from_the_first_block():
+    # a reader that stops early has read 2^10 |delta|; long walks run at SEGMENT
+    limit, edges = 2 ** 20, [0, census.FIRST_BLOCK]
+    while edges[-1] <= limit:
+        edges.append(edges[-1] + min(2 * (edges[-1] - edges[-2]), census.SEGMENT))
+    blocks = list(census._fundamental_blocks(limit))
+    assert len(blocks) == len(edges) - 1 == 12
+    for deltas, lo, hi in zip(blocks, edges, edges[1:]):
+        assert lo <= np.abs(deltas).min() and np.abs(deltas).max() < hi, (lo, hi)
 
 
 def test_census_peak_memory_does_not_grow_with_x():
@@ -357,13 +372,13 @@ def test_quat_subfields_brute_oracle(brute_quaternion_algebras):
     assert count_quat_with_subfields([-4], x) == brute
 
 
-def test_dirichlet_coefficients_csa_spec_values():
+def test_dirichlet_coefficients_csa_spec_values(dirichlet_coefficients_csa):
     co = dirichlet_coefficients_csa(2, 2, 100)
     assert co[1] == 1 and co[4] == 1 and co[36] == 1
     assert all(c >= 0 for c in co[1:])
 
 
-def test_oracle_equivalence_csa():
+def test_oracle_equivalence_csa(dirichlet_coefficients_csa):
     for m, n in ((2, 2), (3, 3), (2, 4), (4, 4)):
         n_max = 3000
         # per-disc multiplicities: successive differences of the census at x = 1..n_max
@@ -372,7 +387,7 @@ def test_oracle_equivalence_csa():
         assert dirichlet_coefficients_csa(m, n, n_max) == by_disc, (m, n)
 
 
-def test_oracle_equivalence_embed():
+def test_oracle_equivalence_embed(dirichlet_coefficients_embed):
     co = dirichlet_coefficients_embed([-4], 2000)
     running = 0
     for n in range(1, 2001):

@@ -1,0 +1,113 @@
+"""Which commands execute numpy and mpmath.  `import quatrig.cli` executes
+neither: arith binds both on first use.  A warm census, --help and an
+argument error never use them; a cold sieve census executes numpy only.
+Each case runs in a fresh interpreter, since this one has executed both."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from quatrig.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+PINS = json.loads((Path(__file__).parent / "cli_pins.json").read_text())
+LIBRARIES = ("numpy", "mpmath")
+
+# runs the CLI on argv, then reports its exit code and which libraries were
+# executed (one of their submodules, numpy._core or mpmath.libmp, is loaded)
+# on the last line of stderr
+_PROBE = """
+import json, sys
+{before}
+import quatrig.cli
+try:
+    code = quatrig.cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+sys.stdout.flush()
+ran = [lib for lib in {libraries!r} if any(m.startswith(lib + ".") for m in sys.modules)]
+print(json.dumps([code, ran]), file=sys.stderr)
+"""
+
+
+def _fresh(argv: str, before: str = ""):
+    """(exit code, executed libraries, stdout) of argv in a new interpreter."""
+    path = os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE.format(before=before, libraries=LIBRARIES), *argv.split()],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path, "COLUMNS": "80"})
+    code, ran = json.loads(proc.stderr.splitlines()[-1])
+    return code, ran, proc.stdout
+
+
+def _pin(argv: str) -> str:
+    (pin,) = [p for p in PINS["runs"] + PINS["help"] if p["argv"] == argv]
+    return pin["stdout"]
+
+
+@pytest.mark.parametrize("argv", [
+    "census quat-subfields --fields=-4 --x 10000 --thresholds 100,10000",
+    "--format json census quat-subfields --fields=-4 --x 10000 --thresholds 100,10000",
+    "census fund-disc --x 1000 --thresholds 10,100,1000",
+])
+def test_warm_census_executes_neither_library(capsys, tmp_path, argv):
+    cached = ["--cache-dir", str(tmp_path), *argv.split()]
+    assert main(cached) == 0  # cold, in this process: fills the cache
+    assert capsys.readouterr().out == _pin(argv)
+    assert _fresh(" ".join(cached)) == (0, [], _pin(argv))
+
+
+@pytest.mark.skipif(sys.version_info[:2] != tuple(PINS["python"]),
+                    reason=f"help texts captured with Python {PINS['python']}'s argparse")
+def test_help_executes_neither_library():
+    assert _fresh("--help") == (0, [], _pin("--help"))
+
+
+def test_argument_error_executes_neither_library():
+    code, ran, out = _fresh("census division --n 2 --x 100 --bogus-flag")
+    assert (code, ran, out) == (2, [], "")
+
+
+def test_cold_sieve_census_executes_numpy_only(tmp_path):
+    argv = f"--cache-dir {tmp_path} census division --n 2 --x 1000 --thresholds 10,100,1000"
+    expected = _pin("census division --n 2 --x 1000 --thresholds 10,100,1000")
+    assert _fresh(argv) == (0, ["numpy"], expected)
+
+
+@pytest.mark.parametrize("library, name", [("numpy", "np"), ("mpmath", "mpmath")])
+def test_libraries_imported_before_quatrig_are_used_as_they_are(library, name):
+    before = f"import {library}\nimport quatrig.arith\nassert quatrig.arith.{name} is {library}"
+    code, _, out = _fresh("bounds theta --x 100", before)
+    assert (code, out) == (0, _pin("bounds theta --x 100"))
+
+
+def test_libraries_imported_after_quatrig_execute_on_import():
+    # a notebook that imports numpy after quatrig gets the executed module
+    code = ("import quatrig.cli, numpy, mpmath; from quatrig import arith; "
+            "print(numpy.arange(4).sum(), arith.np is numpy, mpmath.mpf(2) ** 3)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.stdout == "6 True 8.0\n", proc.stderr
+
+
+def test_no_module_imports_numpy_or_mpmath_itself():
+    # one module's own `import numpy` would execute numpy whenever quatrig is
+    # imported, for every command: all of them take np and mpmath from arith
+    stray = []
+    for path in sorted((SRC / "quatrig").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            stray += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] in LIBRARIES]
+    assert stray == []

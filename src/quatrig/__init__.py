@@ -15,7 +15,6 @@ from .arith import (
     kronecker_symbol,
     pell_fundamental,
     ramanujan_sum,
-    sieve,
     zeta_k_at_2,
 )
 from .brauer import (

@@ -37,8 +37,8 @@ mpmath = _on_first_use("mpmath")
 
 PRECISION_BITS = 80
 
-# SieveTable(10**8) peaks at 2.5 bytes per entry (tracemalloc), so this caps a build near 2.5 GB;
-# the census block kernel refuses ranges past it as well.
+# SieveTable(10**8) peaks at 1.46 bytes per entry (tracemalloc: a flag byte per integer, 8 per
+# prime), so this caps a build near 1.5 GB; the census block kernel refuses ranges past it as well.
 SIEVE_MEMORY_BUDGET = 10 ** 9
 
 
@@ -181,6 +181,8 @@ def iroot(n: int, k: int) -> int:
         raise ValueError("n must be >= 0")
     if n == 0:
         return 0
+    if n.bit_length() <= k:  # 1 <= n < 2^k; Newton would raise x to the power k - 1
+        return 1
     x = 1 << -(-n.bit_length() // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
@@ -223,11 +225,8 @@ def squarefree_products(primes, bound, state=(), fold=None, options=None):
 
 
 class SieveTable:
-    """Ascending int64 `primes` <= limit and the int8 Moebius array `mu` on
-    0..limit (mu[0] = 0); immutable once built.  One loop over the primes
-    p <= sqrt(limit) builds both.  Each n <= limit has at most one prime
-    factor P > sqrt(limit), so a loop over k <= sqrt(limit) then flips mu at
-    every k * P."""
+    """Ascending int64 `primes` <= limit, read-only once built: the sieve of
+    Eratosthenes over the primes p <= sqrt(limit)."""
 
     def __init__(self, limit: int):
         if limit < 1:
@@ -235,58 +234,49 @@ class SieveTable:
         if limit > SIEVE_MEMORY_BUDGET:
             raise SieveBudgetError(f"sieve limit {limit} exceeds budget {SIEVE_MEMORY_BUDGET}")
         self.limit = limit
-        root = isqrt(limit)
         is_prime = np.ones(limit + 1, dtype=bool)
         is_prime[:2] = False
-        mu = np.ones(limit + 1, dtype=np.int8)
-        mu[0] = 0
-        for p in range(2, root + 1):
+        for p in range(2, isqrt(limit) + 1):
             if is_prime[p]:
                 is_prime[p * p::p] = False
-                mu[p::p] *= -1
-                mu[p * p::p * p] = 0
         self.primes = np.flatnonzero(is_prime).astype(np.int64, copy=False)
-        del is_prime
-        big = self.primes[np.searchsorted(self.primes, root, side="right"):]
-        for k in range(1, root + 1):
-            mu[k * big[:np.searchsorted(big, limit // k, side="right")]] *= -1
-        self.mu = mu
-        self.primes.flags.writeable = mu.flags.writeable = False
+        self.primes.flags.writeable = False
 
 
 _SHARED: SieveTable | None = None
 
 
-def sieve(limit: int) -> SieveTable:
-    return SieveTable(limit)
-
-
-def shared_sieve(limit: int) -> SieveTable:
-    """Process-wide sieve, grown on demand and never shrunk."""
-    global _SHARED
-    if _SHARED is None or _SHARED.limit < limit:
-        _SHARED = SieveTable(max(limit, 10 ** 4))
-    return _SHARED
-
-
 def primes_upto(x: int) -> np.ndarray:
-    """The ascending primes <= x (none for x < 2), from the shared sieve."""
-    primes = shared_sieve(x).primes
+    """The ascending primes <= x (none for x < 2), from one process-wide
+    table, grown on demand (to at least 10^4) and never shrunk."""
+    global _SHARED
+    if _SHARED is None or _SHARED.limit < x:
+        _SHARED = SieveTable(max(x, 10 ** 4))
+    primes = _SHARED.primes
     return primes[:np.searchsorted(primes, x, side="right")]
 
 
 def mobius(n: int) -> int:
-    """The Moebius function mu(n) for n >= 1, from the shared sieve."""
+    """The Moebius function mu(n) for n >= 1, by trial division."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return int(shared_sieve(n).mu[n])
+    factors = factorize(n)
+    return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
+
+
+def squarefree_counts(xs: list[int]) -> list[int]:
+    """For each ascending x >= 0, the number of squarefree integers in [1, x]:
+    the sum over d <= sqrt(x) of mu(d) floor(x / d^2), with mu(d) taken once
+    for each d <= sqrt(max x) and no sieve built."""
+    mu = [0] + [mobius(d) for d in range(1, isqrt(xs[-1]) + 1)]
+    return [sum(mu[d] * (x // (d * d)) for d in range(1, isqrt(x) + 1)) for x in xs]
 
 
 def count_squarefree(x: int) -> int:
     """Exact number of squarefree integers in [1, x]."""
     if x < 0:
         raise ValueError("x must be >= 0")
-    return int(np.count_nonzero(shared_sieve(x).mu[1:x + 1]))
+    return squarefree_counts([x])[0]
 
 
 def euler_phi(n: int) -> int:

@@ -70,6 +70,13 @@ def delta_mn(m: int, n: int, cutoff: int) -> EulerProductValue:
     ell = factorize(n)[0][0]  # least prime factor
     if m % ell != 0:
         return EulerProductValue(0.0, cutoff, 0.0)
+    try:  # before (l - 2)!, which takes seconds once l is near 10^6
+        scale = (n * n * (1 - 1 / ell)) ** (ell - 2)
+    except OverflowError:
+        raise ValueError(f"delta_{m},{n} is below the float range at l = {ell}") from None
+    pref = KAPPA_Q ** (ell - 1) / (m * math.factorial(ell - 2)) / scale
+    if m % 2 == 0:
+        pref *= 2 ** R1_Q
     extra = [(d, (1 - 1 / d) / (1 - 1 / ell)) for d in divisors(m) if d > ell]
     total = 0.0
     tail = 0.0
@@ -87,10 +94,6 @@ def delta_mn(m: int, n: int, cutoff: int) -> EulerProductValue:
         # each log factor is O(K/p^e_min) past the cutoff
         coeff_bound = (ell - 1) ** 2 + sum(abs(c) for _, c, _ in coeffs) + ell
         tail += _prime_tail_bound(cutoff, min(2.0, min_extra), coeff_bound)
-    pref = KAPPA_Q ** (ell - 1) / (m * math.factorial(ell - 2))
-    pref /= (n * n * (1 - 1 / ell)) ** (ell - 2)
-    if m % 2 == 0:
-        pref *= 2 ** R1_Q
     value = pref * total
     if value <= 0:
         raise ValueError("structurally nonzero constant evaluated nonpositive")

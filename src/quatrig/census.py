@@ -35,12 +35,12 @@ from math import gcd, isqrt, lcm, log, prod
 from . import arith
 from .arith import (
     divisors,
-    factorize,
     iroot,
     kronecker_vec,
     mobius,
     np,
     primes_upto,
+    squarefree_counts,
     squarefree_products,
 )
 from .brauer import QuaternionAlgebraQ
@@ -166,7 +166,7 @@ def census_division(n: int, thresholds) -> CountTable:
     if n == 2:
         ys = [isqrt(x) for x in thresholds]
         sieved = [c - 1 for c in _sieve_counts((), ys)]
-        moebius = [c - 1 for c in _squarefree_counts_by_moebius(ys)]
+        moebius = [c - 1 for c in squarefree_counts(ys)]
         if sieved != moebius:
             raise InternalInconsistency(
                 f"division census mismatch: sieve {sieved} vs Moebius sum {moebius}")
@@ -307,8 +307,8 @@ def fundamental_discriminants(limit: int) -> np.ndarray:
     serves library callers and tests that want the discriminants as one array."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    # the table peaks near 5.3 bytes per unit of limit (tracemalloc at 10^7),
-    # against the 2.5 bytes per entry SIEVE_MEMORY_BUDGET stands for
+    # the table peaks near 5.3 bytes per unit of limit (tracemalloc at 10^7);
+    # the derived tables are capped at 2.5 bytes per unit of the budget, 2.5 GB
     if 6 * limit > 2.5 * arith.SIEVE_MEMORY_BUDGET:
         raise arith.SieveBudgetError(
             f"fundamental-discriminant table to {limit} exceeds budget: about {6 * limit} bytes")
@@ -390,15 +390,6 @@ def quaternion_algebras_by_disc(y: int, deltas=(), base=()) -> list[tuple[int, t
         return []
     rows = squarefree_products(_nonsplit_primes(tuple(deltas), y // b), y // b)
     return sorted((b * r, tuple(sorted(base + chosen))) for r, chosen in rows)
-
-
-def _squarefree_counts_by_moebius(ys: list[int]) -> list[int]:
-    """For each ascending y, the number of squarefree q <= y as the sum over
-    d <= sqrt(y) of mu(d) floor(y / d^2), with mu(d) from trial division:
-    a route that shares nothing with the sieve."""
-    mu = [0] + [0 if any(e > 1 for _, e in f) else (-1) ** len(f)
-                for f in map(factorize, range(1, isqrt(ys[-1]) + 1))]
-    return [sum(mu[d] * (y // (d * d)) for d in range(1, isqrt(y) + 1)) for y in ys]
 
 
 def check_independent(deltas) -> None:

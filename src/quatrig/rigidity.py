@@ -225,8 +225,8 @@ def rigidity_scan(x: int, delta_max: int = 10 ** 6,
         raise ValueError("x must be >= 4")
     algebras = _all_quaternion_algebras(x)
     pairs = len(algebras) * (len(algebras) - 1) // 2
-    # the scan and its printout take about 75 bytes per pair (peak RSS at x = 10^7),
-    # against the 2.5 bytes per entry SIEVE_MEMORY_BUDGET stands for
+    # the scan and its printout take about 75 bytes per pair (peak RSS at x = 10^7);
+    # the derived tables are capped at 2.5 bytes per unit of the budget, 2.5 GB
     if 75 * pairs > 2.5 * arith.SIEVE_MEMORY_BUDGET:
         raise arith.SieveBudgetError(
             f"{pairs} algebra pairs exceed budget: about {75 * pairs} bytes")

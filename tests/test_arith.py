@@ -13,6 +13,7 @@ from quatrig import arith
 from quatrig.arith import (
     InvalidDiscriminant,
     SieveBudgetError,
+    SieveTable,
     chebyshev_theta,
     class_number,
     class_number_imaginary,
@@ -30,7 +31,6 @@ from quatrig.arith import (
     pell_fundamental,
     primes_upto,
     ramanujan_sum,
-    sieve,
     squarefree_kernel,
     squarefree_products,
     zeta_k_at_2,
@@ -129,13 +129,12 @@ def _phi_brute(n):
 
 
 def test_sieve_values_and_invariants():
-    t = sieve(500)
-    assert t.mu[1] == 1 and euler_phi(1) == 1
-    assert t.mu[6] == 1 and euler_phi(6) == 2
+    assert mobius(1) == 1 and euler_phi(1) == 1
+    assert mobius(6) == 1 and euler_phi(6) == 2
     for n in range(1, 501):
-        assert t.mu[n] == _mu_brute(n)
-        assert (t.mu[n] == 0) == any(e > 1 for _, e in factorize(n))
-        assert sum(t.mu[d] for d in range(1, n + 1) if n % d == 0) == (1 if n == 1 else 0)
+        assert mobius(n) == _mu_brute(n)
+        assert (mobius(n) == 0) == any(e > 1 for _, e in factorize(n))
+        assert sum(mobius(d) for d in range(1, n + 1) if n % d == 0) == (1 if n == 1 else 0)
     for n in range(2, 200):
         assert euler_phi(n) == _phi_brute(n)
     # phi multiplicative on coprime arguments
@@ -159,17 +158,15 @@ _BRUTE_PRIMES = [n for n in range(2, _BRUTE_LIMIT + 1)
 
 
 def _check_sieve(limit):
-    t = sieve(limit)
+    t = SieveTable(limit)
     assert t.limit == limit
-    assert t.primes.dtype == np.int64 and t.mu.dtype == np.int8
-    assert not t.primes.flags.writeable and not t.mu.flags.writeable
+    assert t.primes.dtype == np.int64 and not t.primes.flags.writeable
     assert t.primes.tolist() == [p for p in _BRUTE_PRIMES if p <= limit]
-    assert t.mu.tolist() == _BRUTE_MU[:limit + 1]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 31, 47, 67])
 def test_sieve_around_prime_squares(p):
-    # from limit = p^2 on, p is sieved in the first loop instead of the second
+    # from limit = p^2 on, p strikes its multiples
     for limit in (p * p - 1, p * p, p * p + 1):
         if limit >= 1:
             _check_sieve(limit)
@@ -186,19 +183,19 @@ def test_primes_upto_and_mobius(monkeypatch):
         got = primes_upto(x)
         assert got.dtype == np.int64 and got.size == 0
     assert primes_upto(2).tolist() == [2]
-    monkeypatch.setattr(arith, "_SHARED", sieve(100))
+    monkeypatch.setattr(arith, "_SHARED", SieveTable(100))
     assert primes_upto(1000).tolist() == [p for p in _BRUTE_PRIMES if p <= 1000]
-    assert arith.shared_sieve(1).limit >= 1000
-    assert [mobius(n) for n in range(1, 501)] == _BRUTE_MU[1:501]
+    assert primes_upto(1).size == 0 and arith._SHARED.limit >= 1000  # grown, never shrunk
+    assert [mobius(n) for n in range(1, _BRUTE_LIMIT + 1)] == _BRUTE_MU[1:]
     with pytest.raises(ValueError):
         mobius(0)
 
 
 def test_sieve_budget():
     with pytest.raises(SieveBudgetError):
-        sieve(10 ** 10)
+        SieveTable(10 ** 10)
     with pytest.raises(ValueError):
-        sieve(0)
+        SieveTable(0)
 
 
 def test_count_squarefree():
@@ -207,6 +204,25 @@ def test_count_squarefree():
     assert count_squarefree(0) == 0
     c = count_squarefree(10 ** 5)
     assert abs(c - (6 / math.pi ** 2) * 10 ** 5) < 200
+    with pytest.raises(ValueError):
+        count_squarefree(-1)
+
+
+def test_mu_and_squarefree_counts_build_no_sieve(monkeypatch):
+    # 10^10 is past the sieve budget; the Moebius sum takes mu(d) for
+    # d <= 10^5 by trial division (OEIS A071172: 6079270942)
+    monkeypatch.setattr(arith, "_SHARED", None)
+    assert count_squarefree(10 ** 10) == 6079270942
+    assert mobius(10 ** 12 + 39) == -1  # a prime
+    assert mobius(2 * 3 * 5 * 999983) == 1 and mobius(4 * 999983) == 0
+    assert arith._SHARED is None
+
+
+def test_squarefree_counts_at_ascending_thresholds():
+    xs = [0, 1, 3, 4, 8, 9, 24, 25, 26, 1000, _BRUTE_LIMIT]
+    assert arith.squarefree_counts(xs) == [
+        sum(1 for m in _BRUTE_MU[1:x + 1] if m) for x in xs]
+    assert [count_squarefree(x) for x in xs] == arith.squarefree_counts(xs)
 
 
 def test_squarefree_kernel():
@@ -577,3 +593,17 @@ def test_factorize_and_derived_helpers():
         for k in (2, 3, 6):
             r = iroot(n, k)
             assert r ** k <= n < (r + 1) ** k
+
+
+def test_iroot_matches_brute_force():
+    # n < 2^k returns 1 at once: Newton would raise x to the power k - 1
+    assert iroot(10, 10 ** 12) == 1 and iroot(0, 10 ** 12) == 0
+    assert iroot(2 ** 64 - 1, 64) == 1 and iroot(2 ** 64, 64) == 2
+    for k in range(1, 70):
+        for r in (1, 2, 3, 10, 1000):
+            if r ** k > 10 ** 40:
+                break
+            for n in (r ** k - 1, r ** k, r ** k + 1, (r + 1) ** k - 1):
+                assert iroot(n, k) == max(s for s in range(r + 2) if s ** k <= n), (n, k)
+    with pytest.raises(ValueError):
+        iroot(-1, 2)

@@ -1,5 +1,6 @@
 import math
 from bisect import bisect_right
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -11,8 +12,8 @@ from quatrig import census
 from quatrig.arith import (
     is_fundamental_discriminant,
     kronecker_symbol,
+    count_squarefree,
     primes_upto,
-    shared_sieve,
     squarefree_products,
 )
 from quatrig.brauer import parse_ram_set
@@ -56,6 +57,14 @@ def test_division_matches_squarefree_oracle(squarefree_count):
         assert count_division(2, x) == squarefree_count(math.isqrt(x)) - 1
 
 
+def test_moebius_sum_matches_the_block_kernel():
+    # count_squarefree takes mu(d) by trial division, the block kernel sieves
+    # with the primes <= sqrt(y): two routes to every squarefree count
+    ys = sorted({1, 2, 3, 4, 8, 9, 10, 99, 100, 101, 9999, 10 ** 4, 123456,
+                 2 ** 18 - 1, 2 ** 18, 2 ** 18 + 1, 999999, 10 ** 6, 10 ** 7 - 1, 10 ** 7})
+    assert [count_squarefree(y) for y in ys] == census._sieve_counts((), ys)
+
+
 # thresholds x: the smallest ones, perfect squares and their neighbours
 _SIEVE_XS = sorted({1, 3, 4, 8, 9, 10, 99, 100, 101, 12344, 12345, 35 ** 4,
                     10 ** 8 - 1, 10 ** 8, 10 ** 8 + 1, 97 ** 4 + 1, 10 ** 10})
@@ -79,12 +88,25 @@ def test_sieve_counts_match_the_enumerator(deltas):
     assert census_quat_with_subfields(deltas, _SIEVE_XS).counts == tuple(expected)
 
 
+@lru_cache(maxsize=4)
+def _mu_array(y: int) -> np.ndarray:
+    """mu(n) for n in 0..y, read-only: each prime p <= y flips the sign of
+    its multiples and zeroes those of p^2."""
+    mu = np.ones(y + 1, dtype=np.int8)
+    mu[0] = 0
+    for p in primes_upto(y).tolist():
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
+    mu.flags.writeable = False
+    return mu
+
+
 def _whole_array_sieve_counts(deltas, ys, even_only=False):
     """The whole-array route the block kernel replaced: strike the split
-    primes from the Moebius array of the shared sieve to max(ys), p <= sqrt(y)
-    directly and k * P for each larger split P, then count each slice."""
+    primes from a Moebius array to max(ys), p <= sqrt(y) directly and k * P
+    for each larger split P, then count each slice."""
     y, root = ys[-1], math.isqrt(ys[-1])
-    mu = shared_sieve(y).mu[:y + 1]
+    mu = _mu_array(y)
     ok = mu == 1 if even_only else mu != 0
     primes = primes_upto(y)
     split = primes[census._split_mask(deltas, primes)]
@@ -115,7 +137,7 @@ def test_block_kernel_matches_the_whole_array_sieve_across_block_edges(monkeypat
                          ids=str)
 def test_quaternion_algebras_by_disc_matches_the_sieve_count(deltas):
     # two routes to one set: the listing enumerates products of nonsplit
-    # primes, the sieve count strikes the split primes from the Moebius array
+    # primes, the block kernel strikes the split primes and their squares
     for y in (0, 1, 2, 30, 1000, 10 ** 5):
         rows = census.quaternion_algebras_by_disc(y, deltas)
         assert len(rows) == (census._sieve_counts(deltas, [y])[0] if y else 0)
@@ -136,8 +158,8 @@ def test_quaternion_algebras_by_disc_with_base():
 
 
 def test_division_sieve_mismatch_names_both_lists(monkeypatch):
-    real = census._squarefree_counts_by_moebius
-    monkeypatch.setattr(census, "_squarefree_counts_by_moebius",
+    real = census.squarefree_counts
+    monkeypatch.setattr(census, "squarefree_counts",
                         lambda ys: [c + (y == 10) for c, y in zip(real(ys), ys)])
     with pytest.raises(InternalInconsistency) as info:
         census_division(2, [4, 100, 10 ** 4])
@@ -205,7 +227,7 @@ def _traced_peak(run) -> int:
     the shared sieve built beforehand."""
     import tracemalloc
 
-    shared_sieve(10 ** 4)
+    primes_upto(10 ** 4)
     tracemalloc.start()
     try:
         run()

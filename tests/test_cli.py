@@ -365,6 +365,14 @@ def test_census_inputs_validated(capsys):
         assert "x must be >= 1" in capsys.readouterr().err, args
 
 
+def test_degrees_near_a_million_finish(capsys):
+    # p^(n^2 - n^2/d) > x already at p = 2: no Newton step on a power of 10^12
+    assert run(capsys, ["census", "division", "--n", "1000003", "--x", "10"]) == (
+        0, "x,count\n10,0\n")
+    assert run(capsys, ["census", "csa", "--m", "6", "--n", "1000002", "--x", "10"]) == (
+        0, "x,count\n10,1\n")
+
+
 def test_geodesics_cli(capsys):
     code, out = run(capsys, ["geodesics", "from-field", "--delta", "5"])
     assert code == 0
@@ -498,6 +506,11 @@ def test_exp_bound_overflow_exits_2(capsys, argv):
     ["predict", "embed-constant", "--fields=-4", "--cutoff", "0"],
     ["predict", "embed-constant", "--fields=-4,5", "--cutoff", "1"],
     ["predict", "report", "--model", "division:2", "--x", "100", "--cutoff", "0"],
+    # (n^2 (1 - 1/l))^(l - 2) past the float range, for l = n prime from 83 on
+    ["predict", "delta-n", "--n", "83"],
+    ["predict", "delta-n", "--n", "1009"],
+    ["predict", "delta-n", "--n", "1000003"],
+    ["predict", "report", "--model", "division:211", "--x", "100"],
     ["bounds", "recognizing", "--x", "3", "--dk", "0"],
     ["bounds", "recognizing", "--x", "3", "--dk", "-1"],
     ["bounds", "gw", "--b-omega", "0", "--x", "10"],
@@ -628,8 +641,12 @@ _FUZZ_STRINGS = {
     "ram_norms": ["5,5", "", "2", "0", "-3"],
 }
 # limit-pair matches the splitting of Q(sqrt(-3)) at every p <= m, a search
-# that grows like 2^pi(m): on a 2-core Xeon m = 40 takes 0.1 s, m = 47 about 20 s
-_FUZZ_INT_MAX = {("rigidity", "limit-pair", "m"): 40}
+# that grows like 2^pi(m): on a 2-core Xeon m = 40 takes 0.1 s, m = 47 about 20 s.
+# Algebra degrees reach primes past 79, where the growth constants leave the
+# float range.
+_FUZZ_INT_MAX = {("rigidity", "limit-pair", "m"): 40, ("predict", "delta-n", "n"): 200,
+                 ("census", "division", "n"): 200, ("census", "csa", "m"): 200,
+                 ("census", "csa", "n"): 200}
 
 
 def _leaves(parser, path=()):

@@ -171,8 +171,11 @@ def squarefree_kernel(n: int) -> int:
 
 
 def divisors(n: int) -> list[int]:
-    """Positive divisors of n >= 1, ascending."""
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """Positive divisors of n >= 1, ascending, from the factorization of n."""
+    divs = [1]
+    for p, e in factorize(n):
+        divs = [d * p ** i for d in divs for i in range(e + 1)]
+    return sorted(divs)
 
 
 def iroot(n: int, k: int) -> int:

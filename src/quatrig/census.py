@@ -5,10 +5,10 @@ multiplication of Euler factors).
 
 Quaternion algebras have |disc| = q^2 for the squarefree product q of their
 finite ramified primes, so the quaternion division and subfield censuses are
-prefix counts of squarefree q <= sqrt(x).  One block kernel (_blocks) walks
-0..y in blocks of SEGMENT integers with only the primes up to sqrt(y), in
-O(sqrt(y) + SEGMENT) memory: it flags the squarefree n whose primes all stay
-nonsplit, and _sieve_counts counts the flags at each threshold.  One listing
+prefix counts of squarefree q <= sqrt(x).  One block kernel (_blocks) sieves
+0..y in blocks of SEGMENT integers with the primes up to sqrt(y), in
+O(sqrt(y) + SEGMENT) memory; _sieve_counts strikes 4 | q, a split prime
+factor above sqrt(y) and, if asked, odd mu(q), then counts each threshold.  One listing
 (quaternion_algebras_by_disc) yields the same q with their primes for the
 callers that need the algebras themselves.  The other censuses (central
 simple algebras, division algebras of degree n >= 3) come from one bounded
@@ -19,8 +19,8 @@ enumeration order.  Quadratic fields come from the same kernel, one block of
 fundamental discriminants at a time (_fundamental_blocks), the one stream
 every reader walks in |delta| order (census fund-disc is the embed-quads census
 of the matrix algebra), so no command builds an array as long as its limit.
-Splitting data comes from the vector kernel arith.kronecker_vec, and every
-least-prime search from least_primes.
+Splitting data comes from arith.kronecker_vec; least_primes finds least primes,
+but _least_inert_primes walks the primes up to max |delta| itself.
 """
 
 from __future__ import annotations
@@ -96,43 +96,43 @@ def _csa_nodes(m: int, n: int, bound: int):
     degree-n algebra over Q with denominators dividing m and |disc| <= bound.
 
     Each ramified prime p picks a denominator d | m (d > 1), contributing
-    p^(n^2 - n^2/d) to the discriminant, and a numerator coprime to d.
+    p^(n^2 - n^2/d) to the discriminant, and a numerator coprime to d; a d
+    whose 2^(n^2 - n^2/d) already exceeds the bound is never offered.
     dist[r] counts the numerator choices whose invariant sum is r/m mod 1,
-    tracked exactly; lcm is the lcm of the chosen denominators.
+    tracked exactly and sparsely; lcm is the lcm of the chosen denominators.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     if n % m != 0:
         raise ValueError("m must divide n")
-    options = [(n * n - n * n // d, (d, [a * (m // d) for a in range(1, d) if gcd(a, d) == 1]))
-               for d in divisors(m)[1:]]
+    bits = max(bound, 0).bit_length()  # 2^w > bound once w >= bits
+    options = [(w, (d, [a * (m // d) for a in range(1, d) if gcd(a, d) == 1]))
+               for d in divisors(m)[1:] if (w := n * n - n * n // d) < bits]
 
     def fold(state, p, option):
         dist, lcm_f = state
         d, residues = option
-        ndist = [0] * m
-        for r, cnt in enumerate(dist):
-            if cnt:
-                for s in residues:
-                    ndist[(r + s) % m] += cnt
+        ndist = {}
+        for r, cnt in dist.items():
+            for s in residues:
+                key = (r + s) % m
+                ndist[key] = ndist.get(key, 0) + cnt
         return ndist, lcm(lcm_f, d)
 
-    # m = 1 has no options: the matrix algebra alone
+    # m = 1, or a bound below 2^w for every d, has no options: the matrix algebra alone
     max_p = iroot(max(bound, 0), options[0][0]) if options else 0
-    return squarefree_products(primes_upto(max_p).tolist(), bound, ([1] + [0] * (m - 1), 1),
+    return squarefree_products(primes_upto(max_p).tolist(), bound, ({0: 1}, 1),
                                fold, lambda p: [(p ** w, opt) for w, opt in options])
 
 
-def _completions(node, exact: int | None = None) -> int:
+def _completions(node, m: int, exact: int | None = None) -> int:
     """Ways to complete the finite local data (dist, lcm) of a node by the
-    real place (invariant 0, or 1/2 when m = len(dist) is even) to an
-    integral invariant sum; with `exact`, only completions of division degree
-    exactly `exact`."""
+    real place (invariant 0, or 1/2 when m is even) to an integral invariant
+    sum; with `exact`, only completions of division degree exactly `exact`."""
     dist, lcm_f = node
-    m = len(dist)
-    ways = dist[0] if exact in (None, lcm_f) else 0
+    ways = dist.get(0, 0) if exact in (None, lcm_f) else 0
     if m % 2 == 0 and exact in (None, lcm(lcm_f, 2)):
-        ways += dist[m // 2]
+        ways += dist.get(m // 2, 0)
     return ways
 
 
@@ -141,7 +141,7 @@ def census_csa(m: int, n: int, thresholds) -> CountTable:
     degree divides m, counted by exhaustive generation of Hasse data."""
     thresholds = _ascending(thresholds)
     nodes = _csa_nodes(m, n, thresholds[-1])
-    counts = _counts_at_thresholds(((disc, _completions(node)) for disc, node in nodes),
+    counts = _counts_at_thresholds(((disc, _completions(node, m)) for disc, node in nodes),
                                    thresholds)
     return CountTable(tuple(thresholds), tuple(counts))
 
@@ -175,8 +175,8 @@ def census_division(n: int, thresholds) -> CountTable:
     incl_excl = [0] * len(thresholds)
     for disc, node in _csa_nodes(n, n, thresholds[-1]):
         slot = bisect_left(thresholds, disc)
-        direct[slot] += _completions(node, exact=n)
-        incl_excl[slot] += _completions(node)
+        direct[slot] += _completions(node, n, exact=n)
+        incl_excl[slot] += _completions(node, n)
     direct, incl_excl = list(accumulate(direct)), list(accumulate(incl_excl))
     for m in divisors(n)[:-1]:
         mu = mobius(n // m)
@@ -203,31 +203,21 @@ SEGMENT = 1 << 18
 FIRST_BLOCK = 1 << 10
 
 
-def _blocks(y: int, first: int, step: int, deltas: tuple[int, ...] = (),
-            even_only: bool = False):
+def _blocks(y: int, first: int, step: int, deltas: tuple[int, ...] = ()):
     """(lo, ok) for each block [lo, lo + size) of 0..y, in order, the sizes
-    doubling from `first` up to `step`: ok[i] says that n = lo + i >= 1 is
-    squarefree with no prime factor split in any Q(sqrt(delta_i)), and, with
-    even_only, that mu(n) = 1.
-
-    Only the primes p <= sqrt(y) are sieved.  Each block strikes the
-    multiples of p when p splits, and of p^2 otherwise (at most one per block
-    once p^2 >= step, struck together).  Each n <= y has at most one prime
-    factor P > sqrt(y), so dividing the product of its nonsplit small primes
-    out of a squarefree n leaves 1 or that P: one kronecker_vec call per
-    field decides P, and the parity of the factor count gives mu(n).  Memory
-    is O(sqrt(y) + step); a y past SIEVE_MEMORY_BUDGET (which also keeps
-    every n in uint32) raises SieveBudgetError."""
+    doubling from `first` up to `step`: ok[i] says that n = lo + i >= 1 has
+    no prime factor p <= sqrt(y) split in any Q(sqrt(delta_i)), and no factor
+    p^2 for an odd nonsplit p; 4 is left to the readers.  Each p^2 >= step is
+    struck with the others, at most one per block.  Memory is
+    O(sqrt(y) + step); a y past SIEVE_MEMORY_BUDGET raises SieveBudgetError."""
     if y > arith.SIEVE_MEMORY_BUDGET:
         raise arith.SieveBudgetError(
             f"census to {y} exceeds budget {arith.SIEVE_MEMORY_BUDGET}")
     primes = primes_upto(isqrt(y))
     split = _split_mask(deltas, primes)
-    squares = primes[~split] ** 2
+    squares = primes[~split & (primes > 2)] ** 2
     struck = [*primes[split].tolist(), *squares[squares < step].tolist()]  # one stride each
     squares = squares[squares >= step]
-    factor = bool(deltas) or even_only  # P has to be found
-    nonsplit = primes[~split].tolist()
     lo, full = 0, min(first, step)
     while lo <= y:
         size = min(full, y + 1 - lo)
@@ -237,9 +227,26 @@ def _blocks(y: int, first: int, step: int, deltas: tuple[int, ...] = (),
             ok[-lo % m::m] = False
         offset = -lo % squares
         ok[offset[offset < size]] = False
-        if factor:
-            small = np.ones(size, dtype=np.uint32)  # product of the nonsplit prime factors
-            odd = np.zeros(size, dtype=bool)  # parity of their number
+        yield lo, ok
+        lo, full = lo + full, min(2 * full, step)
+
+
+def _sieve_counts(deltas: tuple[int, ...], ys: list[int], even_only: bool = False) -> list[int]:
+    """For each ascending y >= 1, the number of squarefree q <= y with no
+    prime factor split in any Q(sqrt(delta_i)); with even_only, only those
+    with mu(q) = 1.  One pass of the block kernel to the largest y; each
+    block strikes 4 | q, then, with fields or even_only, divides the nonsplit
+    primes <= sqrt(y) out of each q to leave 1 or its one larger prime P:
+    kronecker_vec decides P, and the factor count gives mu(q) (the kernel's
+    budget keeps q in uint32).  The flags are counted at every threshold."""
+    counts = np.zeros(len(ys), dtype=np.int64)
+    for lo, ok in _blocks(ys[-1], SEGMENT, SEGMENT, deltas):
+        ok[-lo % 4::4] = False
+        if deltas or even_only:
+            if lo == 0:  # once the kernel has checked the budget
+                nonsplit = _nonsplit_primes(deltas, isqrt(ys[-1]))
+            small = np.ones(len(ok), dtype=np.uint32)  # product of the nonsplit prime factors
+            odd = np.zeros(len(ok), dtype=bool)  # parity of their number
             for p in nonsplit:
                 small[-lo % p::p] *= p
                 if even_only:
@@ -251,17 +258,6 @@ def _blocks(y: int, first: int, step: int, deltas: tuple[int, ...] = (),
             for d in deltas:
                 drop |= big & (kronecker_vec(d, cofactor) == 1)
             ok[live[drop]] = False
-        yield lo, ok
-        lo, full = lo + full, min(2 * full, step)
-
-
-def _sieve_counts(deltas: tuple[int, ...], ys: list[int], even_only: bool = False) -> list[int]:
-    """For each ascending y >= 1, the number of squarefree q <= y with no
-    prime factor split in any Q(sqrt(delta_i)); with even_only, only those
-    with mu(q) = 1.  One pass of the block kernel to the largest y, each
-    block counting the flags at or below every threshold."""
-    counts = np.zeros(len(ys), dtype=np.int64)
-    for lo, ok in _blocks(ys[-1], SEGMENT, SEGMENT, deltas, even_only):
         counts += _prefix_counts(ok, np.clip(np.array(ys) + 1 - lo, 0, len(ok)).tolist())
     return counts.tolist()
 
@@ -276,20 +272,20 @@ def _prefix_counts(flags: np.ndarray, ends: list[int]) -> list[int]:
 def _fundamental_blocks(limit: int):
     """The fundamental discriminants with |delta| <= limit, one int64 array
     per block of |delta|, sorted by |delta| with the negative one first on
-    ties.  Block [lo, lo + size) takes the squarefree flags of k in it and
-    of m in [lo/4, (lo + size)/4): +-k for squarefree k = 1, 3 mod 4 (the
-    sign fixed by k mod 4), and +-4m for squarefree m with +-m = 2, 3 mod 4."""
+    ties.  Block [lo, lo + size) reads the kernel's flags of k in it (no odd
+    square divides k): +-k for squarefree k = 1, 3 mod 4 (the sign fixed by
+    k mod 4), and +-4m for k = 4m with 16 not dividing k, where m is
+    squarefree exactly when the odd part of k is, and +-m = 2, 3 mod 4."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    for (lo, sq), (_, sq4) in zip(_blocks(limit, FIRST_BLOCK, SEGMENT),
-                                  _blocks(limit // 4, FIRST_BLOCK // 4, SEGMENT // 4)):
+    for lo, sq in _blocks(limit, FIRST_BLOCK, SEGMENT):
         # row i flags (-(lo + i), +(lo + i)); every block size is a multiple of 16
         flags = np.zeros((len(sq), 2), dtype=bool)
         flags[1::4, 1] = sq[1::4]
         flags[3::4, 0] = sq[3::4]
-        flags[4::16, 0] = sq4[1::4]
-        flags[8::16] = sq4[2::4, None]
-        flags[12::16, 1] = sq4[3::4]
+        flags[4::16, 0] = sq[4::16]
+        flags[8::16] = sq[8::16, None]
+        flags[12::16, 1] = sq[12::16]
         if lo == 0:
             flags[1:2, 1] = False  # 1 is not a discriminant
         found = np.flatnonzero(flags)  # 2 |delta|, plus 1 for the positive one

@@ -60,6 +60,8 @@ _JSON_PREC = 100  # bits, for the float-range test and for the log10 of a bound
 def _json_value(value):
     """A float or mpf as JSON: the float if |value| < 10^308, else {"log10": ...},
     or {"log10_log10": ...} once that log10 reaches 10^308; ValueError at <= -10^308."""
+    if type(value) is float and -1e308 < value < 1e308:  # 1e308 itself is past 10^308
+        return value + 0.0  # as float(mpf(value)): mpf has no -0.0
     with mpmath.mp.workprec(_JSON_PREC):
         edge = mpmath.mp.mpf(10) ** 308
         if value <= -edge:

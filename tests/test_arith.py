@@ -589,6 +589,10 @@ def test_factorize_and_derived_helpers():
     for n in range(1, 500):
         assert math.prod(p ** e for p, e in factorize(n)) == n
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
+    for n in range(1, 3001):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+    assert divisors(10 ** 9 + 7) == [1, 10 ** 9 + 7]
+    assert divisors(2 ** 40) == [2 ** i for i in range(41)]
     for n in (0, 1, 7, 8, 26, 27, 10 ** 15, 10 ** 15 - 1, 3 ** 40):
         for k in (2, 3, 6):
             r = iroot(n, k)

@@ -133,6 +133,26 @@ def test_block_kernel_matches_the_whole_array_sieve_across_block_edges(monkeypat
                     == _whole_array_sieve_counts(deltas, ys, even_only)), (deltas, even_only)
 
 
+@pytest.mark.parametrize("first, step", [(16, 16), (48, 48), (16, 48)])
+def test_block_kernel_only_sieves(first, step):
+    # the kernel strikes the split primes p <= sqrt(y) and the squares of the
+    # odd others: multiples of 4 and of a split P > sqrt(y) stay flagged
+    y = 2000
+    small = primes_upto(math.isqrt(y)).tolist()
+    edges = [0]
+    while edges[-1] <= y:
+        edges.append(min(edges[-1] + min(first * 2 ** (len(edges) - 1), step), y + 1))
+    for deltas in [(), *_SIEVE_DELTAS]:
+        expected = [n > 0 and not any(n % p == 0 for p in small
+                                      if any(kronecker_symbol(d, p) == 1 for d in deltas))
+                    and not any(n % (p * p) == 0 for p in small if p > 2)
+                    for n in range(y + 1)]
+        blocks = list(census._blocks(y, first, step, deltas))
+        assert [lo for lo, _ in blocks] == edges[:-1]
+        assert [len(ok) for _, ok in blocks] == [b - a for a, b in zip(edges, edges[1:])]
+        assert np.concatenate([ok for _, ok in blocks]).tolist() == expected, deltas
+
+
 @pytest.mark.parametrize("deltas", [(), (-3,), (-4,), (5,), (8,), (-4, 5), (-3, -4, 5)],
                          ids=str)
 def test_quaternion_algebras_by_disc_matches_the_sieve_count(deltas):
@@ -246,8 +266,8 @@ def test_fundamental_discriminants_peak_memory():
 @pytest.mark.parametrize("segment", [16, 64, 1008])
 def test_fundamental_blocks_match_scalar_filters_across_block_edges(monkeypatch, segment):
     # |delta| ascending, the negative one first on ties; the odd and the 4m
-    # discriminants of a block come from two block passes at 1 and 1/4 scale,
-    # with blocks of 16, 32, ... up to the segment
+    # discriminants of a block come from one block pass, with blocks of 16,
+    # 32, ... up to the segment
     monkeypatch.setattr(census, "SEGMENT", segment)
     monkeypatch.setattr(census, "FIRST_BLOCK", 16)
     limit = 3000

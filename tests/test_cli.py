@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -18,7 +19,7 @@ from quatrig import census
 from quatrig.brauer import parse_ram_set
 from quatrig.cache import CensusCache
 from quatrig.census import CountTable
-from quatrig.cli import build_parser, main
+from quatrig.cli import _json, _json_value, build_parser, main
 from quatrig.fields import PlaceQ
 from quatrig.rigidity import rigidity_scan
 
@@ -222,6 +223,21 @@ def test_bounds_json_strict_past_float_range(capsys):
     assert payload["value"] == {"log10_log10": payload["log10"]["log10"]}
 
 
+def _encoded(value) -> str:
+    try:
+        return _json(_json_value(value))
+    except ValueError:
+        return "ValueError"
+
+
+def test_json_value_encodes_a_float_as_its_mpf():
+    # a float inside the range returns before mpmath is touched; the mpf route
+    # is the reference at both zeros, a subnormal, +-1e308 and their neighbours
+    edges = [math.nextafter(e, to) for e in (1e308, -1e308) for to in (0, e, 2 * e)]
+    for value in (0.0, -0.0, 5e-324, 1e300, 1.7e308, *edges):
+        assert _encoded(value) == _encoded(mpmath.mpf(value)), value
+
+
 def test_x_is_a_threshold_next_to_thresholds(capsys):
     code, out = run(capsys, ["census", "division", "--n", "2", "--x", "100",
                              "--thresholds", "10,20"])
@@ -245,8 +261,8 @@ def _brute_fundamental_count(x):
 
 
 def test_fund_disc_thresholds_share_one_block_pass(capsys, monkeypatch):
-    # one pass of the block kernel to the largest threshold (and one to a
-    # quarter of it for the discriminants 4m), and no table
+    # one pass of the block kernel to the largest threshold, which also
+    # yields the discriminants 4m, and no table
     passes = []
     blocks = census._blocks
     monkeypatch.setattr(census, "_blocks", lambda y, *rest: passes.append(y) or blocks(y, *rest))
@@ -256,7 +272,7 @@ def test_fund_disc_thresholds_share_one_block_pass(capsys, monkeypatch):
     assert code == 0
     xs = [1, 3, 4, 10, 100, 500, 1000]
     assert out == "x,count\n" + "".join(f"{x},{_brute_fundamental_count(x)}\n" for x in xs)
-    assert passes == [1000, 250]
+    assert passes == [1000]
 
 
 def test_fund_disc_is_the_embed_quads_census_of_the_matrix_algebra(capsys, tmp_path):
@@ -371,6 +387,12 @@ def test_degrees_near_a_million_finish(capsys):
         0, "x,count\n10,0\n")
     assert run(capsys, ["census", "csa", "--m", "6", "--n", "1000002", "--x", "10"]) == (
         0, "x,count\n10,1\n")
+    # divisors by factorization, no numerators for a d past the bound, and a
+    # sparse residue distribution: no list of 10^9 entries
+    assert run(capsys, ["census", "division", "--n", "1000000007", "--x", "10"]) == (
+        0, "x,count\n10,0\n")
+    assert run(capsys, ["census", "csa", "--m", "1000000007", "--n", "1000000007",
+                        "--x", "10"]) == (0, "x,count\n10,1\n")
 
 
 def test_geodesics_cli(capsys):
@@ -510,7 +532,9 @@ def test_exp_bound_overflow_exits_2(capsys, argv):
     ["predict", "delta-n", "--n", "83"],
     ["predict", "delta-n", "--n", "1009"],
     ["predict", "delta-n", "--n", "1000003"],
+    ["predict", "delta-n", "--n", "1000000007"],
     ["predict", "report", "--model", "division:211", "--x", "100"],
+    ["predict", "report", "--model", "division:1000000007", "--x", "10"],
     ["bounds", "recognizing", "--x", "3", "--dk", "0"],
     ["bounds", "recognizing", "--x", "3", "--dk", "-1"],
     ["bounds", "gw", "--b-omega", "0", "--x", "10"],

@@ -1,7 +1,8 @@
 """Which commands execute numpy and mpmath.  `import quatrig.cli` executes
 neither: arith binds both on first use.  A warm census, --help and an
-argument error never use them; a cold sieve census executes numpy only.
-Each case runs in a fresh interpreter, since this one has executed both."""
+argument error never use them; a cold sieve census and a surfaces census
+execute numpy only.  Each case runs in a fresh interpreter, since this one
+has executed both."""
 
 import ast
 import json
@@ -78,6 +79,16 @@ def test_cold_sieve_census_executes_numpy_only(tmp_path):
     argv = f"--cache-dir {tmp_path} census division --n 2 --x 1000 --thresholds 10,100,1000"
     expected = _pin("census division --n 2 --x 1000 --thresholds 10,100,1000")
     assert _fresh(argv) == (0, ["numpy"], expected)
+
+
+@pytest.mark.parametrize("argv", [
+    "surfaces census --field -4 --bl 5.1,5.2 --x 10000",
+    "--format json surfaces census --field -4 --bl 5.1,5.2 --x 10000",
+])
+def test_surfaces_census_executes_numpy_only(argv):
+    # the JSON payload is built in either format, and its float area bounds
+    # never reach mpmath
+    assert _fresh(argv) == (0, ["numpy"], _pin(argv))
 
 
 @pytest.mark.parametrize("library, name", [("numpy", "np"), ("mpmath", "mpmath")])

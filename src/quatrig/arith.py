@@ -170,6 +170,12 @@ def squarefree_kernel(n: int) -> int:
     return (-1 if n < 0 else 1) * math.prod(p for p, e in factorize(n) if e % 2)
 
 
+def product_discriminant(deltas) -> int:
+    """The fundamental discriminant of the product character of the chi_delta (1 for none)."""
+    s = squarefree_kernel(math.prod(deltas))
+    return s if s % 4 == 1 else 4 * s
+
+
 def divisors(n: int) -> list[int]:
     """Positive divisors of n >= 1, ascending, from the factorization of n."""
     divs = [1]
@@ -267,11 +273,16 @@ def mobius(n: int) -> int:
     return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
 
 
+def mobius_upto(n: int) -> list[int]:
+    """[0, mu(1), ..., mu(n)], each by trial division: no sieve is built."""
+    return [0] + [mobius(d) for d in range(1, n + 1)]
+
+
 def squarefree_counts(xs: list[int]) -> list[int]:
     """For each ascending x >= 0, the number of squarefree integers in [1, x]:
     the sum over d <= sqrt(x) of mu(d) floor(x / d^2), with mu(d) taken once
-    for each d <= sqrt(max x) and no sieve built."""
-    mu = [0] + [mobius(d) for d in range(1, isqrt(xs[-1]) + 1)]
+    for each d <= sqrt(max x)."""
+    mu = mobius_upto(isqrt(xs[-1]))
     return [sum(mu[d] * (x // (d * d)) for d in range(1, isqrt(x) + 1)) for x in xs]
 
 
@@ -335,10 +346,11 @@ class PellSolution:
         return mpmath.mp.make_mpf(lib.mpf_log(half, prec, "n"))
 
 
-def pell_fundamental(delta: int) -> PellSolution:
+def pell_fundamental(delta: int, check: bool = True) -> PellSolution:
     """Fundamental solution of t^2 - delta*u^2 = +-4 for a positive
     fundamental discriminant, from half the period of one continued fraction
-    (brute force is kept as a test oracle only).
+    (brute force is kept as a test oracle only).  check=False skips the test
+    that delta is fundamental, for a delta checked already or streamed.
 
     omega = (b + sqrt(delta))/2, with b the largest integer below sqrt(delta)
     and b = delta (mod 2), is reduced, so its expansion is purely periodic:
@@ -356,7 +368,7 @@ def pell_fundamental(delta: int) -> PellSolution:
     top left entry of M_1 ... M_{l-1} = H H^T (l odd) or H M_k H^T (l even)
     for H = M_1 ... M_{k-1}, which only needs the top row (x, y) of H.
     """
-    if delta <= 0 or not is_fundamental_discriminant(delta):
+    if delta <= 0 or check and not is_fundamental_discriminant(delta):
         raise InvalidDiscriminant(f"{delta} is not a positive fundamental discriminant")
     root = isqrt(delta)
     b = root - (root - delta) % 2
@@ -382,7 +394,7 @@ def pell_fundamental(delta: int) -> PellSolution:
 
 # -- class numbers and L-values --------------------------------------------
 
-def class_number(delta: int) -> int:
+def class_number(delta: int, check: bool = True) -> int:
     """h(delta) for a fundamental discriminant delta != 1, from the reduced
     forms (a, b, c) of discriminant b^2 - 4ac = delta (Cohen, GTM 138, 5.3 and
     5.6), found by b = delta (mod 2) and the divisors |a| of |b^2 - delta|/4.
@@ -394,8 +406,9 @@ def class_number(delta: int) -> int:
     (b'^2 - delta)/4c), with b' = -b (mod 2|c|) the largest such value below
     sqrt(delta), permutes these forms; its cycles are the h+ narrow classes,
     and h = h+ when the fundamental unit has norm -1, h+/2 otherwise.
+    check=False skips the test that delta is fundamental, as in pell_fundamental.
     """
-    if not is_fundamental_discriminant(delta):
+    if check and not is_fundamental_discriminant(delta):
         raise InvalidDiscriminant(f"{delta} is not a fundamental discriminant")
     r, forms = isqrt(abs(delta)), []
     for b in range(delta % 2, r + 1, 2):
@@ -418,7 +431,7 @@ def class_number(delta: int) -> int:
             _, b, c = form
             b = r - (r + b) % (2 * abs(c))
             form = (c, b, (b * b - delta) // (4 * c))
-    return cycles if pell_fundamental(delta).norm == -1 else cycles // 2
+    return cycles if pell_fundamental(delta, check=False).norm == -1 else cycles // 2
 
 
 def class_number_imaginary(delta: int) -> int:
@@ -443,9 +456,10 @@ def dirichlet_L(delta: int, s: int):
         raise ValueError("s must be 1 or 2")
     with mpmath.mp.workprec(PRECISION_BITS):
         if s == 1:
-            h = class_number(delta)
+            h = class_number(delta, check=False)
             if delta > 0:
-                return 2 * h * pell_fundamental(delta).regulator() / mpmath.mp.sqrt(delta)
+                reg = pell_fundamental(delta, check=False).regulator()
+                return 2 * h * reg / mpmath.mp.sqrt(delta)
             w = 6 if delta == -3 else 4 if delta == -4 else 2
             return 2 * mpmath.mp.pi * h / (w * mpmath.mp.sqrt(-delta))
         q = abs(delta)

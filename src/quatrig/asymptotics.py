@@ -26,8 +26,8 @@ from .arith import (
     kronecker_vec,
     mobius,
     primes_upto,
+    product_discriminant,
     ramanujan_sum,
-    squarefree_kernel,
 )
 from .brauer import QuaternionAlgebraQ, parse_ram_set
 from .census import (census_division, census_embedding_quads, census_quat_with_subfields,
@@ -155,12 +155,6 @@ def embed_constant_r1(delta: int, cutoff: int = 10 ** 6) -> EulerProductValue:
     return EulerProductValue(value, cutoff, tail)
 
 
-def _fundamental_of_product(deltas) -> int:
-    """Fundamental discriminant of the product character of the chi_delta."""
-    s = squarefree_kernel(math.prod(deltas))
-    return s if s % 4 == 1 else 4 * s
-
-
 def embed_constant_general(deltas, cutoff: int = 10 ** 6) -> EulerProductValue:
     """Growth constant for quaternion algebras admitting r independent
     quadratic subfields at once: the full character-product evaluation with
@@ -174,7 +168,7 @@ def embed_constant_general(deltas, cutoff: int = 10 ** 6) -> EulerProductValue:
     r1p = 1 if all(d < 0 for d in deltas) else 0
     ram_primes = sorted({p for d in deltas for p, _ in factorize(d)})
     subsets = [t for k in range(1, r + 1) for t in combinations(range(r), k)]
-    d_t = {t: _fundamental_of_product([deltas[i] for i in t]) for t in subsets}
+    d_t = {t: product_discriminant([deltas[i] for i in t]) for t in subsets}
 
     # bracket = kappa * prod_R (1 - 1/p) * prod_{T nonempty} (L(1,chi_T)
     #           * prod_R (1 - chi_T(p)/p))^(+-1)

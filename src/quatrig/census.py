@@ -4,23 +4,23 @@ oracle that reproduces them through an entirely independent route (exact
 multiplication of Euler factors).
 
 Quaternion algebras have |disc| = q^2 for the squarefree product q of their
-finite ramified primes, so the quaternion division and subfield censuses are
-prefix counts of squarefree q <= sqrt(x).  One block kernel (_blocks) sieves
-0..y in blocks of SEGMENT integers with the primes up to sqrt(y), in
-O(sqrt(y) + SEGMENT) memory; _sieve_counts strikes 4 | q, a split prime
-factor above sqrt(y) and, if asked, odd mu(q), then counts each threshold.  One listing
-(quaternion_algebras_by_disc) yields the same q with their primes for the
-callers that need the algebras themselves.  The other censuses (central
-simple algebras, division algebras of degree n >= 3) come from one bounded
-product-of-primes enumerator (arith.squarefree_products) over ascending
-primes; each folds its residue distribution of local invariants along the
-way and sums per-node weights into threshold slots, so counts never depend on
-enumeration order.  Quadratic fields come from the same kernel, one block of
-fundamental discriminants at a time (_fundamental_blocks), the one stream
-every reader walks in |delta| order (census fund-disc is the embed-quads census
-of the matrix algebra), so no command builds an array as long as its limit.
-Splitting data comes from arith.kronecker_vec; least_primes finds least primes,
-but _least_inert_primes walks the primes up to max |delta| itself.
+finite ramified primes, so the quaternion division and subfield censuses
+count squarefree q <= y = sqrt(x) with no prime factor split in a field:
+prime sums over the floor set {y // k} (_prime_sum_counts), in O(y^(3/4))
+time and O(sqrt(y)) memory.  One listing (quaternion_algebras_by_disc)
+yields the same q with their primes for the callers that need the algebras
+themselves.  The other censuses (central simple algebras, division algebras
+of degree n >= 3) come from one bounded product-of-primes enumerator
+(arith.squarefree_products) over ascending primes; each folds its residue
+distribution of local invariants along the way and sums per-node weights
+into threshold slots, so counts never depend on enumeration order.  The
+embed-quads census (fund-disc is that of the matrix algebra) counts
+squarefree numbers in residue classes in O(sqrt(x)) steps.  The readers
+that need the fields themselves walk one stream of fundamental
+discriminants in |delta| order (_fundamental_blocks) off one block kernel
+(_blocks), so no command builds an array as long as its limit.  Splitting
+data comes from arith.kronecker_vec, least primes from prefixes of the
+primes grown tenfold.
 """
 
 from __future__ import annotations
@@ -29,17 +29,20 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import gcd, isqrt, lcm, log, prod
 
 from . import arith
 from .arith import (
     divisors,
+    factorize,
     iroot,
+    kronecker_symbol,
     kronecker_vec,
     mobius,
     np,
     primes_upto,
+    product_discriminant,
     squarefree_counts,
     squarefree_products,
 )
@@ -153,19 +156,20 @@ def count_csa(m: int, n: int, x: int) -> int:
 def census_division(n: int, thresholds) -> CountTable:
     """Division algebras of dimension n^2, counted two independent ways.
 
-    n = 2: the sieve count of squarefree q <= sqrt(x), less q = 1 (the real
-    place fixes the parity, so each q > 1 is one division algebra), checked
-    against the sum over d <= x^(1/4) of mu(d) floor(sqrt(x)/d^2), with mu(d)
-    by trial division.  n >= 3: a direct count of the Hasse data of division
-    degree exactly n, and the Moebius inclusion-exclusion over the N_{m,n};
-    the m = n term weighs the same nodes as the direct count, in the same
-    pass.  Raises InternalInconsistency if the routes disagree anywhere."""
+    n = 2: the prime-sum count of squarefree q <= sqrt(x), less q = 1 (the
+    real place fixes the parity, so each q > 1 is one division algebra),
+    checked against the sum over d <= x^(1/4) of mu(d) floor(sqrt(x)/d^2),
+    with mu(d) by trial division.  n >= 3: a direct count of the Hasse data
+    of division degree exactly n, and the Moebius inclusion-exclusion over
+    the N_{m,n}; the m = n term weighs the same nodes as the direct count,
+    in the same pass.  Raises InternalInconsistency if the routes disagree
+    anywhere."""
     if n < 2:
         raise ValueError("n must be >= 2")
     thresholds = _ascending(thresholds)
     if n == 2:
         ys = [isqrt(x) for x in thresholds]
-        sieved = [c - 1 for c in _sieve_counts((), ys)]
+        sieved = [c - 1 for c in _prime_sum_counts((), ys)]
         moebius = [c - 1 for c in squarefree_counts(ys)]
         if sieved != moebius:
             raise InternalInconsistency(
@@ -195,28 +199,26 @@ def count_division(n: int, x: int) -> int:
 
 # -- the block kernel ---------------------------------------------------------
 
-# Every sieve census walks its range in blocks of SEGMENT integers, so its
-# arrays stay a few MB at any range (2^18 measured fastest at 10^7).  The
-# discriminant stream starts at FIRST_BLOCK and doubles up to SEGMENT, so a
-# reader that stops early reads few; both need a multiple of 16.
+# The discriminant stream walks its range in blocks of SEGMENT integers, so
+# its arrays stay a few MB at any range (2^18 measured fastest at 10^7).  It
+# starts at FIRST_BLOCK and doubles up to SEGMENT, so a reader that stops
+# early reads few; both need a multiple of 16.
 SEGMENT = 1 << 18
 FIRST_BLOCK = 1 << 10
 
 
-def _blocks(y: int, first: int, step: int, deltas: tuple[int, ...] = ()):
+def _blocks(y: int, first: int, step: int):
     """(lo, ok) for each block [lo, lo + size) of 0..y, in order, the sizes
     doubling from `first` up to `step`: ok[i] says that n = lo + i >= 1 has
-    no prime factor p <= sqrt(y) split in any Q(sqrt(delta_i)), and no factor
-    p^2 for an odd nonsplit p; 4 is left to the readers.  Each p^2 >= step is
-    struck with the others, at most one per block.  Memory is
+    no factor p^2 for an odd prime p; 4 is left to the readers.  Each
+    p^2 >= step is struck with the others, at most one per block.  Memory is
     O(sqrt(y) + step); a y past SIEVE_MEMORY_BUDGET raises SieveBudgetError."""
     if y > arith.SIEVE_MEMORY_BUDGET:
         raise arith.SieveBudgetError(
             f"census to {y} exceeds budget {arith.SIEVE_MEMORY_BUDGET}")
     primes = primes_upto(isqrt(y))
-    split = _split_mask(deltas, primes)
-    squares = primes[~split & (primes > 2)] ** 2
-    struck = [*primes[split].tolist(), *squares[squares < step].tolist()]  # one stride each
+    squares = primes[primes > 2] ** 2
+    struck = squares[squares < step].tolist()  # one stride each
     squares = squares[squares >= step]
     lo, full = 0, min(first, step)
     while lo <= y:
@@ -231,40 +233,78 @@ def _blocks(y: int, first: int, step: int, deltas: tuple[int, ...] = ()):
         lo, full = lo + full, min(2 * full, step)
 
 
-def _sieve_counts(deltas: tuple[int, ...], ys: list[int], even_only: bool = False) -> list[int]:
+# -- prime sums over the floor set -------------------------------------------------
+
+def _floor_step(small, large, y: int, p: int, coef, base) -> None:
+    """A(v) += coef * (A(v // p) - base) at every v >= p^2 of the floor set
+    {y // k}, one row of A per entry of coef: small[:, v] holds A(v) for
+    v <= L = isqrt(y), large[:, k] holds A(y // k) for 1 <= k <= L.  Every
+    A(v // p) is read before any write, so it is the value before this p."""
+    L = small.shape[1] - 1
+    k1, kmax = min(L // p, y // (p * p)), min(L, y // (p * p))
+    coef, base = coef[:, None], base[:, None]
+    large[:, 1:k1 + 1] += coef * (large[:, p:k1 * p + 1:p] - base)
+    large[:, k1 + 1:kmax + 1] += coef * (small[:, y // (p * np.arange(k1 + 1, kmax + 1))] - base)
+    small[:, p * p:] += coef * (small[:, np.arange(p * p, L + 1) // p] - base)
+
+
+def _periodic_sums(weight, period: int, ms: np.ndarray) -> np.ndarray:
+    """sum weight(m) over 0 <= m <= M for each M in ms, weight an array
+    function of the given period, walked once in blocks of SEGMENT."""
+    full, rest = np.divmod(ms, period)
+    length = period if full.any() else int(rest.max(initial=-1)) + 1
+    sums, total = np.zeros(len(ms), dtype=np.int64), 0
+    for lo in range(0, length, SEGMENT):
+        part = np.cumsum(weight(np.arange(lo, min(lo + SEGMENT, length)))) + total
+        here = (rest >= lo) & (rest < lo + SEGMENT)
+        sums[here], total = part[rest[here] - lo], int(part[-1])
+    return full * total + sums
+
+
+def _prime_sum_counts(deltas: tuple[int, ...], ys: list[int], even_only: bool = False) -> list[int]:
     """For each ascending y >= 1, the number of squarefree q <= y with no
     prime factor split in any Q(sqrt(delta_i)); with even_only, only those
-    with mu(q) = 1.  One pass of the block kernel to the largest y; each
-    block strikes 4 | q, then, with fields or even_only, divides the nonsplit
-    primes <= sqrt(y) out of each q to leave 1 or its one larger prime P:
-    kronecker_vec decides P, and the factor count gives mu(q) (the kernel's
-    budget keeps q in uint32).  The flags are counted at every threshold."""
-    counts = np.zeros(len(ys), dtype=np.int64)
-    for lo, ok in _blocks(ys[-1], SEGMENT, SEGMENT, deltas):
-        ok[-lo % 4::4] = False
-        if deltas or even_only:
-            if lo == 0:  # once the kernel has checked the budget
-                nonsplit = _nonsplit_primes(deltas, isqrt(ys[-1]))
-            small = np.ones(len(ok), dtype=np.uint32)  # product of the nonsplit prime factors
-            odd = np.zeros(len(ok), dtype=bool)  # parity of their number
-            for p in nonsplit:
-                small[-lo % p::p] *= p
-                if even_only:
-                    odd[-lo % p::p] ^= True
-            live = np.flatnonzero(ok)
-            cofactor = (live + lo).astype(np.uint32) // small[live]  # 1 or P
-            big = cofactor > 1
-            drop = odd[live] != big if even_only else np.zeros(len(live), dtype=bool)
-            for d in deltas:
-                drop |= big & (kronecker_vec(d, cofactor) == 1)
-            ok[live[drop]] = False
-        counts += _prefix_counts(ok, np.clip(np.array(ys) + 1 - lo, 0, len(ok)).tolist())
-    return counts.tolist()
+    with mu(q) = 1.  Two phases over the floor set of y, in O(y^(3/4)) time
+    and O(sqrt(y)) memory.  Lucy_Hedgehog's recursion turns the sums of
+    chi_S(n), 2 <= n <= v, into sums over the primes for each product S of
+    the fields; for p prime to them, [p splits in none] = 2^-r sum_S
+    (-1)^|S| chi_S(p), and the p dividing them are put right one by one.
+    Then min_25's recursion: G starts as that nonsplit prime count, and each
+    nonsplit p <= sqrt(y), descending, adds the q of least prime p,
+    f(p) (G(v // p) - G(p)) at v >= p^2, so that 1 + G(y) counts them all.
+    even_only runs f(p) = 1 and f(p) = mu(p) = -1 and halves the sum."""
+    r = len(deltas)
+    nbytes = (40 << r) * isqrt(ys[-1])  # phase 1's floor rows and their temporaries
+    if nbytes > 2.5 * arith.SIEVE_MEMORY_BUDGET:
+        raise arith.SieveBudgetError(f"census to {ys[-1]} exceeds budget: about {nbytes} bytes")
+    subsets = [s for k in range(r + 1) for s in combinations(deltas, k)]
+    chars = [product_discriminant(s) for s in subsets]
+    signs = np.array([(-1) ** len(s) for s in subsets])
+    f = np.array([1, -1] if even_only else [1])
 
+    def chi_sums(d, v):  # the sums of chi_d(n) over 2 <= n <= v
+        return (v if d == 1 else _periodic_sums(lambda n: kronecker_vec(d, n), abs(d), v)) - 1
 
-def _prefix_counts(flags: np.ndarray, ends: list[int]) -> list[int]:
-    """The number of set flags in flags[:e] for each ascending end e."""
-    return list(accumulate(int(np.count_nonzero(flags[a:b])) for a, b in zip([0, *ends], ends)))
+    counts = {}
+    for y in sorted(set(ys)):
+        L = isqrt(y)
+        values = np.arange(L + 1), y // np.arange(L + 1).clip(1)  # large[:, 0] is unused
+        small, large = (np.stack([chi_sums(d, v) for d in chars]) for v in values)
+        primes = primes_upto(L)
+        chi = np.stack([-kronecker_vec(d, primes) for d in chars]).astype(np.int64)
+        for j, p in enumerate(primes.tolist()):
+            _floor_step(small, large, y, p, chi[:, j], small[:, p - 1])
+        small, large = signs @ small, signs @ large
+        for p, _ in factorize(lcm(*deltas)):  # Lucy counted chi_S(p) at p; use the true weight
+            weight = (1 << r) * all(kronecker_symbol(d, p) != 1 for d in deltas) - sum(
+                sign * kronecker_symbol(d, p) for sign, d in zip(signs.tolist(), chars))
+            small[p:] += weight
+            large[1:min(L, y // p) + 1] += weight
+        small, large = f[:, None] * (small >> r), f[:, None] * (large >> r)
+        for p in reversed(_nonsplit_primes(deltas, L)):
+            _floor_step(small, large, y, p, f, small[:, p])
+        counts[y] = (int(large[:, 1].sum()) + len(f)) // len(f)
+    return [counts[y] for y in ys]
 
 
 # -- fundamental discriminants ---------------------------------------------------
@@ -342,34 +382,54 @@ def count_embedding_quads(algebra: QuaternionAlgebraQ, x: int,
 def census_embedding_quads(algebra: QuaternionAlgebraQ, thresholds,
                            not_totally_complex: bool = False) -> CountTable:
     """Quadratic fields with |delta| <= x embedding into the algebra, for
-    each threshold: one pass over the blocks of fundamental discriminants,
-    each block counting its embedding fields at or below every threshold;
-    no table as long as the largest threshold is built."""
+    each threshold.  delta = +-n or +-4n for squarefree n <= N = x or x/4,
+    and whether it counts depends on n mod 8P, P the odd ramified primes:
+    the sum over odd d <= sqrt(N) of mu(d) #{m <= N/d^2 : m d^2 counts}, as
+    the weight of m d^2 is that of m g^2, g = gcd(d, P).  delta = 1 is taken
+    out where it fell in the counted classes.  O(sqrt(x) + 8P) time."""
     thresholds = _ascending(thresholds)
+    if thresholds[-1] > arith.SIEVE_MEMORY_BUDGET:  # mu(d) to sqrt(x) is by trial division
+        raise arith.SieveBudgetError(
+            f"census to {thresholds[-1]} exceeds budget {arith.SIEVE_MEMORY_BUDGET}")
+    odd = [v.p for v in algebra.ramification if not v.is_infinite and v.p > 2]
+    signs = (1,) if not_totally_complex else (1, -1)
+
+    def weight(four, g, m):  # the fields delta = +-four m g^2 that count
+        n, w = m * (g * g), np.zeros(len(m), dtype=np.int64)
+        for sign in signs:
+            delta = sign * four * n
+            w += (delta % 4 == 1 if four == 1 else sign * n % 4 >= 2) & _embeds_mask(algebra, delta)
+        return w
+
+    mu = np.array(arith.mobius_upto(isqrt(thresholds[-1])), dtype=np.int64)
+    ds = 2 * np.flatnonzero(mu[1::2]) + 1  # squarefree and odd: an even d puts 4 | n
     counts = np.zeros(len(thresholds), dtype=np.int64)
-    for deltas in _fundamental_blocks(thresholds[-1]):
-        ok = _embeds_mask(algebra, deltas)
-        if not_totally_complex:
-            ok &= deltas > 0
-        ends = np.searchsorted(np.abs(deltas), thresholds, side="right")
-        counts += _prefix_counts(ok, ends.tolist())
+    for four in (1, 4):
+        ns = np.array(thresholds) // four
+        lens = np.searchsorted(ds * ds, ns, side="right")
+        which = np.repeat(np.arange(len(ns)), lens)
+        d = np.concatenate([ds[:k] for k in lens])
+        ms, g = ns[which] // (d * d), np.ones_like(d)
+        for p in (p for p in odd if p <= isqrt(thresholds[-1])):
+            g[d % p == 0] *= p
+        for gv in np.unique(g).tolist():
+            at = g == gv
+            # a period past every m walks only as far as the largest m
+            period = min(8 * prod(odd) // gv, thresholds[-1] + 1)
+            sums = _periodic_sums(lambda m: weight(four, gv, m), period, ms[at])
+            np.add.at(counts, which[at], mu[d[at]] * sums)
+    counts -= weight(1, 1, np.array([1]))[0]  # delta = 1 is no discriminant
     return CountTable(tuple(thresholds), tuple(counts.tolist()))
 
 
 # -- quaternion algebras with prescribed subfields ---------------------------
 
-def _split_mask(deltas: tuple[int, ...], primes: np.ndarray) -> np.ndarray:
-    """Which of the primes split in some field Q(sqrt(delta_i))."""
-    split = np.zeros(len(primes), dtype=bool)
-    for d in deltas:
-        split |= kronecker_vec(d, primes) == 1
-    return split
-
-
 def _nonsplit_primes(deltas: tuple[int, ...], limit: int) -> list[int]:
     """Finite primes p <= limit that split in none of the given fields."""
     primes = primes_upto(limit)
-    return primes[~_split_mask(deltas, primes)].tolist()
+    for d in deltas:
+        primes = primes[kronecker_vec(d, primes) != 1]
+    return primes.tolist()
 
 
 def quaternion_algebras_by_disc(y: int, deltas=(), base=()) -> list[tuple[int, tuple]]:
@@ -378,8 +438,8 @@ def quaternion_algebras_by_disc(y: int, deltas=(), base=()) -> list[tuple[int, t
     Q(sqrt(delta_i)), primes ascending: the quaternion algebras over Q of
     |disc| = q^2 that ramify at the base primes and otherwise admit every
     field.  Each base prime must split in one of the fields, as the primes
-    of a descended algebra do.  With no base, _sieve_counts(deltas, [y])
-    counts the same q."""
+    of a descended algebra do.  With no base, _prime_sum_counts(deltas, [y])
+    counts the same q without listing them."""
     base = tuple(sorted(base))
     b = prod(base)
     if b > y:
@@ -403,13 +463,13 @@ def census_quat_with_subfields(deltas, thresholds) -> CountTable:
     nonsplit in every field, and |disc| = q^2 for the product q of the finite
     ones; when the real place qualifies (all delta_i < 0) it absorbs either
     parity of the finite part, otherwise only even sets count.  One sieve
-    count of such q <= sqrt(x); the tests' Dirichlet-coefficient oracle is
-    the independent route."""
+    prime-sum count of such q <= sqrt(x); the tests' Dirichlet-coefficient
+    oracle is the independent route."""
     deltas = tuple(int(d) for d in deltas)
     check_independent(deltas)
     thresholds = _ascending(thresholds)
-    counts = _sieve_counts(deltas, [isqrt(x) for x in thresholds],
-                           even_only=not all(d < 0 for d in deltas))
+    counts = _prime_sum_counts(deltas, [isqrt(x) for x in thresholds],
+                               even_only=not all(d < 0 for d in deltas))
     return CountTable(tuple(thresholds), tuple(counts))
 
 
@@ -450,17 +510,18 @@ def smallest_inert_prime(field: QuadraticField) -> int:
 
 
 def _least_inert_primes(deltas: np.ndarray) -> np.ndarray:
-    """The least prime inert in each field, walking the primes <= max |delta|
-    against the unresolved discriminants: chi_delta is non-principal mod |delta|,
-    so (delta|n) = -1 for some n < |delta|, and a prime factor of n is inert."""
+    """The least prime inert in each field, walking prefixes of the primes
+    grown tenfold from 10^3 against the unresolved discriminants."""
     least = np.zeros(len(deltas), dtype=np.int64)
-    todo = np.arange(len(deltas))
-    for p in primes_upto(int(np.abs(deltas).max(initial=0))).tolist():
-        if not len(todo):
-            break
-        inert = kronecker_vec(deltas[todo], p) == -1
-        least[todo[inert]] = p
-        todo = todo[~inert]
+    todo, seen, limit = np.arange(len(deltas)), 0, 10 ** 3
+    while len(todo):
+        primes = primes_upto(limit)
+        for p in primes[seen:].tolist():
+            inert = kronecker_vec(deltas[todo], p) == -1
+            least[todo[inert]], todo = p, todo[~inert]
+            if not len(todo):
+                break
+        seen, limit = len(primes), 10 * limit
     return least
 
 

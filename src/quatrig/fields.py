@@ -165,7 +165,7 @@ def regulator(field: QuadraticField):
     """log of the fundamental (norm +-1) unit of a real quadratic field."""
     if not field.is_real:
         raise InvalidDiscriminant("regulator requires a real field")
-    return pell_fundamental(field.delta).regulator()
+    return pell_fundamental(field.delta, check=False).regulator()  # checked by QuadraticField
 
 
 @dataclass(frozen=True)

@@ -93,15 +93,15 @@ def _float_length_from_trace(t1: int) -> float:
     return 2 * math.log(t1)
 
 
-def geodesic_from_field(delta: int) -> GeodesicDatum:
+def geodesic_from_field(delta: int, check: bool = True) -> GeodesicDatum:
     """The geodesic of the real quadratic field of discriminant delta, from
     one pell_fundamental call and its regulator R: the length is 2R, or 4R
     when the fundamental unit has norm -1 (its square is the norm-one unit),
     checked against 2 arccosh(t1/2), computed apart from R in floats; the
-    squared unit length is 4R."""
+    squared unit length is 4R.  check=False is passed on to pell_fundamental."""
     if delta <= 0:
         raise InvalidDiscriminant("geodesics require a real quadratic field")
-    sol = pell_fundamental(delta)
+    sol = pell_fundamental(delta, check=check)
     reg = float(sol.regulator())
     datum = GeodesicDatum(delta, sol.t1, (2 if sol.norm == 1 else 4) * reg, 4 * reg)
     arccosh_form = _float_length_from_trace(sol.t1)
@@ -283,7 +283,8 @@ def geodesic_census(algebra: QuaternionAlgebraQ, x: int, volume: float = 0.0,
     specialization 2x, scaled by e^(cV) when a volume is supplied."""
     if algebra.ramified_at_infinity:
         raise DefiniteAlgebra("geodesic census requires an indefinite algebra")
-    data = tuple(geodesic_from_field(d) for deltas in _fundamental_blocks(x)  # ascending delta > 0
+    # ascending delta > 0 from the stream, fundamental by construction
+    data = tuple(geodesic_from_field(d, check=False) for deltas in _fundamental_blocks(x)
                  for d in deltas[_embeds_mask(algebra, deltas) & (deltas > 0)].tolist())
     classes = len(rational_classes(data))
     max_len = max((d.length for d in data), default=0.0)

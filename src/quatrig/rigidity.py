@@ -26,8 +26,9 @@ from .census import (_embeds_mask, _fundamental_blocks, least_primes,
 from .fields import QuadraticField, square_subproducts
 
 _BOUND_PREC = 100
-# limit_pair's largest candidate |delta|: every m <= 47 is answered within it,
-# m = 47 only past 10^7 (about 2 s on a 2-core Xeon)
+# limit_pair's largest candidate |delta|: every m <= 71 is answered within it,
+# m = 71 with its partner at -36,924,963; m = 73's partner, -227,160,267, lies
+# past it
 LIMIT_PAIR_CAP = 10 ** 8
 
 

@@ -377,6 +377,22 @@ def test_pell_rejects_bad_input():
         pell_fundamental(10)
 
 
+@pytest.mark.parametrize("entry", [pell_fundamental, class_number,
+                                   lambda d: dirichlet_L(d, 1), lambda d: dirichlet_L(d, 2)],
+                         ids=["pell_fundamental", "class_number", "L(1)", "L(2)"])
+def test_public_entries_check_the_discriminant_once(monkeypatch, entry):
+    for bad in (9, 20, 45, 1) + ((-12, -16, -27) if entry is not pell_fundamental else ()):
+        with pytest.raises(InvalidDiscriminant):
+            entry(bad)
+    # the inner calls (class_number and Pell inside L, Pell inside
+    # class_number) take the checked delta as it is
+    calls = []
+    check = arith.is_fundamental_discriminant
+    monkeypatch.setattr(arith, "is_fundamental_discriminant", lambda d: calls.append(d) or check(d))
+    entry(13)
+    assert calls == [13]
+
+
 def _regulator_oracle(sol):
     with mp.workprec(PRECISION_BITS):
         return mp.log((sol.t + sol.u * mp.sqrt(sol.delta)) / 2)

@@ -2,6 +2,7 @@ import math
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -58,34 +59,38 @@ def test_division_matches_squarefree_oracle(squarefree_count):
 
 
 def test_moebius_sum_matches_the_block_kernel():
-    # count_squarefree takes mu(d) by trial division, the block kernel sieves
-    # with the primes <= sqrt(y): two routes to every squarefree count
+    # count_squarefree takes mu(d) by trial division, the prime sums count
+    # the squarefree q through the primes <= y: two routes to every count
     ys = sorted({1, 2, 3, 4, 8, 9, 10, 99, 100, 101, 9999, 10 ** 4, 123456,
                  2 ** 18 - 1, 2 ** 18, 2 ** 18 + 1, 999999, 10 ** 6, 10 ** 7 - 1, 10 ** 7})
-    assert [count_squarefree(y) for y in ys] == census._sieve_counts((), ys)
+    assert [count_squarefree(y) for y in ys] == census._prime_sum_counts((), ys)
 
 
 # thresholds x: the smallest ones, perfect squares and their neighbours
 _SIEVE_XS = sorted({1, 3, 4, 8, 9, 10, 99, 100, 101, 12344, 12345, 35 ** 4,
                     10 ** 8 - 1, 10 ** 8, 10 ** 8 + 1, 97 ** 4 + 1, 10 ** 10})
 _SIEVE_DELTAS = [(-3,), (-4,), (-15,), (5,), (8,), (-4, 5), (-3, -4)]
+# y = sqrt(x) from 1 to 10^6: the neighbours of prime squares p^2, where the
+# prime sums take a new prime, and of other squares
+_SIEVE_YS = sorted({1, 2, 3, 12345, 65535, 65536, 10 ** 5, 10 ** 6} | {
+    n * n + e for n in (2, 3, 4, 5, 6, 7, 10, 11, 12, 35, 97, 100, 313, 997, 1000)
+    for e in (-1, 0, 1)})
 
 
-@pytest.mark.parametrize("deltas", _SIEVE_DELTAS, ids=str)
+@pytest.mark.parametrize("deltas", _SIEVE_DELTAS + [(-4, 5, 13), (-3, -4, 5)], ids=str)
 def test_sieve_counts_match_the_enumerator(deltas):
-    # the old route: every product of nonsplit primes, its parity folded along
-    y = math.isqrt(_SIEVE_XS[-1])
+    # the enumerator: every product of nonsplit primes, its parity folded along
+    y = _SIEVE_YS[-1]
     nonsplit = [p for p in primes_upto(y).tolist()
                 if all(kronecker_symbol(d, p) != 1 for d in deltas)]
-    even_only = not all(d < 0 for d in deltas)
-    qs = sorted(q for q, odd in squarefree_products(nonsplit, y, 0, lambda odd, p, _: 1 - odd)
-                if not (even_only and odd))
-    expected = [bisect_right(qs, math.isqrt(x)) for x in _SIEVE_XS]
-    ys = [math.isqrt(x) for x in _SIEVE_XS]
-    assert census._sieve_counts(deltas, ys, even_only) == expected
-    # each threshold as the largest, where the strikes stop
-    assert [census._sieve_counts(deltas, [y], even_only)[0] for y in ys] == expected
-    assert census_quat_with_subfields(deltas, _SIEVE_XS).counts == tuple(expected)
+    rows = list(squarefree_products(nonsplit, y, 0, lambda odd, p, _: 1 - odd))
+    for even_only in (False, True):
+        qs = sorted(q for q, odd in rows if not (even_only and odd))
+        expected = [bisect_right(qs, y) for y in _SIEVE_YS]
+        assert census._prime_sum_counts(deltas, _SIEVE_YS, even_only) == expected, even_only
+        if even_only == (not all(d < 0 for d in deltas)):  # the parity the census takes
+            assert census_quat_with_subfields(deltas, _SIEVE_XS).counts == tuple(
+                bisect_right(qs, math.isqrt(x)) for x in _SIEVE_XS)
 
 
 @lru_cache(maxsize=4)
@@ -102,14 +107,15 @@ def _mu_array(y: int) -> np.ndarray:
 
 
 def _whole_array_sieve_counts(deltas, ys, even_only=False):
-    """The whole-array route the block kernel replaced: strike the split
-    primes from a Moebius array to max(ys), p <= sqrt(y) directly and k * P
-    for each larger split P, then count each slice."""
+    """The whole-array sieve, a second route to the prime sums: strike the
+    split primes from a Moebius array to max(ys), p <= sqrt(y) directly and
+    k * P for each larger split P, then count each slice."""
     y, root = ys[-1], math.isqrt(ys[-1])
     mu = _mu_array(y)
     ok = mu == 1 if even_only else mu != 0
     primes = primes_upto(y)
-    split = primes[census._split_mask(deltas, primes)]
+    split = np.array([p for p in primes.tolist()
+                      if any(kronecker_symbol(d, p) == 1 for d in deltas)], dtype=np.int64)
     cut = np.searchsorted(split, root, side="right")
     for p in split[:cut].tolist():
         ok[p::p] = False
@@ -120,47 +126,51 @@ def _whole_array_sieve_counts(deltas, ys, even_only=False):
     return list(accumulate(int(np.count_nonzero(ok[a:b])) for a, b in zip(edges, edges[1:])))
 
 
-@pytest.mark.parametrize("segment", [7, 64, 1000, census.SEGMENT])
-def test_block_kernel_matches_the_whole_array_sieve_across_block_edges(monkeypatch, segment):
-    # small blocks put p^2, k * P and the threshold ends on both sides of
-    # block edges; the whole-array sieve is the reference
-    monkeypatch.setattr(census, "SEGMENT", segment)
-    # 16 passes of 14,286 blocks of 7 to y = 10^5 take 47 s: stop at 10^4
-    ys = [math.isqrt(x) for x in _SIEVE_XS if segment > 7 or x <= 10 ** 8 + 1]
+def test_prime_sums_match_the_whole_array_sieve():
+    ys = [math.isqrt(x) for x in _SIEVE_XS]
     for deltas in [(), *_SIEVE_DELTAS]:
         for even_only in (False, True):
-            assert (census._sieve_counts(deltas, ys, even_only)
+            assert (census._prime_sum_counts(deltas, ys, even_only)
                     == _whole_array_sieve_counts(deltas, ys, even_only)), (deltas, even_only)
+
+
+@pytest.mark.parametrize("segment", [7, 64, 1000, census.SEGMENT])
+def test_block_kernel_matches_the_whole_array_sieve_across_block_edges(monkeypatch, segment):
+    # small blocks put p^2 and the threshold ends on both sides of block
+    # edges; the whole-array sieve is the reference, 4 | n struck here as the
+    # readers of the kernel strike it
+    monkeypatch.setattr(census, "SEGMENT", segment)
+    ys = [math.isqrt(x) for x in _SIEVE_XS]
+    ok = np.concatenate([ok for _, ok in census._blocks(ys[-1], segment, segment)])
+    ok[::4] = False
+    assert np.cumsum(ok)[ys].tolist() == _whole_array_sieve_counts((), ys)
 
 
 @pytest.mark.parametrize("first, step", [(16, 16), (48, 48), (16, 48)])
 def test_block_kernel_only_sieves(first, step):
-    # the kernel strikes the split primes p <= sqrt(y) and the squares of the
-    # odd others: multiples of 4 and of a split P > sqrt(y) stay flagged
+    # the kernel strikes the squares of the odd primes p <= sqrt(y):
+    # multiples of 4 stay flagged
     y = 2000
     small = primes_upto(math.isqrt(y)).tolist()
     edges = [0]
     while edges[-1] <= y:
         edges.append(min(edges[-1] + min(first * 2 ** (len(edges) - 1), step), y + 1))
-    for deltas in [(), *_SIEVE_DELTAS]:
-        expected = [n > 0 and not any(n % p == 0 for p in small
-                                      if any(kronecker_symbol(d, p) == 1 for d in deltas))
-                    and not any(n % (p * p) == 0 for p in small if p > 2)
-                    for n in range(y + 1)]
-        blocks = list(census._blocks(y, first, step, deltas))
-        assert [lo for lo, _ in blocks] == edges[:-1]
-        assert [len(ok) for _, ok in blocks] == [b - a for a, b in zip(edges, edges[1:])]
-        assert np.concatenate([ok for _, ok in blocks]).tolist() == expected, deltas
+    expected = [n > 0 and not any(n % (p * p) == 0 for p in small if p > 2)
+                for n in range(y + 1)]
+    blocks = list(census._blocks(y, first, step))
+    assert [lo for lo, _ in blocks] == edges[:-1]
+    assert [len(ok) for _, ok in blocks] == [b - a for a, b in zip(edges, edges[1:])]
+    assert np.concatenate([ok for _, ok in blocks]).tolist() == expected
 
 
 @pytest.mark.parametrize("deltas", [(), (-3,), (-4,), (5,), (8,), (-4, 5), (-3, -4, 5)],
                          ids=str)
 def test_quaternion_algebras_by_disc_matches_the_sieve_count(deltas):
     # two routes to one set: the listing enumerates products of nonsplit
-    # primes, the block kernel strikes the split primes and their squares
+    # primes, the prime sums count them through the floor set of y
     for y in (0, 1, 2, 30, 1000, 10 ** 5):
         rows = census.quaternion_algebras_by_disc(y, deltas)
-        assert len(rows) == (census._sieve_counts(deltas, [y])[0] if y else 0)
+        assert len(rows) == (census._prime_sum_counts(deltas, [y])[0] if y else 0)
         assert [q for q, _ in rows] == sorted({q for q, _ in rows})
         for q, primes in rows[:300]:
             assert math.prod(primes) == q and list(primes) == sorted(primes)
@@ -395,6 +405,32 @@ def test_embedding_quads_census_matches_scalar():
             assert got.counts == expected, (ram, ntc)
 
 
+def _places(ram: str):
+    """An object with the ramification of `ram`, odd sets included: the
+    embed-quads census reads nothing else of the algebra."""
+    return SimpleNamespace(ramification=frozenset(
+        INFINITY if v == "inf" else PlaceQ.finite(int(v)) for v in ram.split(",") if v))
+
+
+def test_embedding_quads_census_matches_the_stream():
+    # the residue-class count against the stream of fundamental
+    # discriminants, each field tested; delta = 1 is in the counted classes
+    # exactly when no finite prime ramifies and the real place may split.
+    # The last set has a modulus 8P past int64 and a period past every m.
+    cases = [(ram, 10 ** 6) for ram in ("", "2", "inf", "2,3", "3,5,7,inf", "2,3,5,7,inf",
+                                        "2,100003")]
+    for ram, limit in cases + [("10000019,10000079,10000103,inf", 20000)]:
+        thresholds = [*range(1, 9), 12, 13, 100, 999, 1000, 1001, 4096, 12345, limit - 1, limit]
+        algebra = _places(ram)
+        for ntc in (False, True):
+            counts = np.zeros(len(thresholds), dtype=np.int64)
+            for deltas in census._fundamental_blocks(limit):
+                ok = census._embeds_mask(algebra, deltas) & (deltas > 0 if ntc else True)
+                counts += np.searchsorted(np.abs(deltas[ok]), thresholds, side="right")
+            got = census_embedding_quads(algebra, thresholds, ntc)
+            assert got.counts == tuple(counts.tolist()), (ram, ntc)
+
+
 def test_count_quat_with_subfields_spec_values():
     assert count_quat_with_subfields([-4], 16) == 3
     assert count_quat_with_subfields([-4], 1) == 1
@@ -488,6 +524,23 @@ def test_smallest_inert_prime_and_stats_match_trial_division_oracle():
         rows = [(math.log(p) / math.log(abs(d)), d, p) for d, p in zip(deltas, least) if abs(d) <= y]
         ratio, d, p = max(rows, key=lambda row: row[0])
         assert census.smallest_inert_stats(y) == {"max_ratio": ratio, "delta": d, "prime": p, "x": y}
+
+
+def test_smallest_inert_stats_builds_one_sieve(monkeypatch):
+    # the least inert primes come from prefixes grown tenfold from 10^3, so
+    # the shared table keeps its 10^4 floor; every least inert prime for
+    # |delta| <= 10^6 is below 100
+    from quatrig import arith
+
+    builds = []
+    init = arith.SieveTable.__init__
+    monkeypatch.setattr(arith, "_SHARED", None)
+    monkeypatch.setattr(arith.SieveTable, "__init__",
+                        lambda self, limit: builds.append(limit) or init(self, limit))
+    expected = {"max_ratio": math.log(13) / math.log(24), "delta": -24, "prime": 13}
+    for x in (10 ** 5, 10 ** 6):
+        assert census.smallest_inert_stats(x) == {**expected, "x": x}
+    assert builds == [10 ** 4]
 
 
 def test_census_inputs_validated():

@@ -16,7 +16,6 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from quatrig import census
-from quatrig.brauer import parse_ram_set
 from quatrig.cache import CensusCache
 from quatrig.census import CountTable
 from quatrig.cli import _json, _json_value, build_parser, main
@@ -260,9 +259,9 @@ def _brute_fundamental_count(x):
     return sum(fundamental(d) for d in range(-x, x + 1))
 
 
-def test_fund_disc_thresholds_share_one_block_pass(capsys, monkeypatch):
-    # one pass of the block kernel to the largest threshold, which also
-    # yields the discriminants 4m, and no table
+def test_fund_disc_thresholds_walk_no_blocks(capsys, monkeypatch):
+    # residue-class counts for every threshold: no pass of the block kernel
+    # and no table
     passes = []
     blocks = census._blocks
     monkeypatch.setattr(census, "_blocks", lambda y, *rest: passes.append(y) or blocks(y, *rest))
@@ -272,7 +271,7 @@ def test_fund_disc_thresholds_share_one_block_pass(capsys, monkeypatch):
     assert code == 0
     xs = [1, 3, 4, 10, 100, 500, 1000]
     assert out == "x,count\n" + "".join(f"{x},{_brute_fundamental_count(x)}\n" for x in xs)
-    assert passes == [1000]
+    assert passes == []
 
 
 def test_fund_disc_is_the_embed_quads_census_of_the_matrix_algebra(capsys, tmp_path):
@@ -293,13 +292,14 @@ def test_fund_disc_is_the_embed_quads_census_of_the_matrix_algebra(capsys, tmp_p
     (["rigidity", "distinguish", "--b1", "2,3", "--b2", "2,5", "--delta-max", "50000"],
      "census to 50000"),
     (["census", "fund-disc", "--x", "50000"], "census to 50000"),
-    (["census", "quat-subfields", "--fields=-4", "--x", "2500000000"], "census to 50000"),
+    (["census", "quat-subfields", "--fields=-4", "--x", "100000000000000"],
+     "census to 10000000"),
 ])
 def test_tables_past_the_memory_budget_exit_2(capsys, monkeypatch, tmp_path, argv, what):
     from quatrig import arith
 
-    # 10^5 bytes: 1,111 algebra pairs or a census to 40,000, where the stream
-    # of discriminants stops too
+    # 10^5 bytes: 1,111 algebra pairs, a census to 40,000, where the stream
+    # of discriminants stops too, or prime sums to y = 1.5 * 10^6
     monkeypatch.setattr(arith, "SIEVE_MEMORY_BUDGET", 4 * 10 ** 4)
     code = main(["--cache-dir", str(tmp_path), *argv])
     captured = capsys.readouterr()
@@ -327,8 +327,7 @@ def test_memory_budget_stops_the_sizes_that_ran_out_and_admits_the_rest(capsys, 
     monkeypatch.setattr(census, "primes_upto", admitted)
     with pytest.raises(Admitted):
         census.fundamental_discriminants(4 * 10 ** 8)
-    with pytest.raises(Admitted):
-        census.census_embedding_quads(parse_ram_set(""), [10 ** 9])
+    assert census.fundamental_discriminant_count(10 ** 9) == 607927069  # no sieve at all
     monkeypatch.setattr(rigidity, "_fundamental_blocks", admitted)
     with pytest.raises(Admitted):
         rigidity.rigidity_scan(18 * 10 ** 7)  # 33,247,935 pairs
@@ -399,6 +398,7 @@ def test_geodesics_cli(capsys):
     code, out = run(capsys, ["geodesics", "from-field", "--delta", "5"])
     assert code == 0
     assert out.startswith("delta,trace,length\n5,3,1.9248473")
+    assert run(capsys, ["geodesics", "from-field", "--delta", "9"]) == (2, "")
     code, out = run(capsys, ["--format", "json", "geodesics", "census",
                              "--b", "2,3", "--x", "40"])
     assert json.loads(out)["count"] == 6

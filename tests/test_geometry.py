@@ -54,6 +54,20 @@ def test_geodesic_from_field_spec_values():
     assert abs(g12.length - 2 * math.log(2 + math.sqrt(3))) < 1e-9
     with pytest.raises(InvalidDiscriminant):
         geodesic_from_field(-4)
+    for bad in (1, 9, 20, 45):
+        with pytest.raises(InvalidDiscriminant):
+            geodesic_from_field(bad)
+
+
+def test_geodesic_census_takes_the_stream_as_fundamental(monkeypatch):
+    # the stream yields fundamental discriminants only: Pell skips its check
+    from quatrig import arith
+
+    calls = []
+    check = arith.is_fundamental_discriminant
+    monkeypatch.setattr(arith, "is_fundamental_discriminant", lambda d: calls.append(d) or check(d))
+    assert geometry.geodesic_census(parse_ram_set("2,3"), 3000).count > 0
+    assert calls == []
 
 
 def test_squared_unit_length():
@@ -202,9 +216,9 @@ def test_geodesic_census_solves_pell_once_per_field(monkeypatch):
 
     calls = []
 
-    def counted(delta):
+    def counted(delta, **check):
         calls.append(delta)
-        return pell_fundamental(delta)
+        return pell_fundamental(delta, **check)
 
     monkeypatch.setattr(quatrig.geometry, "pell_fundamental", counted)
     monkeypatch.setattr(quatrig.fields, "pell_fundamental", counted)

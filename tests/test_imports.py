@@ -1,7 +1,7 @@
 """Which commands execute numpy and mpmath.  `import quatrig.cli` executes
 neither: arith binds both on first use.  A warm census, --help and an
-argument error never use them; a cold sieve census and a surfaces census
-execute numpy only.  Each case runs in a fresh interpreter, since this one
+argument error never use them; a cold census and a surfaces census execute
+numpy only.  Each case runs in a fresh interpreter, since this one
 has executed both."""
 
 import ast
@@ -79,6 +79,15 @@ def test_cold_sieve_census_executes_numpy_only(tmp_path):
     argv = f"--cache-dir {tmp_path} census division --n 2 --x 1000 --thresholds 10,100,1000"
     expected = _pin("census division --n 2 --x 1000 --thresholds 10,100,1000")
     assert _fresh(argv) == (0, ["numpy"], expected)
+
+
+@pytest.mark.parametrize("argv", [
+    "census fund-disc --x 1000000000",
+    "census quat-subfields --fields=-4 --x 1000000000000000000",
+])
+def test_cold_sublinear_census_executes_numpy_only(tmp_path, argv):
+    # the residue-class and prime-sum counts never touch mpmath
+    assert _fresh(f"--cache-dir {tmp_path} {argv}") == (0, ["numpy"], _pin(argv))
 
 
 @pytest.mark.parametrize("argv", [

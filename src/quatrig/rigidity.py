@@ -8,14 +8,14 @@ is a BoundReport: an mpf value, however large, and its float log10.
 Search orders are fixed for reproducibility: discriminants by ascending
 absolute value with the negative sign first on ties, primes ascending.
 Splitting is evaluated by the vector kernel arith.kronecker_vec; minimal
-distinguishing subfields, for one pair or for all, come from one bitmask search.
+distinguishing subfields, for one pair or for all, come from one partition
+refinement of the algebras by the fields in that order (_refine).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, islice
 
 from . import arith
@@ -124,50 +124,47 @@ def brauer_rigidity_bound(d_base: float, c: float, disc1: float, disc2: float) -
 
 # -- distinguishing experiments ----------------------------------------------
 
-@lru_cache(maxsize=None)
-def _lowest_bit() -> np.ndarray:
-    """The index of the lowest set bit of each nonzero byte."""
-    return np.array([(k & -k).bit_length() - 1 for k in range(256)])
+def _refine(algebras, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Partition refinement of the algebras into classes that agree on which
+    deltas of the blocks (an iterator of discriminant arrays in search order) embed.
+    Returns the splitters, the deltas at which the classes grow in number,
+    and the algebras x splitters matrix of their embedding bits, both closed
+    by a sentinel: 0 (never a discriminant) over a column of distinct values.
+    Two algebras first differ at a splitter, or at the sentinel.  A block is
+    read only while a class holds two algebras, and in it only the columns not
+    constant on every class are tried."""
+    labels = np.zeros(len(algebras), dtype=np.int64)
+    classes, splitters, columns = 1, [], []
+    while classes < len(algebras) and (block := next(blocks, None)) is not None:
+        rows = np.array([_embeds_mask(b, block) for b in algebras])
+        first = np.unique(labels, return_index=True)[1][labels]  # each algebra's class leader
+        for j in np.flatnonzero((rows != rows[first]).any(axis=0)):
+            keys, labels = np.unique(2 * labels + rows[:, j], return_inverse=True)
+            if len(keys) > classes:
+                classes = len(keys)
+                splitters.append(block[j])
+                columns.append(rows[:, j])
+                if classes == len(algebras):
+                    break
+    return (np.array(splitters + [0], dtype=np.int64),
+            np.stack(columns + [np.arange(len(algebras))], axis=1, dtype=np.int32))
 
 
-def _first_witnesses(algebras, blocks, not_totally_complex=False) -> np.ndarray:
-    """For each pair of algebras, in combinations() order, the first delta of
-    the blocks (arrays of discriminants, in search order) whose field embeds
-    in exactly one of the two, or 0 (never a discriminant) for none; with
-    not_totally_complex, pairs of indefinite algebras skip deltas < 0.
-    Embedding masks are bit-packed on a prefix, 64 long and doubled while a
-    pair agrees on all of it (the lowest set bit of a XOR wins); a block is
-    read once the prefix outgrows the blocks before it."""
-    # the two algebras of each pair, int32: the pair budget keeps pairs below 2^31
-    row = np.arange(len(algebras) - 1, -1, -1, dtype=np.int32)  # pairs led by algebra i
-    first = np.repeat(np.arange(len(algebras), dtype=np.int32), row)
-    second = np.arange(len(first), dtype=np.int32)
-    second -= np.repeat((np.cumsum(row) - row - np.arange(1, len(row) + 1)).astype(np.int32), row)
-    indefinite = np.array([not b.ramified_at_infinity for b in algebras])
-    real_only = not_totally_complex & indefinite[first] & indefinite[second]
-    found = np.zeros(len(first), dtype=np.int64)
-    todo = np.arange(len(first), dtype=np.int32)
-    blocks, deltas = iter(blocks), np.zeros(0, dtype=np.int64)
-    length = 64
-    while len(todo):
-        more = [deltas]  # read blocks until they outgrow the prefix or run out
-        while sum(map(len, more)) <= length and (block := next(blocks, None)) is not None:
-            more.append(block)
-        if not len(deltas := np.concatenate(more)):
-            break
-        prefix = deltas[:length]
-        bits = np.array([np.packbits(_embeds_mask(b, prefix), bitorder="little")
-                         for b in algebras])
-        diff = bits[first[todo]] ^ bits[second[todo]]
-        diff[real_only[todo]] &= np.packbits(prefix > 0, bitorder="little")
-        hit = diff.any(axis=1)
-        diff = diff[hit]
-        byte = (diff != 0).argmax(axis=1)
-        found[todo[hit]] = prefix[8 * byte + _lowest_bit()[diff[np.arange(len(diff)), byte]]]
-        todo = todo[~hit]
-        if length >= len(deltas):
-            break
-        length *= 2
+def _first_witnesses(algebras, blocks, real_blocks=None) -> np.ndarray:
+    """For each pair of algebras, in combinations() order, the first splitter
+    of _refine on which they differ: the first delta whose field embeds in
+    exactly one of the two, or 0 for none.  Given real_blocks, a second stream
+    of the blocks, a second refinement over the indefinite algebras alone (a
+    definite one contains no real field) overwrites their pairs from its deltas > 0."""
+    n = len(algebras)
+    real = np.flatnonzero([real_blocks is not None and not b.ramified_at_infinity
+                           for b in algebras])
+    found = np.empty(n * (n - 1) // 2, dtype=np.int64)
+    for index, blocks in ((np.arange(n), blocks), (real, (b[b > 0] for b in real_blocks or ()))):
+        splitters, bits = _refine([algebras[i] for i in index], blocks)
+        for a, i in enumerate(index):  # pair (i, j) sits past the n - 1 - k pairs of each k < i
+            pairs = i * (2 * n - i - 1) // 2 - i - 1 + index[a + 1:]
+            found[pairs] = splitters[(bits[a + 1:] != bits[a]).argmax(axis=1)]
     return found
 
 
@@ -178,11 +175,11 @@ def distinguish_quaternions(b1: QuaternionAlgebraQ, b2: QuaternionAlgebraQ,
     are isomorphic.  Raises NotFoundWithinBound past delta_max."""
     if quaternion_iso(b1, b2):
         return None
-    (delta,) = _first_witnesses([b1, b2], _fundamental_blocks(delta_max))
+    delta = int(_refine([b1, b2], _fundamental_blocks(delta_max))[0][0])  # 0 if no splitter
     if not delta:
         raise NotFoundWithinBound(
             f"no distinguishing |delta| <= {delta_max} for {b1} vs {b2}")
-    return int(delta)
+    return delta
 
 
 @dataclass(frozen=True)
@@ -204,7 +201,7 @@ class ScanReport:
 
     @property
     def all_distinguished(self) -> bool:
-        return None not in self.witnesses
+        return 0 not in self.witnesses
 
 
 def _all_quaternion_algebras(x: int) -> list[QuaternionAlgebraQ]:
@@ -226,12 +223,14 @@ def rigidity_scan(x: int, delta_max: int = 10 ** 6,
         raise ValueError("x must be >= 4")
     algebras = _all_quaternion_algebras(x)
     pairs = len(algebras) * (len(algebras) - 1) // 2
-    # the scan and its printout take about 75 bytes per pair (peak RSS at x = 10^7);
-    # the derived tables are capped at 2.5 bytes per unit of the budget, 2.5 GB
+    # the check bounds the witness tuple and the printout, all that grows with the
+    # pairs (peak RSS 49 and 35 bytes a pair at x = 10^7 and 3 * 10^7); 75 bytes a pair
+    # keeps the cap of 2.5 bytes per unit of the budget, 2.5 GB, where it was
     if 75 * pairs > 2.5 * arith.SIEVE_MEMORY_BUDGET:
         raise arith.SieveBudgetError(
             f"{pairs} algebra pairs exceed budget: about {75 * pairs} bytes")
-    witnesses = _first_witnesses(algebras, _fundamental_blocks(delta_max), not_totally_complex)
+    witnesses = _first_witnesses(algebras, _fundamental_blocks(delta_max),
+                                 _fundamental_blocks(delta_max) if not_totally_complex else None)
     if not witnesses.all():
         b1, b2 = next(islice(combinations(algebras, 2), int(np.argmax(witnesses == 0)), None))
         raise NotFoundWithinBound(

@@ -309,7 +309,7 @@ def _stream_readers():
             return str(e)
 
     algebras = rigidity._all_quaternion_algebras(400)
-    # a witness 100 places down the list: the prefix doubles across blocks
+    # a witness 100 places down the list, read across blocks
     algebras += [parse_ram_set(r) for r in ("2,3,5,7,11,13,17,19", "2,3,5,7,11,13,17,19,23,29")]
     places = [PlaceQ.finite(p) for p in (2, 3, 7)] + [INFINITY]
     return {

@@ -155,6 +155,61 @@ def test_rigidity_scan_matches_scalar_embeds(brute_quaternion_algebras, not_tota
     assert list(rigidity_scan(x, delta_max, not_totally_complex).pairs) == want
 
 
+@pytest.mark.parametrize("x", [10 ** 5, 10 ** 6])
+@pytest.mark.parametrize("not_totally_complex", [False, True])
+def test_rigidity_scan_matches_pairwise_xor(x, not_totally_complex):
+    # the plain pairwise search: the first True of each pair's XOR of the
+    # embedding masks over every discriminant to 1000, in search order
+    import numpy as np
+
+    algebras = rigidity._all_quaternion_algebras(x)
+    deltas = fundamental_discriminants(1000)
+    masks = np.array([rigidity._embeds_mask(b, deltas) for b in algebras])
+    indefinite = np.array([not b.ramified_at_infinity for b in algebras])
+    want = []
+    for i in range(len(algebras) - 1):
+        diff = masks[i + 1:] ^ masks[i]
+        if not_totally_complex and indefinite[i]:
+            diff[indefinite[i + 1:]] &= deltas > 0
+        assert diff.any(axis=1).all()
+        want += deltas[diff.argmax(axis=1)].tolist()
+    assert rigidity_scan(x, not_totally_complex=not_totally_complex).witnesses == tuple(want)
+
+
+def test_first_witnesses_of_isomorphic_algebras_are_zero():
+    # two copies of B(2,3) never separate: the walk reads every block to 10^6
+    b23, b25 = parse_ram_set("2,3"), parse_ram_set("2,5")
+    found = rigidity._first_witnesses([b23, b23, b25], rigidity._fundamental_blocks(10 ** 6))
+    assert found.tolist() == [0, -4, -4]
+
+
+@pytest.mark.parametrize("not_totally_complex", [False, True])
+def test_rigidity_scan_reads_only_the_blocks_it_needs(monkeypatch, not_totally_complex):
+    # 608 algebras part within |delta| <= 84, in the first block of each walk;
+    # the real walk leaves the definite algebras out, or it would never stop
+    read = []
+    stream = rigidity._fundamental_blocks
+    monkeypatch.setattr(rigidity, "_fundamental_blocks",
+                        lambda limit: (read.append(len(b)) or b for b in stream(limit)))
+    rigidity_scan(10 ** 6, not_totally_complex=not_totally_complex)
+    assert len(read) == 1 + not_totally_complex
+
+
+def test_rigidity_scan_memory_does_not_grow_with_the_pairs_walked():
+    # 184,528 pairs: the witnesses (8 bytes a pair) and their tuple, no
+    # per-pair arrays of the search
+    import tracemalloc
+
+    rigidity_scan(10 ** 4)  # numpy and the listing's first tables
+    tracemalloc.start()
+    try:
+        rigidity_scan(10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10 ** 6
+
+
 def test_distinguish_reads_only_the_blocks_it_needs(monkeypatch):
     # a witness among the first 64 fields: the first block, 2^10 |delta| of 10^7
     read = []
@@ -180,7 +235,7 @@ def test_limit_pair_allocates_one_block_at_a_time():
 
 
 def test_distinguish_quaternions_past_the_first_prefix():
-    # witnesses 100 to 266 places down the list: the bit-packed prefix doubles
+    # witnesses 100 to 266 places down the list, past the first 64 fields
     deltas = fundamental_discriminants(10 ** 4).tolist()
     for r1, r2 in (("2,3,5,7,11,13,17,19", "2,3,5,7,11,13,17,19,23,29"),
                    ("3,5,7,11,13,17,19,23,29,31", "3,5,7,11,13,17,19,23,29,37"),

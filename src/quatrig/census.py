@@ -362,13 +362,20 @@ def fundamental_discriminant_count(x: int) -> int:
     return count_embedding_quads(QuaternionAlgebraQ.from_primes(()), x)
 
 
-def _embeds_mask(algebra: QuaternionAlgebraQ, deltas: np.ndarray) -> np.ndarray:
+def _embeds_mask(algebra: QuaternionAlgebraQ, deltas: np.ndarray,
+                 nonsplit: dict | None = None) -> np.ndarray:
+    """Which deltas embed in the algebra (no ramified place splits); `nonsplit`,
+    one dict per deltas array, keeps each prime's kronecker_vec(deltas, p) != 1."""
     ok = np.ones(len(deltas), dtype=bool)
     for v in algebra.ramification:
         if v.is_infinite:
             ok &= deltas < 0
-        else:
+        elif nonsplit is None:
             ok &= kronecker_vec(deltas, v.p) != 1
+        else:
+            if v.p not in nonsplit:
+                nonsplit[v.p] = kronecker_vec(deltas, v.p) != 1
+            ok &= nonsplit[v.p]
     return ok
 
 

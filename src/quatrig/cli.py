@@ -27,7 +27,6 @@ import contextlib
 import json
 import math
 import sys
-from itertools import combinations, islice
 
 from . import arith, asymptotics, census, geometry, rigidity
 from .arith import mpmath
@@ -214,30 +213,23 @@ def _rigidity_distinguish(args):
                  "minimal_delta": delta})
 
 
-# pairs per printed part of a rigidity scan
-_SCAN_CHUNK = 2 ** 14
-
-
 def _rigidity_scan(args):
     """Print the JSON _emit would for {x, delta_max, pairs: [{pair: [a, b],
     minimal_delta: d}, ...], max_abs_delta, bound_log10, all_distinguished}
     without a dict per pair: each name is encoded once, each pair is one
-    f-string, and the list goes where "pairs" sorts, before "x", written
-    _SCAN_CHUNK pairs at a time."""
+    f-string, and the list goes where "pairs" sorts, before "x", written one
+    algebra's row of pairs at a time."""
     report = rigidity.rigidity_scan(args.x, args.delta_max, args.not_totally_complex)
     head = _json({"all_distinguished": report.all_distinguished,
                   "bound_log10": report.bound_log10, "delta_max": report.delta_max,
                   "max_abs_delta": report.max_abs_delta})
     names = [_json(name) for name in report.names]
-    pairs = zip(combinations(names, 2), report.witnesses)
 
     def parts():
         yield f'{head[:-1]},"pairs": ['
-        sep = ""
-        while chunk := list(islice(pairs, _SCAN_CHUNK)):
-            yield sep + ",".join(f'{{"minimal_delta": {d},"pair": [{a},{b}]}}'
-                                 for (a, b), d in chunk)
-            sep = ","
+        for i, row in enumerate(report.rows()):
+            yield "," * (i > 0) + ",".join(f'{{"minimal_delta": {d},"pair": [{names[i]},{b}]}}'
+                                          for b, d in zip(names[i + 1:], row.tolist()))
         yield f'],"x": {report.x}}}\n'
 
     _write(args, parts())

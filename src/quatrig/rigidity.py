@@ -15,8 +15,8 @@ refinement of the algebras by the fields in that order (_refine).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations, islice
+from dataclasses import dataclass, field
+from itertools import combinations
 
 from . import arith
 from .arith import chebyshev_theta, kronecker_vec, mpmath, np, primes_upto
@@ -136,7 +136,8 @@ def _refine(algebras, blocks) -> tuple[np.ndarray, np.ndarray]:
     labels = np.zeros(len(algebras), dtype=np.int64)
     classes, splitters, columns = 1, [], []
     while classes < len(algebras) and (block := next(blocks, None)) is not None:
-        rows = np.array([_embeds_mask(b, block) for b in algebras])
+        nonsplit = {}  # each ramified prime's symbols on the block, computed once
+        rows = np.array([_embeds_mask(b, block, nonsplit) for b in algebras])
         first = np.unique(labels, return_index=True)[1][labels]  # each algebra's class leader
         for j in np.flatnonzero((rows != rows[first]).any(axis=0)):
             keys, labels = np.unique(2 * labels + rows[:, j], return_inverse=True)
@@ -150,22 +151,27 @@ def _refine(algebras, blocks) -> tuple[np.ndarray, np.ndarray]:
             np.stack(columns + [np.arange(len(algebras))], axis=1, dtype=np.int32))
 
 
-def _first_witnesses(algebras, blocks, real_blocks=None) -> np.ndarray:
-    """For each pair of algebras, in combinations() order, the first splitter
-    of _refine on which they differ: the first delta whose field embeds in
-    exactly one of the two, or 0 for none.  Given real_blocks, a second stream
-    of the blocks, a second refinement over the indefinite algebras alone (a
-    definite one contains no real field) overwrites their pairs from its deltas > 0."""
-    n = len(algebras)
-    real = np.flatnonzero([real_blocks is not None and not b.ramified_at_infinity
-                           for b in algebras])
-    found = np.empty(n * (n - 1) // 2, dtype=np.int64)
-    for index, blocks in ((np.arange(n), blocks), (real, (b[b > 0] for b in real_blocks or ()))):
-        splitters, bits = _refine([algebras[i] for i in index], blocks)
-        for a, i in enumerate(index):  # pair (i, j) sits past the n - 1 - k pairs of each k < i
-            pairs = i * (2 * n - i - 1) // 2 - i - 1 + index[a + 1:]
-            found[pairs] = splitters[(bits[a + 1:] != bits[a]).argmax(axis=1)]
-    return found
+def _witness_rows(algebras, blocks, real_blocks=None):
+    """rows(): for each algebra but the last, the int64 row of the first splitter
+    of _refine at which it differs from each later one, in combinations() order:
+    the first delta whose field embeds in exactly one of the two, or 0 for none.
+    Given real_blocks, a second stream of the blocks, a refinement of the
+    indefinite algebras alone by their deltas > 0 (a definite algebra contains no
+    real field) overwrites the entries of their pairs."""
+    real = np.array([real_blocks is not None and not b.ramified_at_infinity for b in algebras])
+    rank = np.cumsum(real)  # indefinite algebras up to each one, itself included
+    splitters, bits = _refine(algebras, blocks)
+    real_splitters, real_bits = _refine([b for b, r in zip(algebras, real) if r],
+                                        (b[b > 0] for b in real_blocks or ()))
+
+    def rows():
+        for i in range(len(algebras) - 1):
+            row = splitters[(bits[i + 1:] != bits[i]).argmax(axis=1)]
+            if real[i]:
+                row[real[i + 1:]] = real_splitters[
+                    (real_bits[rank[i]:] != real_bits[rank[i] - 1]).argmax(axis=1)]
+            yield row
+    return rows
 
 
 def distinguish_quaternions(b1: QuaternionAlgebraQ, b2: QuaternionAlgebraQ,
@@ -184,15 +190,19 @@ def distinguish_quaternions(b1: QuaternionAlgebraQ, b2: QuaternionAlgebraQ,
 
 @dataclass(frozen=True)
 class ScanReport:
-    """`names` holds repr(algebra) per algebra, `witnesses` the least
-    distinguishing delta per pair of them in combinations() order."""
+    """`names` holds repr(algebra) per algebra, and `rows` (_witness_rows) yields
+    the least distinguishing delta per pair of them, one row per algebra."""
 
     x: int
     delta_max: int
     names: tuple[str, ...]
-    witnesses: tuple[int, ...]
     max_abs_delta: int
     bound_log10: float
+    rows: object = field(compare=False, repr=False)  # () -> an iterator of int64 rows
+
+    @property
+    def witnesses(self) -> tuple[int, ...]:
+        return tuple(d for row in self.rows() for d in row.tolist())
 
     @property
     def pairs(self) -> tuple:
@@ -201,7 +211,7 @@ class ScanReport:
 
     @property
     def all_distinguished(self) -> bool:
-        return 0 not in self.witnesses
+        return all(row.all() for row in self.rows())
 
 
 def _all_quaternion_algebras(x: int) -> list[QuaternionAlgebraQ]:
@@ -221,26 +231,25 @@ def rigidity_scan(x: int, delta_max: int = 10 ** 6,
     theorem at desk scale and is raised, never recorded."""
     if x < 4:
         raise ValueError("x must be >= 4")
-    algebras = _all_quaternion_algebras(x)
-    pairs = len(algebras) * (len(algebras) - 1) // 2
-    # the check bounds the witness tuple and the printout, all that grows with the
-    # pairs (peak RSS 49 and 35 bytes a pair at x = 10^7 and 3 * 10^7); 75 bytes a pair
-    # keeps the cap of 2.5 bytes per unit of the budget, 2.5 GB, where it was
-    if 75 * pairs > 2.5 * arith.SIEVE_MEMORY_BUDGET:
+    # an algebra is a squarefree q <= sqrt(x), and the scan traces 1.5 KB per unit of
+    # isqrt(x) (the listing and the first block's matrix, x = 10^6 to 10^10); 4096 leaves
+    # room for a second block and keeps the cap of 2.5 bytes per unit of the budget, 2.5 GB
+    if 4096 * (y := math.isqrt(x)) > 2.5 * arith.SIEVE_MEMORY_BUDGET:
         raise arith.SieveBudgetError(
-            f"{pairs} algebra pairs exceed budget: about {75 * pairs} bytes")
-    witnesses = _first_witnesses(algebras, _fundamental_blocks(delta_max),
-                                 _fundamental_blocks(delta_max) if not_totally_complex else None)
-    if not witnesses.all():
-        b1, b2 = next(islice(combinations(algebras, 2), int(np.argmax(witnesses == 0)), None))
-        raise NotFoundWithinBound(
-            f"pair {b1}, {b2} not distinguished by |delta| <= {delta_max}")
-    max_abs = int(np.abs(witnesses).max())
+            f"algebras of q <= {y} exceed budget: about {4096 * y} bytes")
+    algebras = _all_quaternion_algebras(x)
+    rows = _witness_rows(algebras, _fundamental_blocks(delta_max),
+                         _fundamental_blocks(delta_max) if not_totally_complex else None)
+    max_abs = 0
+    for i, row in enumerate(rows()):
+        if not row.all():
+            raise NotFoundWithinBound(f"pair {algebras[i]}, {algebras[i + 1 + int(row.argmin())]}"
+                                      f" not distinguished by |delta| <= {delta_max}")
+        max_abs = max(max_abs, int(np.abs(row).max()))
     bound = recognizing_bound(1, 1, x)
     if math.log(max_abs) > bound.log10 * math.log(10):
         raise NotFoundWithinBound("empirical maximum exceeds the recognizing bound")
-    return ScanReport(x, delta_max, tuple(repr(b) for b in algebras),
-                      tuple(witnesses.tolist()), max_abs, bound.log10)
+    return ScanReport(x, delta_max, tuple(repr(b) for b in algebras), max_abs, bound.log10, rows)
 
 
 def distinguish_brauer_pairs(l1: QuadraticField, l2: QuadraticField,

@@ -116,19 +116,19 @@ def test_rigidity_scan_text_matches_json_dumps(capsys, tmp_path, x, not_totally_
     assert target.read_bytes() == out.encode()
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 13])
-def test_rigidity_scan_chunks_join_to_the_pin(capsys, tmp_path, monkeypatch, chunk):
-    # 78 pairs: 13 divides them, 7 leaves one pair for a last short chunk
-    from quatrig import cli
+@pytest.mark.parametrize("flags, sha256, size", [
+    ([], "02471f31e09992acba2c9b961e21f69fa56f5a06bc7f3087d6e14cb52f4de94f", 1034486),
+    (["--not-totally-complex"],
+     "203abd8d8ef3fca65ecda5cd4b60d4b7ba4299a6a0a120af2086d091a16c1da4", 1031713),
+])
+def test_rigidity_scan_stdout_is_pinned(capsys, flags, sha256, size):
+    # 18,528 pairs; the oracle above reads the same rows as the printout, so
+    # these digests of the pairwise search's output check them apart from it
+    import hashlib
 
-    argv = "rigidity scan --x 400 --delta-max 10000 --not-totally-complex"
-    (pin,) = [p for p in PINS["runs"] if p["argv"] == argv]
-    monkeypatch.setattr(cli, "_SCAN_CHUNK", chunk)
-    assert run(capsys, argv.split()) == (0, pin["stdout"])
-    target = tmp_path / "scan.json"
-    assert main(["--out", str(target), *argv.split()]) == 0
-    assert capsys.readouterr().out == ""
-    assert target.read_text() == pin["stdout"]
+    code, out = run(capsys, ["rigidity", "scan", "--x", "100000", *flags])
+    assert code == 0 and len(out.encode()) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_rigidity_scan_unwritable_out(capsys, tmp_path):
@@ -287,7 +287,7 @@ def test_fund_disc_is_the_embed_quads_census_of_the_matrix_algebra(capsys, tmp_p
 
 @pytest.mark.parametrize("argv, what", [
     (["geodesics", "census", "--b", "2,3", "--x", "50000"], "census to 50000"),
-    (["rigidity", "scan", "--x", "10000"], "1830 algebra pairs"),
+    (["rigidity", "scan", "--x", "10000"], "algebras of q <= 100 exceed budget"),
     (["rigidity", "scan", "--x", "100", "--delta-max", "50000"], "census to 50000"),
     (["rigidity", "distinguish", "--b1", "2,3", "--b2", "2,5", "--delta-max", "50000"],
      "census to 50000"),
@@ -298,7 +298,7 @@ def test_fund_disc_is_the_embed_quads_census_of_the_matrix_algebra(capsys, tmp_p
 def test_tables_past_the_memory_budget_exit_2(capsys, monkeypatch, tmp_path, argv, what):
     from quatrig import arith
 
-    # 10^5 bytes: 1,111 algebra pairs, a census to 40,000, where the stream
+    # 10^5 bytes: algebras of q <= 24, a census to 40,000, where the stream
     # of discriminants stops too, or prime sums to y = 1.5 * 10^6
     monkeypatch.setattr(arith, "SIEVE_MEMORY_BUDGET", 4 * 10 ** 4)
     code = main(["--cache-dir", str(tmp_path), *argv])
@@ -308,20 +308,23 @@ def test_tables_past_the_memory_budget_exit_2(capsys, monkeypatch, tmp_path, arg
 
 
 def test_memory_budget_stops_the_sizes_that_ran_out_and_admits_the_rest(capsys, monkeypatch):
-    from quatrig import rigidity
-
-    # at the real budget: 19,224 algebras (184,771,476 pairs) at x = 10^9 and
-    # a census to 2 * 10^9, both stopped before anything large is allocated
-    for argv, what in ((["rigidity", "scan", "--x", "1000000000"], "184771476 algebra pairs"),
-                       (["census", "fund-disc", "--x", "2000000000"], "census to 2000000000")):
-        assert main(argv) == 2
-        assert what in capsys.readouterr().err
+    from quatrig import arith, rigidity
 
     class Admitted(Exception):
         pass
 
     def admitted(*args):
         raise Admitted
+
+    # at the real budget: the algebras of q <= 10^6 at x = 10^12 and a census
+    # to 2 * 10^9, both stopped before anything large is allocated (an
+    # Admitted raised by the listing of the algebras would fail the test)
+    with monkeypatch.context() as patch:
+        patch.setattr(rigidity, "_all_quaternion_algebras", admitted)
+        for argv, what in ((["rigidity", "scan", "--x", str(10 ** 12)], "q <= 1000000"),
+                           (["census", "fund-disc", "--x", "2000000000"], "census to 2000000000")):
+            assert main(argv) == 2
+            assert what in capsys.readouterr().err
 
     # the largest sizes that must still run get past their checks
     monkeypatch.setattr(census, "primes_upto", admitted)
@@ -330,7 +333,13 @@ def test_memory_budget_stops_the_sizes_that_ran_out_and_admits_the_rest(capsys, 
     assert census.fundamental_discriminant_count(10 ** 9) == 607927069  # no sieve at all
     monkeypatch.setattr(rigidity, "_fundamental_blocks", admitted)
     with pytest.raises(Admitted):
-        rigidity.rigidity_scan(18 * 10 ** 7)  # 33,247,935 pairs
+        rigidity.rigidity_scan(10 ** 9)  # 19,224 algebras, 184,771,476 pairs
+    # the scan's cap: 4096 bytes per unit of isqrt(x) admit q <= 610,351
+    monkeypatch.setattr(rigidity, "_all_quaternion_algebras", admitted)
+    with pytest.raises(Admitted):
+        rigidity.rigidity_scan(610352 ** 2 - 1)
+    with pytest.raises(arith.SieveBudgetError):
+        rigidity.rigidity_scan(610352 ** 2)
 
 
 def _subcommands(parser):

@@ -179,8 +179,28 @@ def test_rigidity_scan_matches_pairwise_xor(x, not_totally_complex):
 def test_first_witnesses_of_isomorphic_algebras_are_zero():
     # two copies of B(2,3) never separate: the walk reads every block to 10^6
     b23, b25 = parse_ram_set("2,3"), parse_ram_set("2,5")
-    found = rigidity._first_witnesses([b23, b23, b25], rigidity._fundamental_blocks(10 ** 6))
-    assert found.tolist() == [0, -4, -4]
+    rows = rigidity._witness_rows([b23, b23, b25], rigidity._fundamental_blocks(10 ** 6))
+    assert [row.tolist() for row in rows()] == [[0, -4], [-4]]
+
+
+@pytest.mark.parametrize("not_totally_complex", [False, True])
+def test_refine_computes_one_kronecker_row_per_prime_and_block(monkeypatch, not_totally_complex):
+    # 608 algebras over 168 distinct ramified primes, one block per walk
+    from quatrig import census
+
+    calls = []  # (block, p), the blocks held so that no id is reused
+    kronecker_vec = census.kronecker_vec
+    monkeypatch.setattr(census, "kronecker_vec",
+                        lambda deltas, p: calls.append((deltas, p)) or kronecker_vec(deltas, p))
+    rigidity_scan(10 ** 6, not_totally_complex=not_totally_complex)
+    algebras = rigidity._all_quaternion_algebras(10 ** 6)
+    walks = [algebras] + [[b for b in algebras if not b.ramified_at_infinity]] * not_totally_complex
+    asked = {}  # the primes asked of each block read, by its id
+    for deltas, p in calls:
+        asked.setdefault(id(deltas), []).append(p)
+    assert [sorted(ps) for ps in asked.values()] == [
+        sorted({p for b in walk for p in b.finite_primes}) for walk in walks]
+    assert len(asked[id(calls[0][0])]) == 168
 
 
 @pytest.mark.parametrize("not_totally_complex", [False, True])
@@ -196,18 +216,20 @@ def test_rigidity_scan_reads_only_the_blocks_it_needs(monkeypatch, not_totally_c
 
 
 def test_rigidity_scan_memory_does_not_grow_with_the_pairs_walked():
-    # 184,528 pairs: the witnesses (8 bytes a pair) and their tuple, no
-    # per-pair arrays of the search
+    # 184,528 and 1,853,775 pairs: about 2.5 KB per algebra (the listing and
+    # the first block's matrix) and one row at a time, nothing per pair
     import tracemalloc
 
     rigidity_scan(10 ** 4)  # numpy and the listing's first tables
-    tracemalloc.start()
-    try:
-        rigidity_scan(10 ** 6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 10 ** 6
+    peaks = []
+    for x in (10 ** 6, 10 ** 7):
+        tracemalloc.start()
+        try:
+            rigidity_scan(x)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 8 * 10 ** 6 and peaks[1] < 16 * 10 ** 6
 
 
 def test_distinguish_reads_only_the_blocks_it_needs(monkeypatch):

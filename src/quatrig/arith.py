@@ -5,6 +5,10 @@ sums and class numbers are integer arithmetic throughout.  Analytic values
 (L-values, regulators, zeta special values) are mpmath floats computed at
 PRECISION_BITS of working precision so that rounding error stays far below
 the 1e-9 contract of the callers.
+
+The primes come from one process-wide sieve (primes_upto, prime_list), read
+as an int64 array by the vector kernels or as a list of ints by the loops
+that walk them in Python; the list never executes numpy.
 """
 
 from __future__ import annotations
@@ -12,8 +16,10 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import compress
 from math import gcd, isqrt
 
 
@@ -37,8 +43,10 @@ mpmath = _on_first_use("mpmath")
 
 PRECISION_BITS = 80
 
-# SieveTable(10**8) peaks at 1.46 bytes per entry (tracemalloc: a flag byte per integer, 8 per
-# prime), so this caps a build near 1.5 GB; the census block kernel refuses ranges past it as well.
+# SieveTable(10**8) traces 0.67 bytes per integer while it sieves (a flag byte per odd integer,
+# and the zero run that strikes the multiples of 3) and keeps 0.5; its array view adds 0.46 (8
+# bytes a prime) and its list view 2.34 (about 40 bytes a prime).  So this caps a build near
+# 0.7 GB; the census block kernel refuses ranges past it as well.
 SIEVE_MEMORY_BUDGET = 10 ** 9
 
 
@@ -234,8 +242,12 @@ def squarefree_products(primes, bound, state=(), fold=None, options=None):
 
 
 class SieveTable:
-    """Ascending int64 `primes` <= limit, read-only once built: the sieve of
-    Eratosthenes over the primes p <= sqrt(limit)."""
+    """The primes <= limit, from one flag byte per odd integer: flags[i] is 1
+    when 2i + 1 is prime, except flags[0], which stands for 2 (1 is not
+    prime).  The sieve of Eratosthenes over the odd primes p <= sqrt(limit)
+    fills them, and they stay read-only.  Two views of the same primes, each
+    made on first use: `primes`, an ascending read-only int64 array, and
+    `prime_list`, a list of ints that never touches numpy."""
 
     def __init__(self, limit: int):
         if limit < 1:
@@ -243,26 +255,57 @@ class SieveTable:
         if limit > SIEVE_MEMORY_BUDGET:
             raise SieveBudgetError(f"sieve limit {limit} exceeds budget {SIEVE_MEMORY_BUDGET}")
         self.limit = limit
-        is_prime = np.ones(limit + 1, dtype=bool)
-        is_prime[:2] = False
-        for p in range(2, isqrt(limit) + 1):
-            if is_prime[p]:
-                is_prime[p * p::p] = False
-        self.primes = np.flatnonzero(is_prime).astype(np.int64, copy=False)
-        self.primes.flags.writeable = False
+        size = (limit + 1) // 2  # the odd integers 1, 3, ..., <= limit
+        flags = bytearray(b"\x01") * size
+        flags[0] = limit >= 2
+        for i in range(1, (isqrt(limit) + 1) // 2):
+            if flags[i]:
+                p = 2 * i + 1
+                start = p * p // 2
+                flags[start::p] = bytearray(len(range(start, size, p)))
+        self.flags = memoryview(flags).toreadonly()
+
+    @cached_property
+    def primes(self) -> np.ndarray:
+        primes = np.flatnonzero(np.frombuffer(self.flags, dtype=np.uint8)).astype(
+            np.int64, copy=False)
+        primes *= 2
+        primes += 1
+        primes[:1] = 2  # flags[0] stands for 2, not 1 (no entry when limit = 1)
+        primes.flags.writeable = False
+        return primes
+
+    @cached_property
+    def prime_list(self) -> list[int]:
+        primes = list(compress(range(1, self.limit + 1, 2), self.flags))
+        if primes:
+            primes[0] = 2  # flags[0] stands for 2, not 1
+        return primes
 
 
 _SHARED: SieveTable | None = None
 
 
-def primes_upto(x: int) -> np.ndarray:
-    """The ascending primes <= x (none for x < 2), from one process-wide
-    table, grown on demand (to at least 10^4) and never shrunk."""
+def _shared(x: int) -> SieveTable:
+    """The one process-wide table, grown on demand to x (at least 10^4) and
+    never shrunk."""
     global _SHARED
     if _SHARED is None or _SHARED.limit < x:
         _SHARED = SieveTable(max(x, 10 ** 4))
-    primes = _SHARED.primes
+    return _SHARED
+
+
+def primes_upto(x: int) -> np.ndarray:
+    """The ascending primes <= x (none for x < 2) as a read-only int64 array."""
+    primes = _shared(x).primes
     return primes[:np.searchsorted(primes, x, side="right")]
+
+
+def prime_list(x: int) -> list[int]:
+    """The ascending primes <= x (none for x < 2) as a list of ints, for the
+    loops that walk them in Python: no numpy is executed."""
+    primes = _shared(x).prime_list
+    return primes[:bisect_right(primes, x)]
 
 
 def mobius(n: int) -> int:

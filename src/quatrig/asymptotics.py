@@ -25,6 +25,7 @@ from .arith import (
     kronecker_symbol,
     kronecker_vec,
     mobius,
+    prime_list,
     primes_upto,
     product_discriminant,
     ramanujan_sum,
@@ -53,17 +54,32 @@ def _prime_tail_bound(cutoff: int, exponent: float, coeff: float) -> float:
     return coeff * cutoff ** (1 - exponent) / (exponent - 1)
 
 
-def _cutoff_primes(cutoff: int):
-    """The primes <= cutoff of an Euler product truncated there; cutoff >= 2."""
+def _cutoff_primes(cutoff: int, view=prime_list):
+    """The primes <= cutoff of an Euler product truncated there, as a list
+    (or by view=primes_upto, an array); cutoff >= 2."""
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2, got {cutoff}")
-    return primes_upto(cutoff)
+    return view(cutoff)
+
+
+def _delta_logs(primes, bases, a: int, terms):
+    """log(1 + a/p + c/p^e for each (c, e) of terms, added in order) + base,
+    per prime p and its base."""
+    for p, base in zip(primes, bases):
+        term = 1.0 + a / p
+        for c, e in terms:
+            term += c / p ** e
+        yield math.log(term) + base
 
 
 def delta_mn(m: int, n: int, cutoff: int) -> EulerProductValue:
     """The constant in front of x^(1/(n^2(1-1/l))) (log x)^(l-2) for the
     census of degree-n algebras with division degree dividing m; l is the
-    least prime factor of n.  Structurally zero when l does not divide m."""
+    least prime factor of n.  Structurally zero when l does not divide m.
+
+    It sums one Euler product per j = 0, l, 2l, ... < m, whose factors hold
+    the Ramanujan sums c_d(j) of the divisors d > l of m; each distinct
+    vector of them is evaluated once."""
     if n % m != 0:
         raise ValueError("m must divide n")
     primes = _cutoff_primes(cutoff)
@@ -77,22 +93,27 @@ def delta_mn(m: int, n: int, cutoff: int) -> EulerProductValue:
     pref = KAPPA_Q ** (ell - 1) / (m * math.factorial(ell - 2)) / scale
     if m % 2 == 0:
         pref *= 2 ** R1_Q
+    a = ell - 1
     extra = [(d, (1 - 1 / d) / (1 - 1 / ell)) for d in divisors(m) if d > ell]
+    min_extra = min((e for _, e in extra), default=2.0)
+    vectors = [tuple(ramanujan_sum(d, j) for d, _ in extra) for j in range(0, m, ell)]
+    if m == ell:  # j = 0 alone, and no d > l: the product of (1 + (l-1)/p)(1 - 1/p)^(l-1)
+        products = {(): math.exp(math.fsum(
+            math.log(1.0 + a / p) + a * math.log1p(-1.0 / p) for p in primes))}
+    else:
+        # c_m(0) != c_m(l), so there are two or more distinct vectors; the
+        # (l - 1) log(1 - 1/p) they all read is taken once per prime
+        bases = [a * math.log1p(-1.0 / p) for p in primes]
+        products = {}
+        for cs in set(vectors):
+            terms = [(c, e) for c, (_, e) in zip(cs, extra) if c]
+            products[cs] = math.exp(math.fsum(_delta_logs(primes, bases, a, terms)))
     total = 0.0
     tail = 0.0
-    min_extra = min((e for _, e in extra), default=2.0)
-    for j in range(0, m, ell):
-        coeffs = [(d, ramanujan_sum(d, j), e) for d, e in extra]
-        logs = []
-        for p in primes.tolist():
-            term = 1.0 + (ell - 1) / p
-            for d, c, e in coeffs:
-                if c:
-                    term += c / p ** e
-            logs.append(math.log(term) + (ell - 1) * math.log1p(-1.0 / p))
-        total += math.exp(math.fsum(logs))
+    for cs in vectors:
+        total += products[cs]
         # each log factor is O(K/p^e_min) past the cutoff
-        coeff_bound = (ell - 1) ** 2 + sum(abs(c) for _, c, _ in coeffs) + ell
+        coeff_bound = (ell - 1) ** 2 + sum(abs(c) for c in cs) + ell
         tail += _prime_tail_bound(cutoff, min(2.0, min_extra), coeff_bound)
     value = pref * total
     if value <= 0:
@@ -140,7 +161,7 @@ def embed_constant_r1(delta: int, cutoff: int = 10 ** 6) -> EulerProductValue:
     subfield: the compact r = 1 product divided by Gamma(1/2), the latter
     coming from the coefficient-extraction normalization (empirically
     confirmed by the census ratios)."""
-    primes = _cutoff_primes(cutoff)
+    primes = _cutoff_primes(cutoff, primes_upto)
     lval = float(dirichlet_L(delta, 1))
     chi = kronecker_vec(delta, primes)
     inert, ram = primes[chi == -1].tolist(), primes[chi == 0].tolist()
@@ -187,7 +208,7 @@ def embed_constant_general(deltas, cutoff: int = 10 ** 6) -> EulerProductValue:
 
     ram_set = set(ram_primes)
     logs = []
-    for p in primes.tolist():
+    for p in primes:
         if p in ram_set:
             continue
         chis = [kronecker_symbol(d, p) for d in deltas]

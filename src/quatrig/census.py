@@ -41,6 +41,7 @@ from .arith import (
     kronecker_vec,
     mobius,
     np,
+    prime_list,
     primes_upto,
     product_discriminant,
     squarefree_counts,
@@ -124,7 +125,7 @@ def _csa_nodes(m: int, n: int, bound: int):
 
     # m = 1, or a bound below 2^w for every d, has no options: the matrix algebra alone
     max_p = iroot(max(bound, 0), options[0][0]) if options else 0
-    return squarefree_products(primes_upto(max_p).tolist(), bound, ({0: 1}, 1),
+    return squarefree_products(prime_list(max_p), bound, ({0: 1}, 1),
                                fold, lambda p: [(p ** w, opt) for w, opt in options])
 
 

@@ -85,12 +85,14 @@ def _write(args, parts) -> None:
 
 
 def _emit(args, payload, csv_rows=None, csv_header=None):
-    """csv_rows/csv_header drive csv format; payload drives json."""
+    """csv_rows/csv_header drive csv format; payload drives json.  Only the
+    chosen one is built: csv_rows may be a generator, payload a function of
+    no arguments that returns the payload."""
     if (args.format or args.default_format) == "csv" and csv_rows is not None:
         lines = [csv_header] + [",".join(str(c) for c in row) for row in csv_rows]
         _write(args, ["\n".join(lines) + "\n"])
     else:
-        _write(args, [_json(payload) + "\n"])
+        _write(args, [_json(payload() if callable(payload) else payload) + "\n"])
 
 
 def _thresholds(args) -> list[int]:
@@ -167,7 +169,7 @@ def _predict_report(args):
 
 
 def _geodesic_rows(data):
-    return [[d.delta, d.trace, repr(d.length)] for d in data]
+    return ([d.delta, d.trace, repr(d.length)] for d in data)
 
 
 def _geodesics_from_field(args):
@@ -199,10 +201,14 @@ def _volumes_min_cf(args):
 def _surfaces_census(args):
     bl = parse_ram_set_l(args.bl, QuadraticField(args.field))
     rows = geometry.surface_census(bl, args.x, args.volume, args.const_c_upper)
-    _emit(args, {"count": len(rows),
-                 "rows": [{"ram_set": format_ram_set(r.algebra.ramification), "area": r.area,
-                           "ggs_area_bound": _json_value(r.ggs_area_bound)} for r in rows]},
-          [[f'"{format_ram_set(r.algebra.ramification)}"', repr(r.area)] for r in rows],
+
+    def payload():
+        return {"count": len(rows),
+                "rows": [{"ram_set": format_ram_set(r.algebra.ramification), "area": r.area,
+                          "ggs_area_bound": _json_value(r.ggs_area_bound)} for r in rows]}
+
+    _emit(args, payload,
+          ([f'"{format_ram_set(r.algebra.ramification)}"', repr(r.area)] for r in rows),
           "ram_set,area")
 
 

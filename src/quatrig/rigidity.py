@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import arith
-from .arith import chebyshev_theta, kronecker_vec, mpmath, np, primes_upto
+from .arith import chebyshev_theta, kronecker_vec, mpmath, np, prime_list
 from .brauer import QuaternionAlgebraL, QuaternionAlgebraQ, descends, embeds, quaternion_iso
 from .census import (_embeds_mask, _fundamental_blocks, least_primes,
                      quaternion_algebras_by_disc)
@@ -191,13 +191,15 @@ def distinguish_quaternions(b1: QuaternionAlgebraQ, b2: QuaternionAlgebraQ,
 @dataclass(frozen=True)
 class ScanReport:
     """`names` holds repr(algebra) per algebra, and `rows` (_witness_rows) yields
-    the least distinguishing delta per pair of them, one row per algebra."""
+    the least distinguishing delta per pair of them, one row per algebra.
+    `all_distinguished` is the verdict of rigidity_scan's own walk of the rows."""
 
     x: int
     delta_max: int
     names: tuple[str, ...]
     max_abs_delta: int
     bound_log10: float
+    all_distinguished: bool
     rows: object = field(compare=False, repr=False)  # () -> an iterator of int64 rows
 
     @property
@@ -208,10 +210,6 @@ class ScanReport:
     def pairs(self) -> tuple:
         """((name1, name2, delta), ...) in combinations() order."""
         return tuple((a, b, d) for (a, b), d in zip(combinations(self.names, 2), self.witnesses))
-
-    @property
-    def all_distinguished(self) -> bool:
-        return all(row.all() for row in self.rows())
 
 
 def _all_quaternion_algebras(x: int) -> list[QuaternionAlgebraQ]:
@@ -249,7 +247,9 @@ def rigidity_scan(x: int, delta_max: int = 10 ** 6,
     bound = recognizing_bound(1, 1, x)
     if math.log(max_abs) > bound.log10 * math.log(10):
         raise NotFoundWithinBound("empirical maximum exceeds the recognizing bound")
-    return ScanReport(x, delta_max, tuple(repr(b) for b in algebras), max_abs, bound.log10, rows)
+    # the walk above raised on the first undistinguished pair
+    return ScanReport(x, delta_max, tuple(repr(b) for b in algebras), max_abs, bound.log10,
+                      True, rows)
 
 
 def distinguish_brauer_pairs(l1: QuadraticField, l2: QuadraticField,
@@ -292,7 +292,7 @@ def limit_pair(m: int) -> tuple[int, int, int, int]:
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    small = primes_upto(m).tolist()
+    small = prime_list(m)
     d1 = -3
     for deltas in _fundamental_blocks(LIMIT_PAIR_CAP):
         match = (deltas < 0) & (deltas != d1)

@@ -29,6 +29,7 @@ from quatrig.arith import (
     kronecker_vec,
     mobius,
     pell_fundamental,
+    prime_list,
     primes_upto,
     ramanujan_sum,
     squarefree_kernel,
@@ -161,7 +162,17 @@ def _check_sieve(limit):
     t = SieveTable(limit)
     assert t.limit == limit
     assert t.primes.dtype == np.int64 and not t.primes.flags.writeable
-    assert t.primes.tolist() == [p for p in _BRUTE_PRIMES if p <= limit]
+    expected = [p for p in _BRUTE_PRIMES if p <= limit] if limit <= _BRUTE_LIMIT else [
+        n for n in range(2, limit + 1) if all(n % d for d in range(2, isqrt(n) + 1))]
+    assert t.primes.tolist() == expected
+    assert t.prime_list == expected and all(type(p) is int for p in t.prime_list)
+    assert t.flags.readonly and t.flags.nbytes == (limit + 1) // 2  # a byte per odd integer
+
+
+@pytest.mark.parametrize("limits", [range(1, 201), range(9990, 10011)])
+def test_both_views_match_trial_division(limits):
+    for limit in limits:
+        _check_sieve(limit)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 31, 47, 67])
@@ -189,6 +200,23 @@ def test_primes_upto_and_mobius(monkeypatch):
     assert [mobius(n) for n in range(1, _BRUTE_LIMIT + 1)] == _BRUTE_MU[1:]
     with pytest.raises(ValueError):
         mobius(0)
+
+
+def test_prime_list_matches_primes_upto_across_a_regrown_table(monkeypatch):
+    monkeypatch.setattr(arith, "_SHARED", SieveTable(100))
+    assert prime_list(97) == primes_upto(97).tolist() == [p for p in _BRUTE_PRIMES if p <= 97]
+    for x in (-5, 0, 1):
+        assert prime_list(x) == []
+    table = arith._SHARED
+    assert prime_list(3000) == [p for p in _BRUTE_PRIMES if p <= 3000]
+    assert arith._SHARED is not table and arith._SHARED.limit == 10 ** 4  # regrown to the floor
+    for x in (2, 3, 100, 2999, 3000, 10 ** 4):
+        assert prime_list(x) == primes_upto(x).tolist()
+    assert prime_list(10 ** 4 + 1) == primes_upto(10 ** 4 + 1).tolist()  # grown once more
+    assert arith._SHARED.limit == 10 ** 4 + 1
+    shared = arith._SHARED.prime_list
+    prime_list(50).append(-1)  # a caller's list is its own
+    assert arith._SHARED.prime_list is shared and shared[-1] == 9973
 
 
 def test_sieve_budget():

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from quatrig.arith import divisors
 from quatrig.asymptotics import (
+    EulerProductValue,
     delta_mn,
     delta_n,
     embed_constant_general,
@@ -20,6 +22,43 @@ from quatrig.census import (
     census_embedding_quads,
     census_quat_with_subfields,
 )
+
+
+def _delta_mn_oracle(m, n, cutoff):
+    """delta_mn by one Euler product per j = 0, l, 2l, ... < m, each factor
+    summed per prime as written: nothing shared between the j, and no
+    vector of Ramanujan sums evaluated once for several j."""
+    from quatrig.arith import divisors, factorize, primes_upto, ramanujan_sum
+
+    ell = factorize(n)[0][0]
+    if m % ell != 0:
+        return EulerProductValue(0.0, cutoff, 0.0)
+    pref = 1.0 / (m * math.factorial(ell - 2)) / (n * n * (1 - 1 / ell)) ** (ell - 2)
+    if m % 2 == 0:
+        pref *= 2
+    extra = [(d, (1 - 1 / d) / (1 - 1 / ell)) for d in divisors(m) if d > ell]
+    min_extra = min((e for _, e in extra), default=2.0)
+    total = tail = 0.0
+    for j in range(0, m, ell):
+        coeffs = [(d, ramanujan_sum(d, j), e) for d, e in extra]
+        logs = []
+        for p in primes_upto(cutoff).tolist():
+            term = 1.0 + (ell - 1) / p
+            for d, c, e in coeffs:
+                if c:
+                    term += c / p ** e
+            logs.append(math.log(term) + (ell - 1) * math.log1p(-1.0 / p))
+        total += math.exp(math.fsum(logs))
+        bound = (ell - 1) ** 2 + sum(abs(c) for _, c, _ in coeffs) + ell
+        tail += bound * cutoff ** (1 - min(2.0, min_extra)) / (min(2.0, min_extra) - 1)
+    return EulerProductValue(pref * total, cutoff, tail)
+
+
+@pytest.mark.parametrize("n_max, cutoff", [(12, 10 ** 5), (40, 10 ** 3)])
+def test_delta_mn_matches_the_per_j_oracle_to_the_last_bit(n_max, cutoff):
+    for n in range(2, n_max + 1):
+        for m in divisors(n):
+            assert repr(delta_mn(m, n, cutoff)) == repr(_delta_mn_oracle(m, n, cutoff)), (m, n)
 
 
 def test_delta_mn_structural_zero():

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -114,6 +115,49 @@ def test_rigidity_scan_text_matches_json_dumps(capsys, tmp_path, x, not_totally_
     assert main(["--out", str(target), *argv]) == 0
     assert capsys.readouterr().out == ""
     assert target.read_bytes() == out.encode()
+
+
+def test_rigidity_scan_walks_the_rows_twice(capsys, monkeypatch):
+    # once for the maximum and the verdict, once for the printout
+    from quatrig import rigidity
+
+    expected = _scan_oracle(400, False)
+    walks = []
+    witness_rows = rigidity._witness_rows
+
+    def counted(*args):
+        rows = witness_rows(*args)
+        return lambda: walks.append(1) or rows()
+
+    monkeypatch.setattr(rigidity, "_witness_rows", counted)
+    assert run(capsys, ["rigidity", "scan", "--x", "400"]) == (0, expected)
+    assert len(walks) == 2
+
+
+class _Unread(tuple):
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        pytest.fail("CSV rows read for JSON output")
+
+
+def test_only_the_chosen_format_is_built(capsys, monkeypatch):
+    # surfaces census: the CSV output builds no JSON row (no _json_value per
+    # row); geodesics census: the JSON output reads no geodesic into a CSV row
+    from quatrig import cli, geometry
+
+    def pinned(argv):
+        (pin,) = [p for p in PINS["runs"] if p["argv"] == argv]
+        assert run(capsys, argv.split()) == (0, pin["stdout"])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_json_value", lambda value: pytest.fail("JSON built for CSV"))
+        pinned("surfaces census --field -4 --bl 5.1,5.2 --x 10000")
+    census = geometry.geodesic_census
+    monkeypatch.setattr(geometry, "geodesic_census", lambda *args: dataclasses.replace(
+        census(*args), data=_Unread()))
+    pinned("--format json geodesics census --b 2,3 --x 40")
 
 
 @pytest.mark.parametrize("flags, sha256, size", [

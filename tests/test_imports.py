@@ -1,8 +1,10 @@
 """Which commands execute numpy and mpmath.  `import quatrig.cli` executes
-neither: arith binds both on first use.  A warm census, --help and an
-argument error never use them; a cold census and a surfaces census execute
-numpy only.  Each case runs in a fresh interpreter, since this one
-has executed both."""
+neither: arith binds both on first use.  A warm census, --help, an argument
+error, `predict delta-n` and a cold csa census never use them (the Euler
+products and the csa enumeration walk the primes as a list); `predict
+embed-constant` with two or more fields executes mpmath only; the other cold
+censuses and a surfaces census execute numpy only.  Each case runs in a fresh
+interpreter, since this one has executed both."""
 
 import ast
 import json
@@ -81,6 +83,19 @@ def test_cold_sieve_census_executes_numpy_only(tmp_path):
     assert _fresh(argv) == (0, ["numpy"], expected)
 
 
+@pytest.mark.parametrize("argv, libraries", [
+    ("predict delta-n --n 2 --cutoff 1000", []),
+    ("predict embed-constant --fields=-4,5 --cutoff 1000", ["mpmath"]),
+])
+def test_euler_products_never_execute_numpy(argv, libraries):
+    assert _fresh(argv) == (0, libraries, _pin(argv))
+
+
+def test_cold_csa_census_executes_neither_library(tmp_path):
+    argv = "census csa --m 2 --n 2 --x 1000 --thresholds 10,100,1000"
+    assert _fresh(f"--cache-dir {tmp_path} {argv}") == (0, [], _pin(argv))
+
+
 @pytest.mark.parametrize("argv", [
     "census fund-disc --x 1000000000",
     "census quat-subfields --fields=-4 --x 1000000000000000000",
@@ -95,8 +110,8 @@ def test_cold_sublinear_census_executes_numpy_only(tmp_path, argv):
     "--format json surfaces census --field -4 --bl 5.1,5.2 --x 10000",
 ])
 def test_surfaces_census_executes_numpy_only(argv):
-    # the JSON payload is built in either format, and its float area bounds
-    # never reach mpmath
+    # the JSON payload is built for --format json only, and its float area
+    # bounds never reach mpmath
     assert _fresh(argv) == (0, ["numpy"], _pin(argv))
 
 

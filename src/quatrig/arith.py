@@ -358,9 +358,11 @@ def chebyshev_theta(x: float) -> float:
     """theta(x) = sum of log p over primes p <= x, absolute error < 1e-9."""
     if x < 0:
         raise ValueError("x must be >= 0")
-    primes = primes_upto(math.floor(x))
-    # 64-bit-mantissa accumulation keeps the summation error below 1e-12.
-    return float(np.log(primes.astype(np.longdouble)).sum())
+    primes, step = primes_upto(math.floor(x)), 1 << 22
+    # 64-bit-mantissa accumulation keeps the summation error below 1e-12; chunks
+    # of 2^22 primes keep the long-double temporaries at 64 MB each at any x
+    return float(sum(np.log(primes[i:i + step].astype(np.longdouble)).sum()
+                     for i in range(0, len(primes), step)))
 
 
 # -- Pell equation ---------------------------------------------------------

@@ -17,8 +17,8 @@ into threshold slots, so counts never depend on enumeration order.  The
 embed-quads census (fund-disc is that of the matrix algebra) counts
 squarefree numbers in residue classes in O(sqrt(x)) steps.  The readers
 that need the fields themselves walk one stream of fundamental
-discriminants in |delta| order (_fundamental_blocks) off one block kernel
-(_blocks), so no command builds an array as long as its limit.  Splitting
+discriminants in |delta| order (_fundamental_blocks), sieved block by
+block, so no command builds an array as long as its limit.  Splitting
 data comes from arith.kronecker_vec, least primes from prefixes of the
 primes grown tenfold.
 """
@@ -198,7 +198,7 @@ def count_division(n: int, x: int) -> int:
     return census_division(n, [x]).counts[0]
 
 
-# -- the block kernel ---------------------------------------------------------
+# -- block sizes ---------------------------------------------------------------
 
 # The discriminant stream walks its range in blocks of SEGMENT integers, so
 # its arrays stay a few MB at any range (2^18 measured fastest at 10^7).  It
@@ -206,32 +206,6 @@ def count_division(n: int, x: int) -> int:
 # early reads few; both need a multiple of 16.
 SEGMENT = 1 << 18
 FIRST_BLOCK = 1 << 10
-
-
-def _blocks(y: int, first: int, step: int):
-    """(lo, ok) for each block [lo, lo + size) of 0..y, in order, the sizes
-    doubling from `first` up to `step`: ok[i] says that n = lo + i >= 1 has
-    no factor p^2 for an odd prime p; 4 is left to the readers.  Each
-    p^2 >= step is struck with the others, at most one per block.  Memory is
-    O(sqrt(y) + step); a y past SIEVE_MEMORY_BUDGET raises SieveBudgetError."""
-    if y > arith.SIEVE_MEMORY_BUDGET:
-        raise arith.SieveBudgetError(
-            f"census to {y} exceeds budget {arith.SIEVE_MEMORY_BUDGET}")
-    primes = primes_upto(isqrt(y))
-    squares = primes[primes > 2] ** 2
-    struck = squares[squares < step].tolist()  # one stride each
-    squares = squares[squares >= step]
-    lo, full = 0, min(first, step)
-    while lo <= y:
-        size = min(full, y + 1 - lo)
-        ok = np.ones(size, dtype=bool)
-        ok[0] = lo > 0  # n = 0 counts nothing
-        for m in struck:
-            ok[-lo % m::m] = False
-        offset = -lo % squares
-        ok[offset[offset < size]] = False
-        yield lo, ok
-        lo, full = lo + full, min(2 * full, step)
 
 
 # -- prime sums over the floor set -------------------------------------------------
@@ -312,16 +286,33 @@ def _prime_sum_counts(deltas: tuple[int, ...], ys: list[int], even_only: bool = 
 
 def _fundamental_blocks(limit: int):
     """The fundamental discriminants with |delta| <= limit, one int64 array
-    per block of |delta|, sorted by |delta| with the negative one first on
-    ties.  Block [lo, lo + size) reads the kernel's flags of k in it (no odd
-    square divides k): +-k for squarefree k = 1, 3 mod 4 (the sign fixed by
-    k mod 4), and +-4m for k = 4m with 16 not dividing k, where m is
-    squarefree exactly when the odd part of k is, and +-m = 2, 3 mod 4."""
+    per block [lo, lo + size) of |delta|, sorted by |delta| with the negative
+    one first on ties; the sizes double from FIRST_BLOCK up to SEGMENT.  A
+    block flags the k in it that no odd prime square divides (each p^2 >=
+    SEGMENT struck with the others, at most one per block) and reads off +-k
+    for squarefree k = 1, 3 mod 4 (the sign fixed by k mod 4), and +-4m for
+    k = 4m with 16 not dividing k, where m is squarefree exactly when the odd
+    part of k is, and +-m = 2, 3 mod 4.  Memory is O(sqrt(limit) + SEGMENT);
+    a limit past SIEVE_MEMORY_BUDGET raises SieveBudgetError."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    for lo, sq in _blocks(limit, FIRST_BLOCK, SEGMENT):
-        # row i flags (-(lo + i), +(lo + i)); every block size is a multiple of 16
-        flags = np.zeros((len(sq), 2), dtype=bool)
+    if limit > arith.SIEVE_MEMORY_BUDGET:
+        raise arith.SieveBudgetError(
+            f"census to {limit} exceeds budget {arith.SIEVE_MEMORY_BUDGET}")
+    primes = primes_upto(isqrt(limit))
+    squares = primes[primes > 2] ** 2
+    struck = squares[squares < SEGMENT].tolist()  # one stride each
+    squares = squares[squares >= SEGMENT]
+    lo, full = 0, min(FIRST_BLOCK, SEGMENT)
+    while lo <= limit:
+        size = min(full, limit + 1 - lo)
+        sq = np.ones(size, dtype=bool)
+        for m in struck:
+            sq[-lo % m::m] = False
+        offset = -lo % squares
+        sq[offset[offset < size]] = False
+        # row i flags (-(lo + i), +(lo + i)); every lo is a multiple of 16
+        flags = np.zeros((size, 2), dtype=bool)
         flags[1::4, 1] = sq[1::4]
         flags[3::4, 0] = sq[3::4]
         flags[4::16, 0] = sq[4::16]
@@ -333,6 +324,7 @@ def _fundamental_blocks(limit: int):
         deltas = (found >> 1) + lo
         deltas *= (found & 1) * 2 - 1
         yield deltas
+        lo, full = lo + full, min(2 * full, SEGMENT)
 
 
 @lru_cache(maxsize=8)
@@ -367,12 +359,11 @@ def _embeds_mask(algebra: QuaternionAlgebraQ, deltas: np.ndarray,
                  nonsplit: dict | None = None) -> np.ndarray:
     """Which deltas embed in the algebra (no ramified place splits); `nonsplit`,
     one dict per deltas array, keeps each prime's kronecker_vec(deltas, p) != 1."""
+    nonsplit = {} if nonsplit is None else nonsplit
     ok = np.ones(len(deltas), dtype=bool)
     for v in algebra.ramification:
         if v.is_infinite:
             ok &= deltas < 0
-        elif nonsplit is None:
-            ok &= kronecker_vec(deltas, v.p) != 1
         else:
             if v.p not in nonsplit:
                 nonsplit[v.p] = kronecker_vec(deltas, v.p) != 1

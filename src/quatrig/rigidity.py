@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from . import arith
+from . import arith, census
 from .arith import chebyshev_theta, kronecker_vec, mpmath, np, prime_list
 from .brauer import QuaternionAlgebraL, QuaternionAlgebraQ, descends, embeds, quaternion_iso
 from .census import (_embeds_mask, _fundamental_blocks, least_primes,
@@ -26,10 +26,6 @@ from .census import (_embeds_mask, _fundamental_blocks, least_primes,
 from .fields import QuadraticField, square_subproducts
 
 _BOUND_PREC = 100
-# limit_pair's largest candidate |delta|: every m <= 71 is answered within it,
-# m = 71 with its partner at -36,924,963; m = 73's partner, -227,160,267, lies
-# past it
-LIMIT_PAIR_CAP = 10 ** 8
 
 
 class NotFoundWithinBound(RuntimeError):
@@ -292,17 +288,21 @@ def limit_pair(m: int) -> tuple[int, int, int, int]:
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    small = prime_list(m)
-    d1 = -3
-    for deltas in _fundamental_blocks(LIMIT_PAIR_CAP):
-        match = (deltas < 0) & (deltas != d1)
-        for p in small:
-            match &= kronecker_vec(deltas, p) == kronecker_vec(d1, p)
-        if match.any():
-            d = int(deltas[match.argmax()])
-            return (d1, d, *least_primes(2, lambda ps: (kronecker_vec(d1, ps) == 1)
-                                         & (kronecker_vec(d, ps) == -1)))
-    raise NotFoundWithinBound(f"m = {m}: no partner of {d1} with |delta| <= {LIMIT_PAIR_CAP}")
+    d1, odd = -3, prime_list(m)[1:]
+    # the partner -n is odd with (-n|2) = (-3|2) = -1, so n = 3 mod 8: walk
+    # n = 8j + 3 < 2^63 in blocks of j that double as the discriminant
+    # stream's do, and test the few that match for fundamentality
+    j, size = 0, min(census.FIRST_BLOCK, census.SEGMENT)
+    while j < 2 ** 60:
+        n = 8 * np.arange(j, min(j + size, 2 ** 60)) + 3
+        for p in odd:
+            n = n[kronecker_vec(-n, p) == kronecker_vec(d1, p)]
+        for d in (-k for k in n.tolist() if k != 3):
+            if arith.is_fundamental_discriminant(d):
+                return (d1, d, *least_primes(2, lambda ps: (kronecker_vec(d1, ps) == 1)
+                                             & (kronecker_vec(d, ps) == -1)))
+        j, size = j + size, min(2 * size, census.SEGMENT)
+    raise NotFoundWithinBound(f"m = {m}: no partner of {d1} inside int64")
 
 
 def length_preserving_family(algebra: QuaternionAlgebraQ, deltas, count: int

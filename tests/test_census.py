@@ -134,33 +134,41 @@ def test_prime_sums_match_the_whole_array_sieve():
                     == _whole_array_sieve_counts(deltas, ys, even_only)), (deltas, even_only)
 
 
-@pytest.mark.parametrize("segment", [7, 64, 1000, census.SEGMENT])
+@pytest.mark.parametrize("segment", [16, 64, 1008, census.SEGMENT])
 def test_block_kernel_matches_the_whole_array_sieve_across_block_edges(monkeypatch, segment):
     # small blocks put p^2 and the threshold ends on both sides of block
-    # edges; the whole-array sieve is the reference, 4 | n struck here as the
-    # readers of the kernel strike it
+    # edges; the whole-array sieve is the reference.  The squarefree k <= y
+    # are 1, the odd |delta| and |delta| / 4 at |delta| = 8 mod 16 (k = 2 mod 4)
     monkeypatch.setattr(census, "SEGMENT", segment)
     ys = [math.isqrt(x) for x in _SIEVE_XS]
-    ok = np.concatenate([ok for _, ok in census._blocks(ys[-1], segment, segment)])
-    ok[::4] = False
-    assert np.cumsum(ok)[ys].tolist() == _whole_array_sieve_counts((), ys)
+    deltas = np.abs(np.concatenate(list(census._fundamental_blocks(4 * ys[-1]))))
+    k = np.sort(np.concatenate([[1], deltas[deltas % 2 == 1],
+                                np.unique(deltas[deltas % 16 == 8]) // 4]))
+    assert np.searchsorted(k, ys, side="right").tolist() == _whole_array_sieve_counts((), ys)
 
 
 @pytest.mark.parametrize("first, step", [(16, 16), (48, 48), (16, 48)])
-def test_block_kernel_only_sieves(first, step):
-    # the kernel strikes the squares of the odd primes p <= sqrt(y):
-    # multiples of 4 stay flagged
+def test_block_kernel_only_sieves(monkeypatch, first, step):
+    # each block strikes the squares of the odd primes p <= sqrt(y) and reads
+    # the discriminants off the mod 16 classes: the scalar square filter
+    monkeypatch.setattr(census, "FIRST_BLOCK", first)
+    monkeypatch.setattr(census, "SEGMENT", step)
     y = 2000
     small = primes_upto(math.isqrt(y)).tolist()
     edges = [0]
     while edges[-1] <= y:
         edges.append(min(edges[-1] + min(first * 2 ** (len(edges) - 1), step), y + 1))
-    expected = [n > 0 and not any(n % (p * p) == 0 for p in small if p > 2)
-                for n in range(y + 1)]
-    blocks = list(census._blocks(y, first, step))
-    assert [lo for lo, _ in blocks] == edges[:-1]
-    assert [len(ok) for _, ok in blocks] == [b - a for a, b in zip(edges, edges[1:])]
-    assert np.concatenate([ok for _, ok in blocks]).tolist() == expected
+
+    def odd_part_squarefree(k):
+        return not any(k % (p * p) == 0 for p in small if p > 2)
+
+    expected = [d for k in range(1, y + 1) for d in (-k, k)
+                if d != 1 and (d % 4 == 1 or d % 16 in (8, 12)) and odd_part_squarefree(k)]
+    blocks = list(census._fundamental_blocks(y))
+    assert len(blocks) == len(edges) - 1
+    for deltas, lo, hi in zip(blocks, edges, edges[1:]):
+        assert np.all((lo <= np.abs(deltas)) & (np.abs(deltas) < hi)), (lo, hi)
+    assert np.concatenate(blocks).tolist() == expected
 
 
 @pytest.mark.parametrize("deltas", [(), (-3,), (-4,), (5,), (8,), (-4, 5), (-3, -4, 5)],

@@ -307,8 +307,8 @@ def test_fund_disc_thresholds_walk_no_blocks(capsys, monkeypatch):
     # residue-class counts for every threshold: no pass of the block kernel
     # and no table
     passes = []
-    blocks = census._blocks
-    monkeypatch.setattr(census, "_blocks", lambda y, *rest: passes.append(y) or blocks(y, *rest))
+    blocks = census._fundamental_blocks
+    monkeypatch.setattr(census, "_fundamental_blocks", lambda y: passes.append(y) or blocks(y))
     monkeypatch.setattr(census, "fundamental_discriminants", None)
     code, out = run(capsys, ["census", "fund-disc", "--x", "500",
                              "--thresholds", "1,3,4,10,100,1000"])
@@ -641,27 +641,13 @@ def test_readme_commands_run(capsys, tmp_path):
             assert out == note.replace(" / ", "\n") + "\n", argv
 
 
-def test_limit_pair_past_its_cap_exits_3(capsys, monkeypatch):
-    from quatrig import rigidity
-
-    # one stream of blocks to the cap, read to its end
-    limits, blocks = [], []
-    stream = rigidity._fundamental_blocks
-
-    def spy(cap):
-        limits.append(cap)
-        for block in stream(cap):
-            blocks.append(block)
-            yield block
-
-    monkeypatch.setattr(rigidity, "LIMIT_PAIR_CAP", 10 ** 4)
-    monkeypatch.setattr(rigidity, "_fundamental_blocks", spy)
-    code = main(["rigidity", "limit-pair", "--m", "60"])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (3, "")
-    assert "m = 60" in captured.err and "10000" in captured.err
-    assert limits == [10 ** 4]
-    assert np.concatenate(blocks).tolist() == census.fundamental_discriminants(10 ** 4).tolist()
+def test_limit_pair_answers_past_the_old_cap(capsys):
+    # the partner of m = 73 lies past 10^8, where a cap on |delta| once stopped the search
+    for m, partner, primes in ((60, -14496387, [73, 79]), (73, -227160267, [97, 103])):
+        code, out = run(capsys, ["rigidity", "limit-pair", "--m", str(m)])
+        assert code == 0
+        assert json.loads(out) == {"delta1": -3, "delta2": partner, "m": m,
+                                   "witness_primes": primes}
 
 
 def test_negative_limit_keeps_its_message(capsys):
@@ -718,10 +704,11 @@ _FUZZ_STRINGS = {
     "ram_norms": ["5,5", "", "2", "0", "-3"],
 }
 # limit-pair matches the splitting of Q(sqrt(-3)) at every p <= m, a search
-# that grows like 2^pi(m): on a 2-core Xeon m = 40 takes 0.1 s, m = 47 about 20 s.
+# that grows like 2^pi(m): on a 2-core Xeon m = 47 takes 0.06 s, m = 71 0.14 s
+# and m = 83 10 s.
 # Algebra degrees reach primes past 79, where the growth constants leave the
 # float range.
-_FUZZ_INT_MAX = {("rigidity", "limit-pair", "m"): 40, ("predict", "delta-n", "n"): 200,
+_FUZZ_INT_MAX = {("rigidity", "limit-pair", "m"): 71, ("predict", "delta-n", "n"): 200,
                  ("census", "division", "n"): 200, ("census", "csa", "m"): 200,
                  ("census", "csa", "n"): 200}
 

@@ -243,8 +243,8 @@ def test_distinguish_reads_only_the_blocks_it_needs(monkeypatch):
 
 
 def test_limit_pair_allocates_one_block_at_a_time():
-    # the partner at |delta| = 2,711,427 traces about 6 MB through blocks of
-    # 2^18, where tables grown tenfold to 10^7 traced 90 MB
+    # the partner at |delta| = 2,711,427 is reached through blocks of 2^18
+    # candidates n = 3 mod 8, where tables grown tenfold to 10^7 traced 90 MB
     import tracemalloc
 
     tracemalloc.start()
@@ -281,14 +281,44 @@ def test_limit_pair_spec_values():
 def test_limit_pair_replay():
     from quatrig.arith import kronecker_symbol, primes_upto
 
-    for m in (2, 3, 5, 7):
+    for m in (2, 3, 5, 7, 73):
         d1, d2, p1, p2 = limit_pair(m)
+        assert is_fundamental_discriminant(d2)
         for p in primes_upto(m).tolist():
             assert kronecker_symbol(d1, int(p)) == kronecker_symbol(d2, int(p))
         for p in (p1, p2):
             assert kronecker_symbol(d1, p) == 1
             assert kronecker_symbol(d2, p) == -1
         assert p1 < p2
+    assert (d1, d2, p1, p2) == (-3, -227160267, 97, 103)  # past the old cap of 10^8
+
+
+def _limit_pair_partner_by_the_stream(primes):
+    """The first negative fundamental discriminant other than -3 that splits
+    as -3 does at each of the primes, read off the whole discriminant stream."""
+    from quatrig.arith import kronecker_vec
+
+    for deltas in rigidity._fundamental_blocks(10 ** 8):
+        match = (deltas < 0) & (deltas != -3)
+        for p in primes:
+            match &= kronecker_vec(deltas, p) == kronecker_vec(-3, p)
+        if match.any():
+            return int(deltas[match.argmax()])
+
+
+def test_limit_pair_matches_the_stream_walk():
+    # the residue-class walk against every discriminant in |delta| order
+    # (m = 47: partner -14,496,387); m = 53 and 71 pinned from that walk
+    from quatrig.arith import primes_upto
+
+    partners = {}
+    for m in range(2, 48):
+        primes = tuple(primes_upto(m).tolist())
+        if primes not in partners:
+            partners[primes] = _limit_pair_partner_by_the_stream(primes)
+        assert limit_pair(m)[:2] == (-3, partners[primes]), m
+    assert limit_pair(53) == (-3, -14496387, 73, 79)
+    assert limit_pair(71) == (-3, -36924963, 73, 103)
 
 
 def test_length_preserving_family_spec_values():

@@ -411,7 +411,7 @@ def census_embedding_quads(algebra: QuaternionAlgebraQ, thresholds,
         ms, g = ns[which] // (d * d), np.ones_like(d)
         for p in (p for p in odd if p <= isqrt(thresholds[-1])):
             g[d % p == 0] *= p
-        for gv in np.unique(g).tolist():
+        for gv in sorted(set(g.tolist())):  # plain np.unique would import numpy.ma
             at = g == gv
             # a period past every m walks only as far as the largest m
             period = min(8 * prod(odd) // gv, thresholds[-1] + 1)

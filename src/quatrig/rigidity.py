@@ -120,54 +120,60 @@ def brauer_rigidity_bound(d_base: float, c: float, disc1: float, disc2: float) -
 
 # -- distinguishing experiments ----------------------------------------------
 
-def _refine(algebras, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Partition refinement of the algebras into classes that agree on which
-    deltas of the blocks (an iterator of discriminant arrays in search order) embed.
-    Returns the splitters, the deltas at which the classes grow in number,
-    and the algebras x splitters matrix of their embedding bits, both closed
-    by a sentinel: 0 (never a discriminant) over a column of distinct values.
-    Two algebras first differ at a splitter, or at the sentinel.  A block is
-    read only while a class holds two algebras, and in it only the columns not
-    constant on every class are tried."""
+def _refine(algebras, blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Partition refinement of the algebras by which deltas of the blocks (an iterator of
+    discriminant arrays in search order) embed: the splitters, at which the classes grow in
+    number, closed by the sentinel 0; each algebra's class, ranked by its bits at the
+    splitters; and gap[c], the splitter index that parted classes c - 1 and c (-1 at the ends).
+    Two algebras first differ at the least gap between their classes, or the sentinel.  Blocks
+    are read while a class holds two algebras, trying the columns not constant on every class."""
     labels = np.zeros(len(algebras), dtype=np.int64)
-    classes, splitters, columns = 1, [], []
-    while classes < len(algebras) and (block := next(blocks, None)) is not None:
+    splitters, gap = [], np.array([-1, -1])
+    while len(gap) <= len(algebras) and (block := next(blocks, None)) is not None:
         nonsplit = {}  # each ramified prime's symbols on the block, computed once
         rows = np.array([_embeds_mask(b, block, nonsplit) for b in algebras])
         first = np.unique(labels, return_index=True)[1][labels]  # each algebra's class leader
         for j in np.flatnonzero((rows != rows[first]).any(axis=0)):
             keys, labels = np.unique(2 * labels + rows[:, j], return_inverse=True)
-            if len(keys) > classes:
-                classes = len(keys)
+            if len(keys) >= len(gap):  # a class split in two at block[j]
+                old = keys[1:] >> 1
+                gap = np.r_[-1, np.where(keys[:-1] >> 1 == old, len(splitters), gap[old]), -1]
                 splitters.append(block[j])
-                columns.append(rows[:, j])
-                if classes == len(algebras):
+                if len(keys) == len(algebras):
                     break
-    return (np.array(splitters + [0], dtype=np.int64),
-            np.stack(columns + [np.arange(len(algebras))], axis=1, dtype=np.int32))
+    return np.array(splitters + [0], dtype=np.int64), labels, gap
 
 
 def _witness_rows(algebras, blocks, real_blocks=None):
-    """rows(): for each algebra but the last, the int64 row of the first splitter
-    of _refine at which it differs from each later one, in combinations() order:
-    the first delta whose field embeds in exactly one of the two, or 0 for none.
-    Given real_blocks, a second stream of the blocks, a refinement of the
-    indefinite algebras alone by their deltas > 0 (a definite algebra contains no
-    real field) overwrites the entries of their pairs."""
+    """rows(): for each algebra but the last, the int64 row of its least witness against each
+    later one in combinations() order: the first splitter of _refine whose field embeds in
+    exactly one of the two, or 0.  Given real_blocks, a second stream of the blocks, pairs of
+    indefinite algebras read a refinement of those alone by deltas > 0 (a definite algebra
+    holds no real field).  Returned with the largest |delta| in the rows, or 0 if one is 0."""
     real = np.array([real_blocks is not None and not b.ramified_at_infinity for b in algebras])
     rank = np.cumsum(real)  # indefinite algebras up to each one, itself included
-    splitters, bits = _refine(algebras, blocks)
-    real_splitters, real_bits = _refine([b for b, r in zip(algebras, real) if r],
-                                        (b[b > 0] for b in real_blocks or ()))
+    full = _refine(algebras, blocks)
+    part = _refine([b for b, r in zip(algebras, real) if r], (b[b > 0] for b in real_blocks or ()))
+
+    def parted(splitters, labels, gap, i):  # the least gap from i's class to each later one's
+        c = labels[i]
+        least = np.r_[np.minimum.accumulate(gap[c:0:-1])[::-1], len(splitters) - 1,
+                      np.minimum.accumulate(gap[c + 1:-1])]
+        return splitters[least[labels[i + 1:]]]
 
     def rows():
         for i in range(len(algebras) - 1):
-            row = splitters[(bits[i + 1:] != bits[i]).argmax(axis=1)]
+            row = parted(*full, i)
             if real[i]:
-                row[real[i + 1:]] = real_splitters[
-                    (real_bits[rank[i]:] != real_bits[rank[i] - 1]).argmax(axis=1)]
+                row[real[i + 1:]] = parted(*part, rank[i] - 1)
             yield row
-    return rows
+
+    def widest(splitters, labels, gap, among):  # the largest |delta| over the pairs that hold
+        c = labels[among]  # one of `among`, off the gaps beside them; None if one shares a class
+        return None if (np.bincount(labels)[c] > 1).any() else abs(int(
+            splitters[np.maximum(gap[c], gap[c + 1]).max(initial=-1)]))
+    maxima = widest(*full, ~real), widest(*part, slice(None))
+    return rows, 0 if None in maxima else max(maxima)
 
 
 def distinguish_quaternions(b1: QuaternionAlgebraQ, b2: QuaternionAlgebraQ,
@@ -179,8 +185,7 @@ def distinguish_quaternions(b1: QuaternionAlgebraQ, b2: QuaternionAlgebraQ,
         return None
     delta = int(_refine([b1, b2], _fundamental_blocks(delta_max))[0][0])  # 0 if no splitter
     if not delta:
-        raise NotFoundWithinBound(
-            f"no distinguishing |delta| <= {delta_max} for {b1} vs {b2}")
+        raise NotFoundWithinBound(f"no distinguishing |delta| <= {delta_max} for {b1} vs {b2}")
     return delta
 
 
@@ -188,7 +193,7 @@ def distinguish_quaternions(b1: QuaternionAlgebraQ, b2: QuaternionAlgebraQ,
 class ScanReport:
     """`names` holds repr(algebra) per algebra, and `rows` (_witness_rows) yields
     the least distinguishing delta per pair of them, one row per algebra.
-    `all_distinguished` is the verdict of rigidity_scan's own walk of the rows."""
+    `all_distinguished` is True: rigidity_scan raises on a pair left in one class."""
 
     x: int
     delta_max: int
@@ -209,41 +214,36 @@ class ScanReport:
 
 
 def _all_quaternion_algebras(x: int) -> list[QuaternionAlgebraQ]:
-    """Quaternion algebras over Q with |disc| <= x, by ascending disc
-    (disc = q^2 for squarefree q; the parity of the finite part fixes the
-    real place)."""
+    """Quaternion algebras over Q with |disc| <= x, by ascending disc (disc = q^2 for
+    squarefree q; the parity of the finite part fixes the real place)."""
     return [QuaternionAlgebraQ.from_primes(fs, include_infinity=len(fs) % 2 == 1)
             for _, fs in quaternion_algebras_by_disc(math.isqrt(x))]
 
 
 def rigidity_scan(x: int, delta_max: int = 10 ** 6,
                   not_totally_complex: bool = False) -> ScanReport:
-    """Distinguish every unordered pair of non-isomorphic quaternion algebras
-    over Q with |disc| <= x by a quadratic field with |delta| <= delta_max;
-    the empirical maximum must sit below the recognizing bound (it does, by
-    many orders of magnitude).  A failed search would falsify the rigidity
-    theorem at desk scale and is raised, never recorded."""
+    """Distinguish every unordered pair of non-isomorphic quaternion algebras over Q with
+    |disc| <= x by a quadratic field with |delta| <= delta_max; the empirical maximum must sit
+    below the recognizing bound (it does, by many orders of magnitude).  A failed search would
+    falsify the rigidity theorem at desk scale and is raised, never recorded."""
     if x < 4:
         raise ValueError("x must be >= 4")
-    # an algebra is a squarefree q <= sqrt(x), and the scan traces 1.5 KB per unit of
-    # isqrt(x) (the listing and the first block's matrix, x = 10^6 to 10^10); 4096 leaves
+    # an algebra is a squarefree q <= sqrt(x), and the scan traces 1.6 KB per unit of
+    # isqrt(x) (the listing and the first block's matrix, x = 10^8 to 10^10); 4096 leaves
     # room for a second block and keeps the cap of 2.5 bytes per unit of the budget, 2.5 GB
     if 4096 * (y := math.isqrt(x)) > 2.5 * arith.SIEVE_MEMORY_BUDGET:
-        raise arith.SieveBudgetError(
-            f"algebras of q <= {y} exceed budget: about {4096 * y} bytes")
+        raise arith.SieveBudgetError(f"algebras of q <= {y} exceed budget: about {4096 * y} bytes")
     algebras = _all_quaternion_algebras(x)
-    rows = _witness_rows(algebras, _fundamental_blocks(delta_max),
-                         _fundamental_blocks(delta_max) if not_totally_complex else None)
-    max_abs = 0
-    for i, row in enumerate(rows()):
-        if not row.all():
-            raise NotFoundWithinBound(f"pair {algebras[i]}, {algebras[i + 1 + int(row.argmin())]}"
-                                      f" not distinguished by |delta| <= {delta_max}")
-        max_abs = max(max_abs, int(np.abs(row).max()))
+    rows, max_abs = _witness_rows(algebras, _fundamental_blocks(delta_max),
+                                  _fundamental_blocks(delta_max) if not_totally_complex else None)
+    if not max_abs:  # name the first pair left in one class, in combinations() order
+        i, j = next((i, i + 1 + int((row != 0).argmin())) for i, row in enumerate(rows())
+                    if not row.all())
+        raise NotFoundWithinBound(f"pair {algebras[i]}, {algebras[j]}"
+                                  f" not distinguished by |delta| <= {delta_max}")
     bound = recognizing_bound(1, 1, x)
     if math.log(max_abs) > bound.log10 * math.log(10):
         raise NotFoundWithinBound("empirical maximum exceeds the recognizing bound")
-    # the walk above raised on the first undistinguished pair
     return ScanReport(x, delta_max, tuple(repr(b) for b in algebras), max_abs, bound.log10,
                       True, rows)
 

@@ -117,8 +117,8 @@ def test_rigidity_scan_text_matches_json_dumps(capsys, tmp_path, x, not_totally_
     assert target.read_bytes() == out.encode()
 
 
-def test_rigidity_scan_walks_the_rows_twice(capsys, monkeypatch):
-    # once for the maximum and the verdict, once for the printout
+def test_rigidity_scan_walks_the_rows_once(capsys, monkeypatch):
+    # for the printout only: the maximum and the verdict come from the refinement
     from quatrig import rigidity
 
     expected = _scan_oracle(400, False)
@@ -126,12 +126,12 @@ def test_rigidity_scan_walks_the_rows_twice(capsys, monkeypatch):
     witness_rows = rigidity._witness_rows
 
     def counted(*args):
-        rows = witness_rows(*args)
-        return lambda: walks.append(1) or rows()
+        rows, max_abs = witness_rows(*args)
+        return (lambda: walks.append(1) or rows()), max_abs
 
     monkeypatch.setattr(rigidity, "_witness_rows", counted)
     assert run(capsys, ["rigidity", "scan", "--x", "400"]) == (0, expected)
-    assert len(walks) == 2
+    assert len(walks) == 1
 
 
 class _Unread(tuple):

@@ -3,8 +3,9 @@ neither: arith binds both on first use.  A warm census, --help, an argument
 error, `predict delta-n` and a cold csa census never use them (the Euler
 products and the csa enumeration walk the primes as a list); `predict
 embed-constant` with two or more fields executes mpmath only; the other cold
-censuses and a surfaces census execute numpy only.  Each case runs in a fresh
-interpreter, since this one has executed both."""
+censuses and a surfaces census execute numpy only; none of these, nor a
+rigidity scan, loads numpy.ma.  Each case runs in a fresh interpreter, since
+this one has executed both."""
 
 import ast
 import json
@@ -20,10 +21,13 @@ from quatrig.cli import main
 SRC = Path(__file__).resolve().parents[1] / "src"
 PINS = json.loads((Path(__file__).parent / "cli_pins.json").read_text())
 LIBRARIES = ("numpy", "mpmath")
+# numpy.ma is reported as a library of its own: numpy 2.4's plain np.unique
+# (no return_* flag) imports it, about 15 ms and 1-2 MB of RSS
+_PROBED = LIBRARIES + ("numpy.ma",)
 
 # runs the CLI on argv, then reports its exit code and which libraries were
-# executed (one of their submodules, numpy._core or mpmath.libmp, is loaded)
-# on the last line of stderr
+# executed (one of their submodules, numpy._core, mpmath.libmp or numpy.ma.core,
+# is loaded) on the last line of stderr
 _PROBE = """
 import json, sys
 {before}
@@ -42,7 +46,7 @@ def _fresh(argv: str, before: str = ""):
     """(exit code, executed libraries, stdout) of argv in a new interpreter."""
     path = os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE.format(before=before, libraries=LIBRARIES), *argv.split()],
+        [sys.executable, "-c", _PROBE.format(before=before, libraries=_PROBED), *argv.split()],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": path, "COLUMNS": "80"})
     code, ran = json.loads(proc.stderr.splitlines()[-1])
@@ -113,6 +117,15 @@ def test_surfaces_census_executes_numpy_only(argv):
     # the JSON payload is built for --format json only, and its float area
     # bounds never reach mpmath
     assert _fresh(argv) == (0, ["numpy"], _pin(argv))
+
+
+@pytest.mark.parametrize("argv", ["rigidity scan --x 400",
+                                  "rigidity scan --x 400 --not-totally-complex"])
+def test_rigidity_scan_loads_no_numpy_ma(capsys, argv):
+    # the verdict counts class sizes with np.bincount, not a plain np.unique;
+    # the recognizing bound is evaluated by mpmath
+    assert main(argv.split()) == 0
+    assert _fresh(argv) == (0, ["numpy", "mpmath"], capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("library, name", [("numpy", "np"), ("mpmath", "mpmath")])

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import pytest
@@ -155,15 +156,13 @@ def test_rigidity_scan_matches_scalar_embeds(brute_quaternion_algebras, not_tota
     assert list(rigidity_scan(x, delta_max, not_totally_complex).pairs) == want
 
 
-@pytest.mark.parametrize("x", [10 ** 5, 10 ** 6])
-@pytest.mark.parametrize("not_totally_complex", [False, True])
-def test_rigidity_scan_matches_pairwise_xor(x, not_totally_complex):
-    # the plain pairwise search: the first True of each pair's XOR of the
-    # embedding masks over every discriminant to 1000, in search order
+def _pairwise_xor(algebras, delta_max, not_totally_complex):
+    """The plain pairwise search: the first True of each pair's XOR of the
+    embedding masks over every discriminant to delta_max, in search order, or
+    0 for none; one list per algebra but the last."""
     import numpy as np
 
-    algebras = rigidity._all_quaternion_algebras(x)
-    deltas = fundamental_discriminants(1000)
+    deltas = fundamental_discriminants(delta_max)
     masks = np.array([rigidity._embeds_mask(b, deltas) for b in algebras])
     indefinite = np.array([not b.ramified_at_infinity for b in algebras])
     want = []
@@ -171,16 +170,87 @@ def test_rigidity_scan_matches_pairwise_xor(x, not_totally_complex):
         diff = masks[i + 1:] ^ masks[i]
         if not_totally_complex and indefinite[i]:
             diff[indefinite[i + 1:]] &= deltas > 0
-        assert diff.any(axis=1).all()
-        want += deltas[diff.argmax(axis=1)].tolist()
-    assert rigidity_scan(x, not_totally_complex=not_totally_complex).witnesses == tuple(want)
+        want.append(np.where(diff.any(axis=1), deltas[diff.argmax(axis=1)], 0).tolist())
+    return want
+
+
+@pytest.mark.parametrize("x", [10 ** 5, 10 ** 6])
+@pytest.mark.parametrize("not_totally_complex", [False, True])
+def test_rigidity_scan_matches_pairwise_xor(x, not_totally_complex):
+    want = _pairwise_xor(rigidity._all_quaternion_algebras(x), 1000, not_totally_complex)
+    rep = rigidity_scan(x, not_totally_complex=not_totally_complex)
+    assert rep.witnesses == tuple(d for row in want for d in row)
+    assert rep.max_abs_delta == max(abs(d) for row in want for d in row)
+
+
+@pytest.mark.parametrize("x, delta_max, not_totally_complex, distinguished", [
+    (400, 5, False, False), (400, 8, True, False), (10 ** 4, 30, True, False),
+    (10 ** 5, 40, False, False), (10 ** 5, 45, True, False), (10 ** 6, 60, False, False),
+    (10 ** 5, 60, True, True), (10 ** 6, 90, True, True)])
+def test_rigidity_scan_verdict_matches_pairwise_xor(x, delta_max, not_totally_complex,
+                                                    distinguished):
+    # the scan raises exactly when the oracle has a zero, naming its first one
+    # in combinations() order
+    algebras = rigidity._all_quaternion_algebras(x)
+    want = _pairwise_xor(algebras, delta_max, not_totally_complex)
+    zeros = [(i, i + 1 + row.index(0)) for i, row in enumerate(want) if 0 in row]
+    assert not zeros == distinguished
+    if not zeros:
+        rep = rigidity_scan(x, delta_max, not_totally_complex)
+        assert rep.max_abs_delta == max(abs(d) for row in want for d in row)
+        return
+    i, j = zeros[0]
+    with pytest.raises(NotFoundWithinBound, match=re.escape(
+            f"pair {algebras[i]}, {algebras[j]} not distinguished by |delta| <= {delta_max}")):
+        rigidity_scan(x, delta_max, not_totally_complex)
+
+
+@pytest.mark.parametrize("x, maxima", [(10 ** 8, (163, 173)), (10 ** 9, (420, 420))])
+def test_rigidity_scan_maxima_past_the_oracle(x, maxima):
+    # the largest least |delta| without and with --not-totally-complex, as the
+    # row walk of the bit matrix found them (the ROADMAP item 17 table)
+    assert tuple(rigidity_scan(x, not_totally_complex=flag).max_abs_delta
+                 for flag in (False, True)) == maxima
+
+
+def test_rigidity_scan_walks_no_rows_when_every_pair_parts(monkeypatch):
+    walks = []
+    witness_rows = rigidity._witness_rows
+
+    def counted(*args):
+        rows, max_abs = witness_rows(*args)
+        return (lambda: walks.append(1) or rows()), max_abs
+
+    monkeypatch.setattr(rigidity, "_witness_rows", counted)
+    for flag in (False, True):
+        assert rigidity_scan(10 ** 6, not_totally_complex=flag).max_abs_delta == 84
+    assert walks == []
+    with pytest.raises(NotFoundWithinBound):
+        rigidity_scan(400, 5)
+    assert walks == [1]
+
+
+@pytest.mark.parametrize("not_totally_complex", [False, True])
+def test_witness_rows_of_every_two_and_three_algebras_match_pairwise_xor(not_totally_complex):
+    # a definite algebra's widest pair may lie on either side of its class:
+    # M(2,Q) above B(2,inf), and B(2,inf) above B(2,5)
+    for k in (2, 3):
+        for algebras in combinations(rigidity._all_quaternion_algebras(100), k):
+            want = _pairwise_xor(algebras, 1000, not_totally_complex)
+            rows, max_abs = rigidity._witness_rows(
+                algebras, rigidity._fundamental_blocks(1000),
+                rigidity._fundamental_blocks(1000) if not_totally_complex else None)
+            assert [row.tolist() for row in rows()] == want
+            entries = [abs(d) for row in want for d in row]
+            assert max_abs == (0 if 0 in entries else max(entries))
 
 
 def test_first_witnesses_of_isomorphic_algebras_are_zero():
     # two copies of B(2,3) never separate: the walk reads every block to 10^6
     b23, b25 = parse_ram_set("2,3"), parse_ram_set("2,5")
-    rows = rigidity._witness_rows([b23, b23, b25], rigidity._fundamental_blocks(10 ** 6))
+    rows, max_abs = rigidity._witness_rows([b23, b23, b25], rigidity._fundamental_blocks(10 ** 6))
     assert [row.tolist() for row in rows()] == [[0, -4], [-4]]
+    assert max_abs == 0
 
 
 @pytest.mark.parametrize("not_totally_complex", [False, True])
@@ -217,7 +287,7 @@ def test_rigidity_scan_reads_only_the_blocks_it_needs(monkeypatch, not_totally_c
 
 def test_rigidity_scan_memory_does_not_grow_with_the_pairs_walked():
     # 184,528 and 1,853,775 pairs: about 2.5 KB per algebra (the listing and
-    # the first block's matrix) and one row at a time, nothing per pair
+    # the first block's matrix); no row is walked and nothing is held per pair
     import tracemalloc
 
     rigidity_scan(10 ** 4)  # numpy and the listing's first tables

@@ -316,16 +316,11 @@ def mobius(n: int) -> int:
     return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
 
 
-def mobius_upto(n: int) -> list[int]:
-    """[0, mu(1), ..., mu(n)], each by trial division: no sieve is built."""
-    return [0] + [mobius(d) for d in range(1, n + 1)]
-
-
 def squarefree_counts(xs: list[int]) -> list[int]:
     """For each ascending x >= 0, the number of squarefree integers in [1, x]:
     the sum over d <= sqrt(x) of mu(d) floor(x / d^2), with mu(d) taken once
-    for each d <= sqrt(max x)."""
-    mu = mobius_upto(isqrt(xs[-1]))
+    for each d <= sqrt(max x) by trial division: no sieve is built."""
+    mu = [0] + [mobius(d) for d in range(1, isqrt(xs[-1]) + 1)]
     return [sum(mu[d] * (x // (d * d)) for d in range(1, isqrt(x) + 1)) for x in xs]
 
 

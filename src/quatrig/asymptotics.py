@@ -164,7 +164,7 @@ def embed_constant_r1(delta: int, cutoff: int = 10 ** 6) -> EulerProductValue:
     primes = _cutoff_primes(cutoff, primes_upto)
     lval = float(dirichlet_L(delta, 1))
     chi = kronecker_vec(delta, primes)
-    inert, ram = primes[chi == -1].tolist(), primes[chi == 0].tolist()
+    inert, ram = primes[chi == -1].tolist(), [p for p, _ in factorize(delta)]
     logs = [0.5 * math.log1p(-1.0 / (p * p)) for p in inert + ram]
     logs += [0.5 * math.log1p(1.0 / p) for p in ram]
     r1p = 1 if delta < 0 else 0

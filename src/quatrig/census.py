@@ -15,7 +15,8 @@ of degree n >= 3) come from one bounded product-of-primes enumerator
 distribution of local invariants along the way and sums per-node weights
 into threshold slots, so counts never depend on enumeration order.  The
 embed-quads census (fund-disc is that of the matrix algebra) counts
-squarefree numbers in residue classes in O(sqrt(x)) steps.  The readers
+squarefree numbers in residue classes in O(sqrt(x)) steps, over the odd
+squarefree d <= sqrt(x) that the same enumerator lists.  The readers
 that need the fields themselves walk one stream of fundamental
 discriminants in |delta| order (_fundamental_blocks), sieved block by
 block, so no command builds an array as long as its limit.  Splitting
@@ -387,9 +388,12 @@ def census_embedding_quads(algebra: QuaternionAlgebraQ, thresholds,
     the weight of m d^2 is that of m g^2, g = gcd(d, P).  delta = 1 is taken
     out where it fell in the counted classes.  O(sqrt(x) + 8P) time."""
     thresholds = _ascending(thresholds)
-    if thresholds[-1] > arith.SIEVE_MEMORY_BUDGET:  # mu(d) to sqrt(x) is by trial division
+    # the (d, mu(d), g) rows, the primes to y = isqrt(x) and the terms of the
+    # sum: tracemalloc peaks at 35-47 bytes per unit of y at one threshold and
+    # 47-64 at two (10^10 to 10^12), so 80 is checked like the other tables
+    if (nbytes := 80 * (y := isqrt(thresholds[-1]))) > 2.5 * arith.SIEVE_MEMORY_BUDGET:
         raise arith.SieveBudgetError(
-            f"census to {thresholds[-1]} exceeds budget {arith.SIEVE_MEMORY_BUDGET}")
+            f"census to {thresholds[-1]} exceeds budget: about {nbytes} bytes")
     odd = [v.p for v in algebra.ramification if not v.is_infinite and v.p > 2]
     signs = (1,) if not_totally_complex else (1, -1)
 
@@ -400,23 +404,21 @@ def census_embedding_quads(algebra: QuaternionAlgebraQ, thresholds,
             w += (delta % 4 == 1 if four == 1 else sign * n % 4 >= 2) & _embeds_mask(algebra, delta)
         return w
 
-    mu = np.array(arith.mobius_upto(isqrt(thresholds[-1])), dtype=np.int64)
-    ds = 2 * np.flatnonzero(mu[1::2]) + 1  # squarefree and odd: an even d puts 4 | n
+    # every odd squarefree d <= y (an even d puts 4 | n), with mu(d) and g
+    rows = squarefree_products(prime_list(y)[1:], y, (1, 1),
+                               lambda s, p, _: (-s[0], s[1] * p if p in odd else s[1]))
+    ds, mu, g = np.fromiter((v for d, s in rows for v in (d, *s)), dtype=np.int64).reshape(-1, 3).T
     counts = np.zeros(len(thresholds), dtype=np.int64)
     for four in (1, 4):
         ns = np.array(thresholds) // four
-        lens = np.searchsorted(ds * ds, ns, side="right")
-        which = np.repeat(np.arange(len(ns)), lens)
-        d = np.concatenate([ds[:k] for k in lens])
-        ms, g = ns[which] // (d * d), np.ones_like(d)
-        for p in (p for p in odd if p <= isqrt(thresholds[-1])):
-            g[d % p == 0] *= p
+        which, k = np.nonzero(ds * ds <= ns[:, None])  # (threshold, d) with d^2 <= n
+        ms = ns[which] // (ds[k] * ds[k])
         for gv in sorted(set(g.tolist())):  # plain np.unique would import numpy.ma
-            at = g == gv
+            at = g[k] == gv
             # a period past every m walks only as far as the largest m
             period = min(8 * prod(odd) // gv, thresholds[-1] + 1)
             sums = _periodic_sums(lambda m: weight(four, gv, m), period, ms[at])
-            np.add.at(counts, which[at], mu[d[at]] * sums)
+            np.add.at(counts, which[at], mu[k[at]] * sums)
     counts -= weight(1, 1, np.array([1]))[0]  # delta = 1 is no discriminant
     return CountTable(tuple(thresholds), tuple(counts.tolist()))
 

@@ -132,6 +132,16 @@ def test_embed_constant_general_reduces_to_r1():
         assert abs(a - b) < 1e-6
 
 
+@pytest.mark.parametrize("delta", [109321, 1000033])
+@pytest.mark.parametrize("cutoff", [10 ** 3, 10 ** 5])
+def test_embed_constant_r1_keeps_a_ramified_prime_past_the_cutoff(delta, cutoff):
+    # delta is a prime past the cutoff: its Euler factor (1 + 1/p)(1 - 1/p)^(1/2)
+    # is 1 + O(1/p), so dropping it would move the value by about 1/(2p)
+    a = embed_constant_r1(delta, cutoff).value
+    b = embed_constant_general([delta], cutoff).value
+    assert abs(a - b) <= 1e-12 * b
+
+
 def test_embed_constant_general_r2():
     c = embed_constant_general([-4, 5], 10 ** 5)
     assert c.value > 0

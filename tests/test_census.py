@@ -363,6 +363,12 @@ def test_census_peak_memory_does_not_grow_with_x():
     assert abs(quat[10 ** 14] - quat[10 ** 12]) < 2 * 10 ** 6
     embed = _traced_peak(lambda: census_embedding_quads(parse_ram_set(""), [10 ** 7]))
     assert embed < 12 * 10 ** 6
+    # at 10^9 and 10^10, two thresholds stay under the 80 bytes per unit of
+    # isqrt(x) that the census checks against its budget
+    for x in (10 ** 9, 10 ** 10):
+        for ram in ("", "3,5,7,inf"):
+            peak = _traced_peak(lambda: census_embedding_quads(parse_ram_set(ram), [x // 3 + 1, x]))
+            assert peak < 80 * math.isqrt(x), (x, ram)
 
 
 def test_embeds_mask_allocates_no_int64_array_of_the_table_length():
@@ -437,6 +443,20 @@ def test_embedding_quads_census_matches_the_stream():
                 counts += np.searchsorted(np.abs(deltas[ok]), thresholds, side="right")
             got = census_embedding_quads(algebra, thresholds, ntc)
             assert got.counts == tuple(counts.tolist()), (ram, ntc)
+
+
+@pytest.mark.parametrize("ram, ntc, thresholds, counts", [
+    ("", False, [10 ** 10 // 3 + 1, 10 ** 10], (2026423644, 6079270822)),
+    ("", False, [10 ** 11], (60792710200,)),
+    ("", False, [10 ** 12 // 3 + 1, 10 ** 12], (202642367625, 607927101751)),
+    ("3,5,7,inf", False, [10 ** 10 // 3 + 1, 10 ** 10], (207787495, 623362785)),
+    ("2,3", False, [10 ** 11 // 3 + 1, 10 ** 11], (8443431944, 25330295763)),
+    ("5,13", True, [10 ** 9 + 7, 10 ** 10], (94988634, 949885979)),
+])
+def test_embedding_quads_census_past_1e9(ram, ntc, thresholds, counts):
+    # pinned from a second route: mu(d) for d <= sqrt(x) one factorization at
+    # a time and gcd(d, P) by trial division, as the census counted to 10^9
+    assert census_embedding_quads(_places(ram), thresholds, ntc).counts == counts
 
 
 def test_count_quat_with_subfields_spec_values():

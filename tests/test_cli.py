@@ -335,7 +335,7 @@ def test_fund_disc_is_the_embed_quads_census_of_the_matrix_algebra(capsys, tmp_p
     (["rigidity", "scan", "--x", "100", "--delta-max", "50000"], "census to 50000"),
     (["rigidity", "distinguish", "--b1", "2,3", "--b2", "2,5", "--delta-max", "50000"],
      "census to 50000"),
-    (["census", "fund-disc", "--x", "50000"], "census to 50000"),
+    (["census", "fund-disc", "--x", "10000000"], "census to 10000000"),
     (["census", "quat-subfields", "--fields=-4", "--x", "100000000000000"],
      "census to 10000000"),
 ])
@@ -343,7 +343,8 @@ def test_tables_past_the_memory_budget_exit_2(capsys, monkeypatch, tmp_path, arg
     from quatrig import arith
 
     # 10^5 bytes: algebras of q <= 24, a census to 40,000, where the stream
-    # of discriminants stops too, or prime sums to y = 1.5 * 10^6
+    # of discriminants stops too, prime sums to y = 1.5 * 10^6, or the
+    # residue-class count to isqrt(x) = 1250
     monkeypatch.setattr(arith, "SIEVE_MEMORY_BUDGET", 4 * 10 ** 4)
     code = main(["--cache-dir", str(tmp_path), *argv])
     captured = capsys.readouterr()
@@ -361,12 +362,14 @@ def test_memory_budget_stops_the_sizes_that_ran_out_and_admits_the_rest(capsys, 
         raise Admitted
 
     # at the real budget: the algebras of q <= 10^6 at x = 10^12 and a census
-    # to 2 * 10^9, both stopped before anything large is allocated (an
-    # Admitted raised by the listing of the algebras would fail the test)
+    # to 10^16, both stopped before anything large is allocated (an Admitted
+    # raised by the listing of the algebras or of the primes would fail the test)
     with monkeypatch.context() as patch:
         patch.setattr(rigidity, "_all_quaternion_algebras", admitted)
+        patch.setattr(census, "prime_list", admitted)
         for argv, what in ((["rigidity", "scan", "--x", str(10 ** 12)], "q <= 1000000"),
-                           (["census", "fund-disc", "--x", "2000000000"], "census to 2000000000")):
+                           (["census", "fund-disc", "--x", str(10 ** 16)],
+                            "census to 10000000000000000 exceeds budget: about 8000000000 bytes")):
             assert main(argv) == 2
             assert what in capsys.readouterr().err
 
@@ -374,7 +377,14 @@ def test_memory_budget_stops_the_sizes_that_ran_out_and_admits_the_rest(capsys, 
     monkeypatch.setattr(census, "primes_upto", admitted)
     with pytest.raises(Admitted):
         census.fundamental_discriminants(4 * 10 ** 8)
-    assert census.fundamental_discriminant_count(10 ** 9) == 607927069  # no sieve at all
+    # the residue-class count: 80 bytes per unit of isqrt(x) admit y <= 31,250,000,
+    # and it lists the primes to y, a sieve to sqrt(x), before anything else
+    assert census.fundamental_discriminant_count(10 ** 9) == 607927069
+    monkeypatch.setattr(census, "prime_list", admitted)
+    with pytest.raises(Admitted):
+        census.fundamental_discriminant_count(31250001 ** 2 - 1)
+    with pytest.raises(arith.SieveBudgetError):
+        census.fundamental_discriminant_count(31250001 ** 2)
     monkeypatch.setattr(rigidity, "_fundamental_blocks", admitted)
     with pytest.raises(Admitted):
         rigidity.rigidity_scan(10 ** 9)  # 19,224 algebras, 184,771,476 pairs

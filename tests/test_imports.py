@@ -102,10 +102,12 @@ def test_cold_csa_census_executes_neither_library(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     "census fund-disc --x 1000000000",
+    "census fund-disc --x 1000000000000",
     "census quat-subfields --fields=-4 --x 1000000000000000000",
 ])
 def test_cold_sublinear_census_executes_numpy_only(tmp_path, argv):
-    # the residue-class and prime-sum counts never touch mpmath
+    # the residue-class and prime-sum counts never touch mpmath, and the
+    # residue-class count groups its d by gcd(d, P) without a plain np.unique
     assert _fresh(f"--cache-dir {tmp_path} {argv}") == (0, ["numpy"], _pin(argv))
 
 

@@ -152,6 +152,13 @@ def is_fundamental_discriminant(d: int) -> bool:
     return all(e == 1 for _, e in factorize(d if d % 4 == 1 else d // 4))
 
 
+def check_fundamental(*deltas: int) -> None:
+    """Raise InvalidDiscriminant at the first delta that is no fundamental discriminant."""
+    for d in deltas:
+        if not is_fundamental_discriminant(d):
+            raise InvalidDiscriminant(f"{d} is not a fundamental discriminant")
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of |n| >= 1 as ascending (p, e) pairs, by trial
     division."""
@@ -448,8 +455,8 @@ def class_number(delta: int, check: bool = True) -> int:
     and h = h+ when the fundamental unit has norm -1, h+/2 otherwise.
     check=False skips the test that delta is fundamental, as in pell_fundamental.
     """
-    if check and not is_fundamental_discriminant(delta):
-        raise InvalidDiscriminant(f"{delta} is not a fundamental discriminant")
+    if check:
+        check_fundamental(delta)
     r, forms = isqrt(abs(delta)), []
     for b in range(delta % 2, r + 1, 2):
         m = abs(b * b - delta) // 4
@@ -490,8 +497,7 @@ def dirichlet_L(delta: int, s: int):
     delta > 0, R the regulator of pell_fundamental(delta).  s = 2 sums Hurwitz
     zeta values over one period of the character.
     """
-    if not is_fundamental_discriminant(delta):
-        raise InvalidDiscriminant(f"{delta} is not a fundamental discriminant")
+    check_fundamental(delta)
     if s not in (1, 2):
         raise ValueError("s must be 1 or 2")
     with mpmath.mp.workprec(PRECISION_BITS):

@@ -20,8 +20,8 @@ squarefree d <= sqrt(x) that the same enumerator lists.  The readers
 that need the fields themselves walk one stream of fundamental
 discriminants in |delta| order (_fundamental_blocks), sieved block by
 block, so no command builds an array as long as its limit.  Splitting
-data comes from arith.kronecker_vec, least primes from prefixes of the
-primes grown tenfold.
+data comes from arith.kronecker_vec or Euler's criterion, least primes
+from prefixes of the primes grown tenfold.
 """
 
 from __future__ import annotations
@@ -388,9 +388,9 @@ def census_embedding_quads(algebra: QuaternionAlgebraQ, thresholds,
     the weight of m d^2 is that of m g^2, g = gcd(d, P).  delta = 1 is taken
     out where it fell in the counted classes.  O(sqrt(x) + 8P) time."""
     thresholds = _ascending(thresholds)
-    # the (d, mu(d), g) rows, the primes to y = isqrt(x) and the terms of the
-    # sum: tracemalloc peaks at 35-47 bytes per unit of y at one threshold and
-    # 47-64 at two (10^10 to 10^12), so 80 is checked like the other tables
+    # the (d, mu(d), g) rows, the primes to y = isqrt(x) and one threshold's
+    # terms of the sum: tracemalloc peaks at 34-50 bytes per unit of y at any
+    # number of thresholds (10^10 to 10^12), so 80 is checked like the other tables
     if (nbytes := 80 * (y := isqrt(thresholds[-1]))) > 2.5 * arith.SIEVE_MEMORY_BUDGET:
         raise arith.SieveBudgetError(
             f"census to {thresholds[-1]} exceeds budget: about {nbytes} bytes")
@@ -408,29 +408,29 @@ def census_embedding_quads(algebra: QuaternionAlgebraQ, thresholds,
     rows = squarefree_products(prime_list(y)[1:], y, (1, 1),
                                lambda s, p, _: (-s[0], s[1] * p if p in odd else s[1]))
     ds, mu, g = np.fromiter((v for d, s in rows for v in (d, *s)), dtype=np.int64).reshape(-1, 3).T
-    counts = np.zeros(len(thresholds), dtype=np.int64)
-    for four in (1, 4):
-        ns = np.array(thresholds) // four
-        which, k = np.nonzero(ds * ds <= ns[:, None])  # (threshold, d) with d^2 <= n
-        ms = ns[which] // (ds[k] * ds[k])
-        for gv in sorted(set(g.tolist())):  # plain np.unique would import numpy.ma
-            at = g[k] == gv
-            # a period past every m walks only as far as the largest m
-            period = min(8 * prod(odd) // gv, thresholds[-1] + 1)
-            sums = _periodic_sums(lambda m: weight(four, gv, m), period, ms[at])
-            np.add.at(counts, which[at], mu[k[at]] * sums)
-    counts -= weight(1, 1, np.array([1]))[0]  # delta = 1 is no discriminant
-    return CountTable(tuple(thresholds), tuple(counts.tolist()))
+    squares, groups = ds * ds, sorted(set(g.tolist()))  # plain np.unique would import numpy.ma
+    counts = []
+    for x in thresholds:  # one threshold's terms at a time: memory does not grow with their number
+        count = -int(weight(1, 1, np.array([1]))[0])  # delta = 1 is no discriminant
+        for n, four in ((x, 1), (x // 4, 4)):
+            for gv in groups:
+                at = np.flatnonzero((squares <= n) & (g == gv))
+                # a period past every m walks only as far as the largest m
+                period = min(8 * prod(odd) // gv, x + 1)
+                count += int(mu[at] @ _periodic_sums(lambda m: weight(four, gv, m), period,
+                                                     n // squares[at]))
+        counts.append(count)
+    return CountTable(tuple(thresholds), tuple(counts))
 
 
 # -- quaternion algebras with prescribed subfields ---------------------------
 
 def _nonsplit_primes(deltas: tuple[int, ...], limit: int) -> list[int]:
-    """Finite primes p <= limit that split in none of the given fields."""
-    primes = primes_upto(limit)
-    for d in deltas:
-        primes = primes[kronecker_vec(d, primes) != 1]
-    return primes.tolist()
+    """Finite primes p <= limit that split in none of the given fields, off the list view,
+    without numpy: 2 splits for d = 1 mod 8, an odd p by Euler's criterion (0 if p | d)."""
+    arith.check_fundamental(*deltas)
+    return [p for p in prime_list(limit)
+            if not any(d % 8 == 1 if p == 2 else pow(d, p // 2, p) == 1 for d in deltas)]
 
 
 def quaternion_algebras_by_disc(y: int, deltas=(), base=()) -> list[tuple[int, tuple]]:
@@ -450,9 +450,7 @@ def quaternion_algebras_by_disc(y: int, deltas=(), base=()) -> list[tuple[int, t
 
 
 def check_independent(deltas) -> None:
-    for d in deltas:
-        if not arith.is_fundamental_discriminant(d):
-            raise arith.InvalidDiscriminant(f"{d} is not a fundamental discriminant")
+    arith.check_fundamental(*deltas)
     if not independent_mod_squares(deltas):
         raise DependentDiscriminants(
             f"discriminants {tuple(deltas)} satisfy a multiplicative relation mod squares")

@@ -279,29 +279,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         return p
 
+    def thresholds(p):  # --x and the further --thresholds of a census table
+        p.add_argument("--x", type=int, required=True)
+        p.add_argument("--thresholds")
+
     cen = group("census", "census_cmd", "csv")
     p = leaf(cen, "csa", _census_csa)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--thresholds")
+    thresholds(p)
     p = leaf(cen, "division", _census_division)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--thresholds")
+    thresholds(p)
     p = leaf(cen, "embed-quads", _census_embed_quads)
     p.add_argument("--b", required=True, help="ramification set, e.g. 2,inf")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--thresholds")
+    thresholds(p)
     p.add_argument("--not-totally-complex", action="store_true")
     p = leaf(cen, "quat-subfields", _census_quat_subfields)
     p.add_argument("--fields", required=True,
                    help="comma list of discriminants; use --fields=-4,5 for negatives")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--thresholds")
+    thresholds(p)
     p = leaf(cen, "fund-disc", _census_fund_disc)
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--thresholds")
+    thresholds(p)
 
     pre = group("predict", "predict_cmd")
     p = leaf(pre, "delta-n", lambda a: _emit_constant(a, asymptotics.delta_n(a.n, a.cutoff),
@@ -314,8 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(pre, "report", _predict_report)
     p.add_argument("--model", required=True,
                    help="division:N | embed:D1,D2 | quads:RAMSET")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--thresholds")
+    thresholds(p)
     p.add_argument("--cutoff", type=int, default=10 ** 6)
 
     geo = group("geodesics", "geo_cmd", "csv")

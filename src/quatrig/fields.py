@@ -15,7 +15,7 @@ from math import isqrt, prod
 from .arith import (
     PRECISION_BITS,
     InvalidDiscriminant,
-    is_fundamental_discriminant,
+    check_fundamental,
     kronecker_symbol,
     mpmath,
     pell_fundamental,
@@ -75,8 +75,7 @@ class QuadraticField:
     delta: int
 
     def __post_init__(self):
-        if not is_fundamental_discriminant(self.delta):
-            raise InvalidDiscriminant(f"{self.delta} is not a fundamental discriminant")
+        check_fundamental(self.delta)
 
     @property
     def is_real(self) -> bool:

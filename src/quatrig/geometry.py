@@ -168,9 +168,7 @@ def covolume_kleinian(algebra_l: QuaternionAlgebraL) -> float:
     if field.is_real:
         raise InvalidDiscriminant("Kleinian covolume requires an imaginary field")
     zk2 = float(zeta_k_at_2(field.delta))
-    prod = 1.0
-    for place in algebra_l.finite_places:
-        prod *= place.norm - 1
+    prod = math.prod((place.norm - 1 for place in algebra_l.finite_places), start=1.0)
     d_k = field.absolute_discriminant
     return d_k ** 1.5 * zk2 * prod / (4 * math.pi ** 2)
 

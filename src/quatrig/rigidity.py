@@ -151,21 +151,24 @@ def _witness_rows(algebras, blocks, real_blocks=None):
     indefinite algebras read a refinement of those alone by deltas > 0 (a definite algebra
     holds no real field).  Returned with the largest |delta| in the rows, or 0 if one is 0."""
     real = np.array([real_blocks is not None and not b.ramified_at_infinity for b in algebras])
-    rank = np.cumsum(real)  # indefinite algebras up to each one, itself included
     full = _refine(algebras, blocks)
     part = _refine([b for b, r in zip(algebras, real) if r], (b[b > 0] for b in real_blocks or ()))
+    definite, indefinite = np.flatnonzero(~real), np.flatnonzero(real)
 
-    def parted(splitters, labels, gap, i):  # the least gap from i's class to each later one's
+    def parted(splitters, labels, gap, i, later):  # the least gap from i's class to each of later's
         c = labels[i]
         least = np.r_[np.minimum.accumulate(gap[c:0:-1])[::-1], len(splitters) - 1,
                       np.minimum.accumulate(gap[c + 1:-1])]
-        return splitters[least[labels[i + 1:]]]
+        return splitters[least[labels[later]]]
 
-    def rows():
-        for i in range(len(algebras) - 1):
-            row = parted(*full, i)
-            if real[i]:
-                row[real[i + 1:]] = parted(*part, rank[i] - 1)
+    def rows():  # r counts the indefinite algebras up to i, itself included
+        for i, r in enumerate(np.cumsum(real)[:-1].tolist()):
+            if real[i]:  # the full refinement is read at the later definite algebras only
+                row, d = np.empty(len(algebras) - 1 - i, np.int64), definite[i + 1 - r:]
+                row[d - (i + 1)] = parted(*full, i, d)
+                row[indefinite[r:] - (i + 1)] = parted(*part, r - 1, slice(r, None))
+            else:
+                row = parted(*full, i, slice(i + 1, None))
             yield row
 
     def widest(splitters, labels, gap, among):  # the largest |delta| over the pairs that hold
@@ -261,8 +264,7 @@ def distinguish_brauer_pairs(l1: QuadraticField, l2: QuadraticField,
         raise ValueError("the desk experiments run over imaginary quadratic fields")
     if bl1.field != l1 or bl2.field != l2:
         raise ValueError("algebra is not defined over the given field")
-    d1 = descends(bl1)
-    d2 = descends(bl2)
+    d1, d2 = descends(bl1), descends(bl2)
     if d1 is None or d2 is None:
         raise ValueError("both algebras must be restrictions from Q")
     if l1.delta == l2.delta and bl1.ramification == bl2.ramification:
@@ -315,8 +317,7 @@ def length_preserving_family(algebra: QuaternionAlgebraQ, deltas, count: int
         raise ValueError("count must be >= 0")
     deltas = tuple(int(d) for d in deltas)
     for d in deltas:
-        f = QuadraticField(d)
-        if not embeds(f, algebra):
+        if not embeds(QuadraticField(d), algebra):
             raise ValueError(f"field {d} does not embed in {algebra}")
     # infinitude of common inert primes fails exactly on an odd-order
     # square relation among the discriminants

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from quatrig import census
 from quatrig.arith import (
+    InvalidDiscriminant,
     is_fundamental_discriminant,
     kronecker_symbol,
+    kronecker_vec,
     count_squarefree,
     primes_upto,
     squarefree_products,
@@ -195,6 +197,37 @@ def test_quaternion_algebras_by_disc_with_base():
         (65, (5, 13)), (130, (2, 5, 13)), (195, (3, 5, 13))]
 
 
+# residues 1 and 5 mod 8, the even discriminants, and three past the first primes
+_FIELDS = (-7, 17, -3, 5, -4, 8, -8, 12, -163, 109321, -40003)
+
+
+@pytest.mark.parametrize("deltas", [
+    *((d,) for d in _FIELDS), (-4, 5), (-7, 17), (8, -163), (-3, 109321), (-40003, 12),
+    (-4, -3, 5), (-8, 17, -163), (-3, -4, 12), (-7, 8, 109321)], ids=str)
+def test_nonsplit_primes_match_the_kronecker_vector(deltas):
+    # Euler's criterion on the list view against the vector kernel's symbols;
+    # (-3, -4, 12) is a dependent set, which the listing admits as well
+    for limit in (1, 2, 3, 10 ** 5):
+        primes = primes_upto(limit)
+        for d in deltas:
+            primes = primes[kronecker_vec(d, primes) != 1]
+        assert census._nonsplit_primes(deltas, limit) == primes.tolist(), limit
+
+
+@pytest.mark.parametrize("d", [9, -12, 0, 1])
+def test_listing_rejects_a_non_fundamental_discriminant(d):
+    # each listing entry point raises, as the vector kernel did for 9, -12 and
+    # 0; 1, the trivial character, is no field either
+    from quatrig.geometry import fuchsian_classes
+
+    for run in (lambda: census._nonsplit_primes((d,), 100),
+                lambda: census._nonsplit_primes((-4, d), 1),
+                lambda: census.quaternion_algebras_by_disc(100, (d,)),
+                lambda: fuchsian_classes(100, (d,))):
+        with pytest.raises(InvalidDiscriminant, match=f"{d} is not a fundamental discriminant"):
+            run()
+
+
 def test_division_sieve_mismatch_names_both_lists(monkeypatch):
     real = census.squarefree_counts
     monkeypatch.setattr(census, "squarefree_counts",
@@ -369,6 +402,18 @@ def test_census_peak_memory_does_not_grow_with_x():
         for ram in ("", "3,5,7,inf"):
             peak = _traced_peak(lambda: census_embedding_quads(parse_ram_set(ram), [x // 3 + 1, x]))
             assert peak < 80 * math.isqrt(x), (x, ram)
+
+
+@pytest.mark.parametrize("count", [1, 2, 4])
+def test_embedding_quads_peak_memory_does_not_grow_with_the_thresholds(count):
+    # the terms of the sum are expanded one threshold at a time, so the traced
+    # peak at 10^10 stays under the 80 bytes per unit of isqrt(x) that the
+    # census checks against its budget, however many thresholds share the walk
+    x = 10 ** 10
+    thresholds = [x - i * (x // (2 * count)) for i in range(count)]
+    for ram in ("", "3,5,7,inf"):
+        peak = _traced_peak(lambda: census_embedding_quads(parse_ram_set(ram), thresholds))
+        assert peak < 80 * math.isqrt(x), (count, ram, peak)
 
 
 def test_embeds_mask_allocates_no_int64_array_of_the_table_length():

@@ -1,10 +1,10 @@
 """Which commands execute numpy and mpmath.  `import quatrig.cli` executes
 neither: arith binds both on first use.  A warm census, --help, an argument
-error, `predict delta-n` and a cold csa census never use them (the Euler
-products and the csa enumeration walk the primes as a list); `predict
-embed-constant` with two or more fields executes mpmath only; the other cold
-censuses and a surfaces census execute numpy only; none of these, nor a
-rigidity scan, loads numpy.ma.  Each case runs in a fresh interpreter, since
+error, `predict delta-n`, a cold csa census and a surfaces census never use
+them (the Euler products, the csa enumeration and the listing by
+discriminant walk the primes as a list); `predict embed-constant` with two
+or more fields executes mpmath only; the other cold censuses execute numpy
+only; none of these, nor a rigidity scan, loads numpy.ma.  Each case runs in a fresh interpreter, since
 this one has executed both."""
 
 import ast
@@ -115,10 +115,11 @@ def test_cold_sublinear_census_executes_numpy_only(tmp_path, argv):
     "surfaces census --field -4 --bl 5.1,5.2 --x 10000",
     "--format json surfaces census --field -4 --bl 5.1,5.2 --x 10000",
 ])
-def test_surfaces_census_executes_numpy_only(argv):
-    # the JSON payload is built for --format json only, and its float area
-    # bounds never reach mpmath
-    assert _fresh(argv) == (0, ["numpy"], _pin(argv))
+def test_surfaces_census_executes_neither_library(argv):
+    # the nonsplit primes come from the list view by Euler's criterion; the
+    # JSON payload is built for --format json only, and its float area bounds
+    # never reach mpmath
+    assert _fresh(argv) == (0, [], _pin(argv))
 
 
 @pytest.mark.parametrize("argv", ["rigidity scan --x 400",

@@ -245,6 +245,37 @@ def test_witness_rows_of_every_two_and_three_algebras_match_pairwise_xor(not_tot
             assert max_abs == (0 if 0 in entries else max(entries))
 
 
+@pytest.mark.parametrize("not_totally_complex", [False, True])
+def test_witness_rows_match_the_full_rows_overwritten_by_the_real_refinement(not_totally_complex):
+    # each row built whole from the refinement of every algebra, an indefinite
+    # algebra's entries against the later indefinite ones then overwritten
+    # from the refinement of those alone: the rows only gather what they keep
+    import numpy as np
+
+    algebras, blocks = rigidity._all_quaternion_algebras(10 ** 6), rigidity._fundamental_blocks
+    rows, _ = rigidity._witness_rows(algebras, blocks(10 ** 6),
+                                     blocks(10 ** 6) if not_totally_complex else None)
+    real = np.array([not_totally_complex and not b.ramified_at_infinity for b in algebras])
+    full = rigidity._refine(algebras, blocks(10 ** 6))
+    part = rigidity._refine([b for b, r in zip(algebras, real) if r],
+                            (b[b > 0] for b in blocks(10 ** 6)))
+
+    def whole(splitters, labels, gap, i):  # the least gap from i's class to each later one's
+        c = labels[i]
+        least = np.r_[np.minimum.accumulate(gap[c:0:-1])[::-1], len(splitters) - 1,
+                      np.minimum.accumulate(gap[c + 1:-1])]
+        return splitters[least[labels[i + 1:]]]
+
+    walked = 0
+    for i, row in enumerate(rows()):
+        want = whole(*full, i)
+        if real[i]:
+            want[real[i + 1:]] = whole(*part, int(real[:i + 1].sum()) - 1)
+        assert row.tolist() == want.tolist(), i
+        walked += 1
+    assert walked == len(algebras) - 1 and real.any() == not_totally_complex
+
+
 def test_first_witnesses_of_isomorphic_algebras_are_zero():
     # two copies of B(2,3) never separate: the walk reads every block to 10^6
     b23, b25 = parse_ram_set("2,3"), parse_ram_set("2,5")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .arith import (
     dirichlet_L,
@@ -206,19 +206,24 @@ def embed_constant_general(deltas, cutoff: int = 10 ** 6) -> EulerProductValue:
     q0 = [p for p in ram_primes
           if all(kronecker_symbol(d, p) != 1 for d in deltas)]
 
+    # off the ramified set each chi_T(p) is +-1, so a prime's term is read off
+    # the pattern of the fields' symbols there: whether every field is inert,
+    # then per subset T, in order, its sign and whether chi_T(p) = -1
+    patterns = {chis: (all(c == -1 for c in chis),
+                       [(-1 if len(t) % 2 else 1, math.prod(chis[i] for i in t) == -1)
+                        for t in subsets])
+                for chis in product((1, -1), repeat=r)}
     ram_set = set(ram_primes)
     logs = []
     for p in primes:
         if p in ram_set:
             continue
-        chis = [kronecker_symbol(d, p) for d in deltas]
-        w = 1.0 if all(c == -1 for c in chis) else 0.0
-        term = (2 ** r) * math.log1p(w / p)
-        term += math.log1p(-1.0 / p)  # T = empty: chi trivial off the ramified set
-        for t in subsets:
-            sign = -1 if len(t) % 2 else 1
-            chi_t = math.prod(chis[i] for i in t)
-            term += sign * math.log1p(-chi_t / p)
+        all_inert, steps = patterns[tuple([kronecker_symbol(d, p) for d in deltas])]
+        up, down = math.log1p(1.0 / p), math.log1p(-1.0 / p)  # log1p(-chi/p), chi = -1, 1
+        term = (2 ** r) * (up if all_inert else 0.0)
+        term += down  # T = empty: chi trivial off the ramified set
+        for sign, inert in steps:
+            term += sign * (up if inert else down)
         logs.append(term)
     log_z = math.fsum(logs)
 

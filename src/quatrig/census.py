@@ -16,12 +16,14 @@ distribution of local invariants along the way and sums per-node weights
 into threshold slots, so counts never depend on enumeration order.  The
 embed-quads census (fund-disc is that of the matrix algebra) counts
 squarefree numbers in residue classes in O(sqrt(x)) steps, over the odd
-squarefree d <= sqrt(x) that the same enumerator lists.  The readers
-that need the fields themselves walk one stream of fundamental
-discriminants in |delta| order (_fundamental_blocks), sieved block by
-block, so no command builds an array as long as its limit.  Splitting
-data comes from arith.kronecker_vec or Euler's criterion, least primes
-from prefixes of the primes grown tenfold.
+squarefree d <= sqrt(x) that the same enumerator lists, as does the
+listing of the real fields that embed in an indefinite algebra
+(_real_fields).  The other readers that need the fields themselves walk
+one stream of fundamental discriminants in |delta| order
+(_fundamental_blocks), sieved block by block, so no command builds an
+array as long as its limit.  Splitting data comes from
+arith.kronecker_vec or Euler's criterion, least primes from prefixes of
+the primes grown tenfold.
 """
 
 from __future__ import annotations
@@ -285,6 +287,15 @@ def _prime_sum_counts(deltas: tuple[int, ...], ys: list[int], even_only: bool = 
 
 # -- fundamental discriminants ---------------------------------------------------
 
+def _check_limit(limit: int) -> None:
+    """A listing of the fields with |delta| <= limit needs 0 <= limit <= SIEVE_MEMORY_BUDGET."""
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
+    if limit > arith.SIEVE_MEMORY_BUDGET:
+        raise arith.SieveBudgetError(
+            f"census to {limit} exceeds budget {arith.SIEVE_MEMORY_BUDGET}")
+
+
 def _fundamental_blocks(limit: int):
     """The fundamental discriminants with |delta| <= limit, one int64 array
     per block [lo, lo + size) of |delta|, sorted by |delta| with the negative
@@ -295,11 +306,7 @@ def _fundamental_blocks(limit: int):
     k = 4m with 16 not dividing k, where m is squarefree exactly when the odd
     part of k is, and +-m = 2, 3 mod 4.  Memory is O(sqrt(limit) + SEGMENT);
     a limit past SIEVE_MEMORY_BUDGET raises SieveBudgetError."""
-    if limit < 0:
-        raise ValueError("limit must be >= 0")
-    if limit > arith.SIEVE_MEMORY_BUDGET:
-        raise arith.SieveBudgetError(
-            f"census to {limit} exceeds budget {arith.SIEVE_MEMORY_BUDGET}")
+    _check_limit(limit)
     primes = primes_upto(isqrt(limit))
     squares = primes[primes > 2] ** 2
     struck = squares[squares < SEGMENT].tolist()  # one stride each
@@ -425,12 +432,35 @@ def census_embedding_quads(algebra: QuaternionAlgebraQ, thresholds,
 
 # -- quaternion algebras with prescribed subfields ---------------------------
 
+def _splits(d: int, p: int) -> bool:
+    """Whether the prime p splits in Q(sqrt(d)), d fundamental, without numpy:
+    2 splits for d = 1 mod 8, an odd p by Euler's criterion (0 if p | d)."""
+    return d % 8 == 1 if p == 2 else pow(d, p // 2, p) == 1
+
+
 def _nonsplit_primes(deltas: tuple[int, ...], limit: int) -> list[int]:
-    """Finite primes p <= limit that split in none of the given fields, off the list view,
-    without numpy: 2 splits for d = 1 mod 8, an odd p by Euler's criterion (0 if p | d)."""
+    """Finite primes p <= limit that split in none of the given fields, off the list view."""
     arith.check_fundamental(*deltas)
-    return [p for p in prime_list(limit)
-            if not any(d % 8 == 1 if p == 2 else pow(d, p // 2, p) == 1 for d in deltas)]
+    return [p for p in prime_list(limit) if not any(_splits(d, p) for d in deltas)]
+
+
+def _real_fields(primes, limit: int) -> list[int]:
+    """The fundamental delta in [1, limit], ascending, at which none of the
+    given finite primes splits: the real quadratic fields that embed in an
+    indefinite algebra ramified at them.  Each odd squarefree k that the
+    squarefree-product enumerator lists gives delta = k (k = 1 mod 4) or 4k
+    (k = 3 mod 4), and 8k; only the kept delta are held."""
+    _check_limit(limit)
+
+    def kept(delta):  # a loop: an any() generator per delta costs half as much again
+        for q in primes:
+            if _splits(delta, q):
+                return False
+        return True
+
+    return sorted(delta for k, _ in squarefree_products(prime_list(limit)[1:], limit)
+                  for delta in (k if k % 4 == 1 else 4 * k, 8 * k)
+                  if 1 < delta <= limit and kept(delta))
 
 
 def quaternion_algebras_by_disc(y: int, deltas=(), base=()) -> list[tuple[int, tuple]]:
@@ -441,11 +471,12 @@ def quaternion_algebras_by_disc(y: int, deltas=(), base=()) -> list[tuple[int, t
     field.  Each base prime must split in one of the fields, as the primes
     of a descended algebra do.  With no base, _prime_sum_counts(deltas, [y])
     counts the same q without listing them."""
-    base = tuple(sorted(base))
+    deltas, base = tuple(deltas), tuple(sorted(base))
+    arith.check_fundamental(*deltas)  # before any early return
     b = prod(base)
     if b > y:
         return []
-    rows = squarefree_products(_nonsplit_primes(tuple(deltas), y // b), y // b)
+    rows = squarefree_products(_nonsplit_primes(deltas, y // b), y // b)
     return sorted((b * r, tuple(sorted(base + chosen))) for r, chosen in rows)
 
 

@@ -29,9 +29,8 @@ from .brauer import (
     is_restriction,
 )
 from .census import (
-    _embeds_mask,
-    _fundamental_blocks,
     _nonsplit_primes,
+    _real_fields,
     check_independent,
     quaternion_algebras_by_disc,
 )
@@ -281,9 +280,9 @@ def geodesic_census(algebra: QuaternionAlgebraQ, x: int, volume: float = 0.0,
     specialization 2x, scaled by e^(cV) when a volume is supplied."""
     if algebra.ramified_at_infinity:
         raise DefiniteAlgebra("geodesic census requires an indefinite algebra")
-    # ascending delta > 0 from the stream, fundamental by construction
-    data = tuple(geodesic_from_field(d, check=False) for deltas in _fundamental_blocks(x)
-                 for d in deltas[_embeds_mask(algebra, deltas) & (deltas > 0)].tolist())
+    # ascending delta > 0, fundamental by construction
+    data = tuple(geodesic_from_field(d, check=False)
+                 for d in _real_fields(algebra.finite_primes, x))
     classes = len(rational_classes(data))
     max_len = max((d.length for d in data), default=0.0)
     bound = _times_exp_cv(2.0 * x, const_c, volume)

@@ -154,6 +154,54 @@ def test_embed_constant_general_r2():
         embed_constant_general([-3, 5, -15], 10 ** 4)
 
 
+def _embed_constant_general_oracle(deltas, cutoff):
+    """embed_constant_general's value with every subset's symbol, sign and
+    log1p formed again at every prime: no table of character patterns and no
+    log1p shared between the subsets."""
+    from itertools import combinations
+
+    from quatrig.arith import (dirichlet_L, factorize, kronecker_symbol, prime_list,
+                               product_discriminant)
+
+    r = len(deltas)
+    ram_primes = sorted({p for d in deltas for p, _ in factorize(d)})
+    subsets = [t for k in range(1, r + 1) for t in combinations(range(r), k)]
+    d_t = {t: product_discriminant([deltas[i] for i in t]) for t in subsets}
+    log_bracket = math.fsum(math.log1p(-1.0 / p) for p in ram_primes)
+    for t in subsets:
+        sign = -1 if len(t) % 2 else 1
+        corr = math.fsum(math.log1p(-kronecker_symbol(d_t[t], p) / p) for p in ram_primes)
+        log_bracket += sign * (math.log(float(dirichlet_L(d_t[t], 1))) + corr)
+    q0 = [p for p in ram_primes if all(kronecker_symbol(d, p) != 1 for d in deltas)]
+    logs = []
+    for p in prime_list(cutoff):
+        if p in ram_primes:
+            continue
+        chis = [kronecker_symbol(d, p) for d in deltas]
+        w = 1.0 if all(c == -1 for c in chis) else 0.0
+        term = (2 ** r) * math.log1p(w / p)
+        term += math.log1p(-1.0 / p)
+        for t in subsets:
+            sign = -1 if len(t) % 2 else 1
+            term += sign * math.log1p(-math.prod(chis[i] for i in t) / p)
+        logs.append(term)
+    inv2r = 1.0 / 2 ** r
+    r1p = 1 if all(d < 0 for d in deltas) else 0
+    return (2 ** (r1p - inv2r) / math.gamma(inv2r)
+            * math.exp(math.fsum(math.log1p(1.0 / p) for p in q0))
+            * math.exp(inv2r * (log_bracket + math.fsum(logs))))
+
+
+@pytest.mark.parametrize("deltas", [(-4, 5), (-7, 8), (5, 109321), (-3, 8, 13),
+                                    (-4, 5, -7), (-4, 5, -7, 13), (-3, -4, 5, 8)])
+@pytest.mark.parametrize("cutoff", [7, 10 ** 3, 10 ** 5])
+def test_embed_constant_general_matches_the_per_subset_loop(deltas, cutoff):
+    # the sign and split/inert of every subset are read off one table per
+    # pattern of the fields' symbols; the terms must come out bit for bit
+    assert embed_constant_general(deltas, cutoff).value == _embed_constant_general_oracle(
+        deltas, cutoff)
+
+
 def test_prediction_report_division():
     rows = prediction_report("division:2", [10 ** 6, 10 ** 8], 10 ** 5)
     table = census_division(2, [10 ** 6, 10 ** 8])

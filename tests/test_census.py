@@ -214,6 +214,18 @@ def test_nonsplit_primes_match_the_kronecker_vector(deltas):
         assert census._nonsplit_primes(deltas, limit) == primes.tolist(), limit
 
 
+@pytest.mark.parametrize("ram", ["2,3", "11,17", "2,19", "3,5,7,11", "5,13", "2,3,5,7,11,13"])
+def test_real_fields_match_the_stream_and_the_kronecker_vector(ram):
+    # two routes to the geodesic census's fields: the squarefree-product
+    # enumerator with Euler's criterion, and the block kernel's stream of
+    # discriminants filtered by the vector kernel's symbols
+    algebra = parse_ram_set(ram)
+    for x in (0, 1, 2, 3, 4, 5, 6, 40, 3000, 10 ** 5):
+        stream = [d for deltas in census._fundamental_blocks(x)
+                  for d in deltas[census._embeds_mask(algebra, deltas) & (deltas > 0)].tolist()]
+        assert census._real_fields(algebra.finite_primes, x) == stream, x
+
+
 @pytest.mark.parametrize("d", [9, -12, 0, 1])
 def test_listing_rejects_a_non_fundamental_discriminant(d):
     # each listing entry point raises, as the vector kernel did for 9, -12 and
@@ -223,6 +235,8 @@ def test_listing_rejects_a_non_fundamental_discriminant(d):
     for run in (lambda: census._nonsplit_primes((d,), 100),
                 lambda: census._nonsplit_primes((-4, d), 1),
                 lambda: census.quaternion_algebras_by_disc(100, (d,)),
+                # base primes past y: validated before the early empty listing
+                lambda: census.quaternion_algebras_by_disc(4, (d,), (5,)),
                 lambda: fuchsian_classes(100, (d,))):
         with pytest.raises(InvalidDiscriminant, match=f"{d} is not a fundamental discriminant"):
             run()
@@ -341,7 +355,7 @@ def _stream_readers():
     """What every reader of the discriminant stream returns at sizes that
     cross many blocks of the smallest SEGMENT, and the edges of the growing
     first blocks, failed searches included."""
-    from quatrig import geometry, rigidity
+    from quatrig import rigidity
 
     def outcome(search):
         try:
@@ -359,7 +373,6 @@ def _stream_readers():
         "distinguish": [outcome(lambda: rigidity.distinguish_quaternions(b1, b2, delta_max))
                         for b1, b2 in zip(algebras, algebras[1:]) for delta_max in (5, 3000)],
         "limit_pair": [rigidity.limit_pair(m) for m in (2, 3, 5, 7, 11, 13)],
-        "geodesics": geometry.geodesic_census(parse_ram_set("2,3"), 3000),
         "splitting": [splitting_density(v, x) for v in places for x in (100, 1009, 3000)],
         "inert": [census.smallest_inert_stats(x) for x in (3, 64, 1008, 3000)],
         "count": [fundamental_discriminant_count(x) for x in (1, 3, 8, 63, 64, 1008, 1009, 3000)],

@@ -667,7 +667,7 @@ def test_negative_limit_keeps_its_message(capsys):
 
 
 def test_no_command_builds_the_discriminant_table(capsys, monkeypatch, tmp_path):
-    # every reader walks census._fundamental_blocks; the table is for library callers
+    # every reader walks the stream or the enumerator; the table is for library callers
     def refuse(limit):
         raise AssertionError(f"table to {limit} built")
 

@@ -60,7 +60,7 @@ def test_geodesic_from_field_spec_values():
 
 
 def test_geodesic_census_takes_the_stream_as_fundamental(monkeypatch):
-    # the stream yields fundamental discriminants only: Pell skips its check
+    # the listing yields fundamental discriminants only: Pell skips its check
     from quatrig import arith
 
     calls = []

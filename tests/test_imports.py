@@ -3,9 +3,11 @@ neither: arith binds both on first use.  A warm census, --help, an argument
 error, `predict delta-n`, a cold csa census and a surfaces census never use
 them (the Euler products, the csa enumeration and the listing by
 discriminant walk the primes as a list); `predict embed-constant` with two
-or more fields executes mpmath only; the other cold censuses execute numpy
-only; none of these, nor a rigidity scan, loads numpy.ma.  Each case runs in a fresh interpreter, since
-this one has executed both."""
+or more fields and a geodesics census (whose fields come from the
+squarefree-product enumerator, filtered by Euler's criterion; the
+regulators are mpmath's) execute mpmath only; the other cold censuses
+execute numpy only; none of these, nor a rigidity scan, loads numpy.ma.
+Each case runs in a fresh interpreter, since this one has executed both."""
 
 import ast
 import json
@@ -120,6 +122,16 @@ def test_surfaces_census_executes_neither_library(argv):
     # JSON payload is built for --format json only, and its float area bounds
     # never reach mpmath
     assert _fresh(argv) == (0, [], _pin(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    "geodesics census --b 2,3 --x 40",
+    "--format json geodesics census --b 2,3 --x 40",
+])
+def test_geodesics_census_executes_mpmath_only(argv):
+    # the fields are listed without the stream of discriminants or the vector
+    # kernel; only the regulators of the Pell solutions reach mpmath
+    assert _fresh(argv) == (0, ["mpmath"], _pin(argv))
 
 
 @pytest.mark.parametrize("argv", ["rigidity scan --x 400",

@@ -16,14 +16,14 @@ distribution of local invariants along the way and sums per-node weights
 into threshold slots, so counts never depend on enumeration order.  The
 embed-quads census (fund-disc is that of the matrix algebra) counts
 squarefree numbers in residue classes in O(sqrt(x)) steps, over the odd
-squarefree d <= sqrt(x) that the same enumerator lists, as does the
-listing of the real fields that embed in an indefinite algebra
-(_real_fields).  The other readers that need the fields themselves walk
-one stream of fundamental discriminants in |delta| order
-(_fundamental_blocks), sieved block by block, so no command builds an
-array as long as its limit.  Splitting data comes from
-arith.kronecker_vec or Euler's criterion, least primes from prefixes of
-the primes grown tenfold.
+squarefree d <= sqrt(x) that the same enumerator lists.  The readers
+that need the fields themselves walk the fundamental discriminants in
+blocks, so no command builds an array as long as its limit: one numpy
+stream in |delta| order (_fundamental_blocks), and, for the real fields
+that embed in an indefinite algebra, flag bytes ANDed with residue
+tables (_real_fields).  Splitting data comes from arith.kronecker_vec,
+Euler's criterion or those tables, least primes from prefixes of the
+primes grown tenfold.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, compress
 from math import gcd, isqrt, lcm, log, prod
 
 from . import arith
@@ -209,6 +209,13 @@ def count_division(n: int, x: int) -> int:
 # early reads few; both need a multiple of 16.
 SEGMENT = 1 << 18
 FIRST_BLOCK = 1 << 10
+
+# The real-field listing ANDs each block with a table of period q for each
+# ramified q <= min(limit, QR_TABLE): q + SEGMENT bytes, built in about
+# 0.15 us per residue (0.6 s at the cap), while Euler's criterion costs
+# about 1 us per surviving field, so past the limit the table does not
+# pay.  The cap bounds the tables' memory.
+QR_TABLE = 1 << 22
 
 
 # -- prime sums over the floor set -------------------------------------------------
@@ -432,35 +439,58 @@ def census_embedding_quads(algebra: QuaternionAlgebraQ, thresholds,
 
 # -- quaternion algebras with prescribed subfields ---------------------------
 
-def _splits(d: int, p: int) -> bool:
-    """Whether the prime p splits in Q(sqrt(d)), d fundamental, without numpy:
-    2 splits for d = 1 mod 8, an odd p by Euler's criterion (0 if p | d)."""
-    return d % 8 == 1 if p == 2 else pow(d, p // 2, p) == 1
-
-
 def _nonsplit_primes(deltas: tuple[int, ...], limit: int) -> list[int]:
-    """Finite primes p <= limit that split in none of the given fields, off the list view."""
+    """Finite primes p <= limit that split in none of the given fields, off the list view,
+    without numpy: 2 splits for d = 1 mod 8, an odd p by Euler's criterion (0 if p | d)."""
     arith.check_fundamental(*deltas)
-    return [p for p in prime_list(limit) if not any(_splits(d, p) for d in deltas)]
+    return [p for p in prime_list(limit)
+            if not any(d % 8 == 1 if p == 2 else pow(d, p // 2, p) == 1 for d in deltas)]
 
 
 def _real_fields(primes, limit: int) -> list[int]:
-    """The fundamental delta in [1, limit], ascending, at which none of the
+    """The fundamental delta in [2, limit], ascending, at which none of the
     given finite primes splits: the real quadratic fields that embed in an
-    indefinite algebra ramified at them.  Each odd squarefree k that the
-    squarefree-product enumerator lists gives delta = k (k = 1 mod 4) or 4k
-    (k = 3 mod 4), and 8k; only the kept delta are held."""
+    indefinite algebra ramified at them.  A delta > 1 is fundamental when
+    delta = 1, 5, 8, 9, 12 or 13 mod 16 and no odd prime square divides it.
+    The range is walked in blocks of SEGMENT, one flag byte per delta: the
+    pattern of period 16 (without delta = 1 mod 8, where 2 splits, when 2 is
+    ramified) is struck at the multiples of each odd p^2 <= limit, then
+    ANDed with a table of period q for each odd ramified q <= min(limit,
+    QR_TABLE), which flags 0 and the non-residues mod q.  Any other q is
+    tested on the survivors by Euler's criterion.  Memory is O(sqrt(limit)
+    + SEGMENT), plus q + SEGMENT bytes per table and the kept delta."""
     _check_limit(limit)
-
-    def kept(delta):  # a loop: an any() generator per delta costs half as much again
-        for q in primes:
-            if _splits(delta, q):
-                return False
-        return True
-
-    return sorted(delta for k, _ in squarefree_products(prime_list(limit)[1:], limit)
-                  for delta in (k if k % 4 == 1 else 4 * k, 8 * k)
-                  if 1 < delta <= limit and kept(delta))
+    base = bytes(r in (5, 8, 12, 13) or (r in (1, 9) and 2 not in primes) for r in range(16))
+    tables, euler = [], []
+    for q in sorted(set(primes) - {2}):
+        if q > min(limit, QR_TABLE):
+            euler.append(q)
+            continue
+        table = bytearray(b"\x01") * q
+        for r in range(1, q // 2 + 1):
+            table[r * r % q] = 0
+        # one period past a block, so each block reads one slice at lo mod q
+        tables.append((q, table * (SEGMENT // q + 1) + table[:SEGMENT % q]))
+    squares = [p * p for p in prime_list(isqrt(limit))[1:]]
+    kept = []
+    for lo in range(0, limit + 1, SEGMENT):  # every lo is a multiple of 16
+        size = min(SEGMENT, limit + 1 - lo)
+        flags = bytearray(base * (size // 16 + 1))
+        if lo == 0:
+            flags[1] = 0  # 1 is not a discriminant
+        for m in squares:
+            start = -lo % m
+            flags[start:size:m] = bytes(len(range(start, size, m)))
+        if tables:
+            mask = int.from_bytes(flags[:size], "little")
+            for q, table in tables:
+                mask &= int.from_bytes(table[lo % q:lo % q + size], "little")
+            flags = mask.to_bytes(size, "little")
+        found = list(compress(range(lo, lo + size), flags))
+        for q in euler:  # Euler's criterion, as in _nonsplit_primes
+            found = [d for d in found if pow(d, q // 2, q) != 1]
+        kept += found
+    return kept
 
 
 def quaternion_algebras_by_disc(y: int, deltas=(), base=()) -> list[tuple[int, tuple]]:

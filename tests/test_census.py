@@ -214,13 +214,17 @@ def test_nonsplit_primes_match_the_kronecker_vector(deltas):
         assert census._nonsplit_primes(deltas, limit) == primes.tolist(), limit
 
 
-@pytest.mark.parametrize("ram", ["2,3", "11,17", "2,19", "3,5,7,11", "5,13", "2,3,5,7,11,13"])
+@pytest.mark.parametrize("ram", ["2,3", "11,17", "2,19", "3,5,7,11", "5,13", "2,3,5,7,11,13",
+                                 "3,262147", "5,4194319"])
 def test_real_fields_match_the_stream_and_the_kronecker_vector(ram):
-    # two routes to the geodesic census's fields: the squarefree-product
-    # enumerator with Euler's criterion, and the block kernel's stream of
-    # discriminants filtered by the vector kernel's symbols
+    # two routes to the geodesic census's fields: blocks of flag bytes ANDed
+    # with residue tables, and the block kernel's stream of discriminants
+    # filtered by the vector kernel's symbols.  2 SEGMENT + 13 spans three
+    # blocks; 262147 is tested by Euler's criterion below it and by its
+    # table above, 4194319 > QR_TABLE by Euler's criterion throughout
+    assert 10 ** 5 < 262147 < 2 * census.SEGMENT < census.QR_TABLE < 4194319
     algebra = parse_ram_set(ram)
-    for x in (0, 1, 2, 3, 4, 5, 6, 40, 3000, 10 ** 5):
+    for x in (0, 1, 2, 3, 4, 5, 6, 40, 3000, 10 ** 5, 2 * census.SEGMENT + 13):
         stream = [d for deltas in census._fundamental_blocks(x)
                   for d in deltas[census._embeds_mask(algebra, deltas) & (deltas > 0)].tolist()]
         assert census._real_fields(algebra.finite_primes, x) == stream, x

@@ -10,7 +10,6 @@ from .arith import (
     chebyshev_theta,
     class_number,
     class_number_imaginary,
-    count_squarefree,
     dirichlet_L,
     kronecker_symbol,
     pell_fundamental,
@@ -35,9 +34,7 @@ from .brauer import (
 )
 from .census import (
     CountTable,
-    count_csa,
     count_division,
-    count_embedding_quads,
     count_quat_with_subfields,
     fundamental_discriminant_count,
     smallest_inert_prime,

@@ -331,13 +331,6 @@ def squarefree_counts(xs: list[int]) -> list[int]:
     return [sum(mu[d] * (x // (d * d)) for d in range(1, isqrt(x) + 1)) for x in xs]
 
 
-def count_squarefree(x: int) -> int:
-    """Exact number of squarefree integers in [1, x]."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    return squarefree_counts([x])[0]
-
-
 def euler_phi(n: int) -> int:
     """Euler's totient of n >= 1, from its factorization."""
     return math.prod(p ** (e - 1) * (p - 1) for p, e in factorize(n))

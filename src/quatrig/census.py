@@ -17,13 +17,15 @@ into threshold slots, so counts never depend on enumeration order.  The
 embed-quads census (fund-disc is that of the matrix algebra) counts
 squarefree numbers in residue classes in O(sqrt(x)) steps, over the odd
 squarefree d <= sqrt(x) that the same enumerator lists.  The readers
-that need the fields themselves walk the fundamental discriminants in
-blocks, so no command builds an array as long as its limit: one numpy
-stream in |delta| order (_fundamental_blocks), and, for the real fields
-that embed in an indefinite algebra, flag bytes ANDed with residue
-tables (_real_fields).  Splitting data comes from arith.kronecker_vec,
-Euler's criterion or those tables, least primes from prefixes of the
-primes grown tenfold.
+that need the fields themselves share one walk over |delta| in growing
+blocks (_blocks), with one strike of the odd prime squares per block
+(_squarefree_blocks), so no command builds an array as long as its
+limit: the numpy stream in |delta| order (_fundamental_blocks) reads the
+discriminants off the flags by their residue mod 16, and the real fields
+that embed in an indefinite algebra (_real_fields) AND the flags with
+residue tables.  Splitting data comes from arith.kronecker_vec, Euler's
+criterion or those tables, least primes from prefixes of the primes
+grown tenfold.
 """
 
 from __future__ import annotations
@@ -153,10 +155,6 @@ def census_csa(m: int, n: int, thresholds) -> CountTable:
     return CountTable(tuple(thresholds), tuple(counts))
 
 
-def count_csa(m: int, n: int, x: int) -> int:
-    return census_csa(m, n, [x]).counts[0]
-
-
 def census_division(n: int, thresholds) -> CountTable:
     """Division algebras of dimension n^2, counted two independent ways.
 
@@ -203,10 +201,10 @@ def count_division(n: int, x: int) -> int:
 
 # -- block sizes ---------------------------------------------------------------
 
-# The discriminant stream walks its range in blocks of SEGMENT integers, so
-# its arrays stay a few MB at any range (2^18 measured fastest at 10^7).  It
-# starts at FIRST_BLOCK and doubles up to SEGMENT, so a reader that stops
-# early reads few; both need a multiple of 16.
+# The walks over |delta| run in blocks of SEGMENT integers, so their arrays
+# stay a few MB at any range (2^18 measured fastest at 10^7).  They start at
+# FIRST_BLOCK and double up to SEGMENT, so a reader that stops early reads
+# few; both need a multiple of 16.
 SEGMENT = 1 << 18
 FIRST_BLOCK = 1 << 10
 
@@ -216,6 +214,15 @@ FIRST_BLOCK = 1 << 10
 # about 1 us per surviving field, so past the limit the table does not
 # pay.  The cap bounds the tables' memory.
 QR_TABLE = 1 << 22
+
+
+def _blocks(end: int):
+    """(lo, hi) over [0, end) in ascending blocks, the sizes doubling from
+    FIRST_BLOCK up to SEGMENT: the one block policy of every walk over |delta|."""
+    lo, size = 0, min(FIRST_BLOCK, SEGMENT)
+    while lo < end:
+        yield lo, min(lo + size, end)
+        lo, size = lo + size, min(2 * size, SEGMENT)
 
 
 # -- prime sums over the floor set -------------------------------------------------
@@ -294,52 +301,49 @@ def _prime_sum_counts(deltas: tuple[int, ...], ys: list[int], even_only: bool = 
 
 # -- fundamental discriminants ---------------------------------------------------
 
-def _check_limit(limit: int) -> None:
-    """A listing of the fields with |delta| <= limit needs 0 <= limit <= SIEVE_MEMORY_BUDGET."""
+def _squarefree_blocks(limit: int):
+    """(lo, flags) for each block [lo, hi) of _blocks(limit + 1): flags[i] is 1
+    where no odd prime square divides lo + i, and 0 at 1.  Each odd p^2 <= limit
+    is struck through a zero-copy slice of one zero buffer; a square past
+    SEGMENT clears at most one byte per block.  Memory is O(sqrt(limit) + SEGMENT); a
+    limit past SIEVE_MEMORY_BUDGET raises SieveBudgetError."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
     if limit > arith.SIEVE_MEMORY_BUDGET:
         raise arith.SieveBudgetError(
             f"census to {limit} exceeds budget {arith.SIEVE_MEMORY_BUDGET}")
+    squares = [p * p for p in prime_list(isqrt(limit))[1:]]
+    zeros = memoryview(bytes(SEGMENT // 9 + 1))  # the most one stride clears, at m = 9
+    for lo, hi in _blocks(limit + 1):
+        neg, size = -lo, hi - lo
+        flags = bytearray(b"\x01") * size
+        for m in squares:
+            if (start := neg % m) < size:
+                flags[start::m] = zeros[:(size - 1 - start) // m + 1]
+        if lo == 0 < limit:
+            flags[1] = 0  # 1 is not a discriminant
+        yield lo, flags
 
 
 def _fundamental_blocks(limit: int):
     """The fundamental discriminants with |delta| <= limit, one int64 array
-    per block [lo, lo + size) of |delta|, sorted by |delta| with the negative
-    one first on ties; the sizes double from FIRST_BLOCK up to SEGMENT.  A
-    block flags the k in it that no odd prime square divides (each p^2 >=
-    SEGMENT struck with the others, at most one per block) and reads off +-k
-    for squarefree k = 1, 3 mod 4 (the sign fixed by k mod 4), and +-4m for
-    k = 4m with 16 not dividing k, where m is squarefree exactly when the odd
-    part of k is, and +-m = 2, 3 mod 4.  Memory is O(sqrt(limit) + SEGMENT);
-    a limit past SIEVE_MEMORY_BUDGET raises SieveBudgetError."""
-    _check_limit(limit)
-    primes = primes_upto(isqrt(limit))
-    squares = primes[primes > 2] ** 2
-    struck = squares[squares < SEGMENT].tolist()  # one stride each
-    squares = squares[squares >= SEGMENT]
-    lo, full = 0, min(FIRST_BLOCK, SEGMENT)
-    while lo <= limit:
-        size = min(full, limit + 1 - lo)
-        sq = np.ones(size, dtype=bool)
-        for m in struck:
-            sq[-lo % m::m] = False
-        offset = -lo % squares
-        sq[offset[offset < size]] = False
+    per block of _squarefree_blocks, sorted by |delta| with the negative one
+    first on ties.  It reads off +-k for squarefree k = 1, 3 mod 4 (the sign
+    fixed by k mod 4), and +-4m for k = 4m with 16 not dividing k, where m is
+    squarefree exactly when the odd part of k is, and +-m = 2, 3 mod 4."""
+    for lo, squarefree in _squarefree_blocks(limit):
+        sq = np.frombuffer(squarefree, dtype=bool)
         # row i flags (-(lo + i), +(lo + i)); every lo is a multiple of 16
-        flags = np.zeros((size, 2), dtype=bool)
+        flags = np.zeros((len(sq), 2), dtype=bool)
         flags[1::4, 1] = sq[1::4]
         flags[3::4, 0] = sq[3::4]
         flags[4::16, 0] = sq[4::16]
         flags[8::16] = sq[8::16, None]
         flags[12::16, 1] = sq[12::16]
-        if lo == 0:
-            flags[1:2, 1] = False  # 1 is not a discriminant
         found = np.flatnonzero(flags)  # 2 |delta|, plus 1 for the positive one
         deltas = (found >> 1) + lo
         deltas *= (found & 1) * 2 - 1
         yield deltas
-        lo, full = lo + full, min(2 * full, SEGMENT)
 
 
 @lru_cache(maxsize=8)
@@ -367,7 +371,7 @@ def fundamental_discriminants(limit: int) -> np.ndarray:
 
 def fundamental_discriminant_count(x: int) -> int:
     """The number of fundamental discriminants |delta| <= x: the embed-quads census of M(2, Q)."""
-    return count_embedding_quads(QuaternionAlgebraQ.from_primes(()), x)
+    return census_embedding_quads(QuaternionAlgebraQ.from_primes(()), [x]).counts[0]
 
 
 def _embeds_mask(algebra: QuaternionAlgebraQ, deltas: np.ndarray,
@@ -384,13 +388,6 @@ def _embeds_mask(algebra: QuaternionAlgebraQ, deltas: np.ndarray,
                 nonsplit[v.p] = kronecker_vec(deltas, v.p) != 1
             ok &= nonsplit[v.p]
     return ok
-
-
-def count_embedding_quads(algebra: QuaternionAlgebraQ, x: int,
-                          not_totally_complex: bool = False) -> int:
-    """Number of quadratic fields with |delta| <= x embedding into the
-    algebra (no ramified place splits); the option restricts to real fields."""
-    return census_embedding_quads(algebra, [x], not_totally_complex).counts[0]
 
 
 def census_embedding_quads(algebra: QuaternionAlgebraQ, thresholds,
@@ -452,16 +449,14 @@ def _real_fields(primes, limit: int) -> list[int]:
     given finite primes splits: the real quadratic fields that embed in an
     indefinite algebra ramified at them.  A delta > 1 is fundamental when
     delta = 1, 5, 8, 9, 12 or 13 mod 16 and no odd prime square divides it.
-    The range is walked in blocks of SEGMENT, one flag byte per delta: the
-    pattern of period 16 (without delta = 1 mod 8, where 2 splits, when 2 is
-    ramified) is struck at the multiples of each odd p^2 <= limit, then
-    ANDed with a table of period q for each odd ramified q <= min(limit,
-    QR_TABLE), which flags 0 and the non-residues mod q.  Any other q is
-    tested on the survivors by Euler's criterion.  Memory is O(sqrt(limit)
-    + SEGMENT), plus q + SEGMENT bytes per table and the kept delta."""
-    _check_limit(limit)
+    Each block of _squarefree_blocks is ANDed with tables of period 16 (that
+    pattern, without delta = 1 mod 8, where 2 splits, when 2 is ramified)
+    and of period q for each odd ramified q <= min(limit, QR_TABLE), which
+    flag 0 and the non-residues mod q.  Any other q is tested on the
+    survivors by Euler's criterion.  Memory is O(sqrt(limit) + SEGMENT),
+    plus q + SEGMENT bytes per table and the kept delta."""
     base = bytes(r in (5, 8, 12, 13) or (r in (1, 9) and 2 not in primes) for r in range(16))
-    tables, euler = [], []
+    periods, euler = [(16, base)], []
     for q in sorted(set(primes) - {2}):
         if q > min(limit, QR_TABLE):
             euler.append(q)
@@ -469,24 +464,15 @@ def _real_fields(primes, limit: int) -> list[int]:
         table = bytearray(b"\x01") * q
         for r in range(1, q // 2 + 1):
             table[r * r % q] = 0
-        # one period past a block, so each block reads one slice at lo mod q
-        tables.append((q, table * (SEGMENT // q + 1) + table[:SEGMENT % q]))
-    squares = [p * p for p in prime_list(isqrt(limit))[1:]]
+        periods.append((q, table))
+    # one period past a block, so each block reads one slice at lo mod q
+    tables = [(q, t * (SEGMENT // q + 1) + t[:SEGMENT % q]) for q, t in periods]
     kept = []
-    for lo in range(0, limit + 1, SEGMENT):  # every lo is a multiple of 16
-        size = min(SEGMENT, limit + 1 - lo)
-        flags = bytearray(base * (size // 16 + 1))
-        if lo == 0:
-            flags[1] = 0  # 1 is not a discriminant
-        for m in squares:
-            start = -lo % m
-            flags[start:size:m] = bytes(len(range(start, size, m)))
-        if tables:
-            mask = int.from_bytes(flags[:size], "little")
-            for q, table in tables:
-                mask &= int.from_bytes(table[lo % q:lo % q + size], "little")
-            flags = mask.to_bytes(size, "little")
-        found = list(compress(range(lo, lo + size), flags))
+    for lo, flags in _squarefree_blocks(limit):
+        mask = int.from_bytes(flags, "little")
+        for q, table in tables:
+            mask &= int.from_bytes(table[lo % q:lo % q + len(flags)], "little")
+        found = list(compress(range(lo, lo + len(flags)), mask.to_bytes(len(flags), "little")))
         for q in euler:  # Euler's criterion, as in _nonsplit_primes
             found = [d for d in found if pow(d, q // 2, q) != 1]
         kept += found

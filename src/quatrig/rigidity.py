@@ -292,18 +292,16 @@ def limit_pair(m: int) -> tuple[int, int, int, int]:
         raise ValueError("m must be >= 2")
     d1, odd = -3, prime_list(m)[1:]
     # the partner -n is odd with (-n|2) = (-3|2) = -1, so n = 3 mod 8: walk
-    # n = 8j + 3 < 2^63 in blocks of j that double as the discriminant
-    # stream's do, and test the few that match for fundamentality
-    j, size = 0, min(census.FIRST_BLOCK, census.SEGMENT)
-    while j < 2 ** 60:
-        n = 8 * np.arange(j, min(j + size, 2 ** 60)) + 3
+    # n = 8j + 3 < 2^63 in the blocks of j that every walk over |delta| uses,
+    # and test the few that match for fundamentality
+    for j, end in census._blocks(2 ** 60):
+        n = 8 * np.arange(j, end) + 3
         for p in odd:
             n = n[kronecker_vec(-n, p) == kronecker_vec(d1, p)]
         for d in (-k for k in n.tolist() if k != 3):
             if arith.is_fundamental_discriminant(d):
                 return (d1, d, *least_primes(2, lambda ps: (kronecker_vec(d1, ps) == 1)
                                              & (kronecker_vec(d, ps) == -1)))
-        j, size = j + size, min(2 * size, census.SEGMENT)
     raise NotFoundWithinBound(f"m = {m}: no partner of {d1} inside int64")
 
 

@@ -17,7 +17,6 @@ from quatrig.arith import (
     chebyshev_theta,
     class_number,
     class_number_imaginary,
-    count_squarefree,
     PRECISION_BITS,
     dirichlet_L,
     divisors,
@@ -227,20 +226,18 @@ def test_sieve_budget():
 
 
 def test_count_squarefree():
-    assert count_squarefree(1) == 1
-    assert count_squarefree(10) == 7
-    assert count_squarefree(0) == 0
-    c = count_squarefree(10 ** 5)
+    assert arith.squarefree_counts([0, 1, 10]) == [0, 1, 7]
+    c = arith.squarefree_counts([10 ** 5])[0]
     assert abs(c - (6 / math.pi ** 2) * 10 ** 5) < 200
     with pytest.raises(ValueError):
-        count_squarefree(-1)
+        arith.squarefree_counts([-1])
 
 
 def test_mu_and_squarefree_counts_build_no_sieve(monkeypatch):
     # 10^10 is past the sieve budget; the Moebius sum takes mu(d) for
     # d <= 10^5 by trial division (OEIS A071172: 6079270942)
     monkeypatch.setattr(arith, "_SHARED", None)
-    assert count_squarefree(10 ** 10) == 6079270942
+    assert arith.squarefree_counts([10 ** 10]) == [6079270942]
     assert mobius(10 ** 12 + 39) == -1  # a prime
     assert mobius(2 * 3 * 5 * 999983) == 1 and mobius(4 * 999983) == 0
     assert arith._SHARED is None
@@ -250,7 +247,7 @@ def test_squarefree_counts_at_ascending_thresholds():
     xs = [0, 1, 3, 4, 8, 9, 24, 25, 26, 1000, _BRUTE_LIMIT]
     assert arith.squarefree_counts(xs) == [
         sum(1 for m in _BRUTE_MU[1:x + 1] if m) for x in xs]
-    assert [count_squarefree(x) for x in xs] == arith.squarefree_counts(xs)
+    assert [arith.squarefree_counts([x])[0] for x in xs] == arith.squarefree_counts(xs)
 
 
 def test_squarefree_kernel():

@@ -15,8 +15,8 @@ from quatrig.arith import (
     is_fundamental_discriminant,
     kronecker_symbol,
     kronecker_vec,
-    count_squarefree,
     primes_upto,
+    squarefree_counts,
     squarefree_products,
 )
 from quatrig.brauer import parse_ram_set
@@ -28,9 +28,7 @@ from quatrig.census import (
     census_division,
     census_embedding_quads,
     census_quat_with_subfields,
-    count_csa,
     count_division,
-    count_embedding_quads,
     count_quat_with_subfields,
     fundamental_discriminant_count,
     fundamental_discriminants,
@@ -41,10 +39,10 @@ from quatrig.fields import INFINITY, PlaceQ, make_field
 
 
 def test_count_csa_spec_values():
-    assert count_csa(2, 2, 100) == 7
-    assert count_csa(1, 5, 7) == 1
-    assert count_csa(1, 2, 1) == 1
-    assert count_csa(3, 3, 46656) == 3
+    assert census_csa(2, 2, [100]).counts[0] == 7
+    assert census_csa(1, 5, [7]).counts[0] == 1
+    assert census_csa(1, 2, [1]).counts[0] == 1
+    assert census_csa(3, 3, [46656]).counts[0] == 3
 
 
 def test_count_division_spec_values():
@@ -61,11 +59,11 @@ def test_division_matches_squarefree_oracle(squarefree_count):
 
 
 def test_moebius_sum_matches_the_block_kernel():
-    # count_squarefree takes mu(d) by trial division, the prime sums count
+    # squarefree_counts takes mu(d) by trial division, the prime sums count
     # the squarefree q through the primes <= y: two routes to every count
     ys = sorted({1, 2, 3, 4, 8, 9, 10, 99, 100, 101, 9999, 10 ** 4, 123456,
                  2 ** 18 - 1, 2 ** 18, 2 ** 18 + 1, 999999, 10 ** 6, 10 ** 7 - 1, 10 ** 7})
-    assert [count_squarefree(y) for y in ys] == census._prime_sum_counts((), ys)
+    assert squarefree_counts(ys) == census._prime_sum_counts((), ys)
 
 
 # thresholds x: the smallest ones, perfect squares and their neighbours
@@ -217,17 +215,50 @@ def test_nonsplit_primes_match_the_kronecker_vector(deltas):
 @pytest.mark.parametrize("ram", ["2,3", "11,17", "2,19", "3,5,7,11", "5,13", "2,3,5,7,11,13",
                                  "3,262147", "5,4194319"])
 def test_real_fields_match_the_stream_and_the_kronecker_vector(ram):
-    # two routes to the geodesic census's fields: blocks of flag bytes ANDed
-    # with residue tables, and the block kernel's stream of discriminants
-    # filtered by the vector kernel's symbols.  2 SEGMENT + 13 spans three
-    # blocks; 262147 is tested by Euler's criterion below it and by its
-    # table above, 4194319 > QR_TABLE by Euler's criterion throughout
+    # the listing and the stream read the same squarefree flag blocks, so the
+    # two routes differ only in the split decision: residue tables and Euler's
+    # criterion against the vector kernel's symbols (the scalar oracle below
+    # checks the blocks themselves).  2 SEGMENT + 13 spans three blocks;
+    # 262147 is tested by Euler's criterion below it and by its table above,
+    # 4194319 > QR_TABLE by Euler's criterion throughout
     assert 10 ** 5 < 262147 < 2 * census.SEGMENT < census.QR_TABLE < 4194319
     algebra = parse_ram_set(ram)
     for x in (0, 1, 2, 3, 4, 5, 6, 40, 3000, 10 ** 5, 2 * census.SEGMENT + 13):
         stream = [d for deltas in census._fundamental_blocks(x)
                   for d in deltas[census._embeds_mask(algebra, deltas) & (deltas > 0)].tolist()]
         assert census._real_fields(algebra.finite_primes, x) == stream, x
+
+
+@pytest.mark.parametrize("segment", [16, 64, 1008])
+def test_real_fields_match_the_scalar_oracle_across_block_edges(monkeypatch, segment):
+    # fundamentality by trial division and the scalar Kronecker symbol, with
+    # blocks of 16, 32, ... up to the segment; QR_TABLE = 40 reads the q <= 40
+    # off residue tables and tests the larger q by Euler's criterion
+    monkeypatch.setattr(census, "SEGMENT", segment)
+    monkeypatch.setattr(census, "FIRST_BLOCK", 16)
+    monkeypatch.setattr(census, "QR_TABLE", 40)
+    limit = 3000
+    real = [d for d in range(2, limit + 1) if is_fundamental_discriminant(d)]
+    for primes in [(), (2,), (3,), (2, 3), (2, 19), (5, 13), (3, 5, 7, 11), (2, 3, 41),
+                   (7, 43, 997), (11, 2999)]:
+        expected = [d for d in real if all(kronecker_symbol(d, q) != 1 for q in primes)]
+        for x in (0, 1, 2, 5, 16, 17, 63, 64, 65, 1007, 1008, 1009, limit):
+            assert census._real_fields(primes, x) == [d for d in expected if d <= x], (primes, x)
+
+
+def test_real_fields_peak_memory_does_not_grow_with_x(monkeypatch):
+    # O(sqrt(x) + SEGMENT) plus the kept fields: about 16 buffers of SEGMENT
+    # bytes (the residue tables, the zero buffer, a block and its int
+    # temporaries) and an int per kept field.  A listing that grew the shared
+    # sieve and its prime list to x would add about 6 MB at 2 * 10^6
+    from quatrig import arith
+
+    monkeypatch.setattr(arith, "_SHARED", None)
+    primes = (3, 5, 7, 11, 13, 17, 19, 23)
+    for x in (10 ** 5, 2 * 10 ** 6):
+        kept = []
+        peak = _traced_peak(lambda: kept.extend(census._real_fields(primes, x)))
+        assert peak < 24 * census.SEGMENT + 64 * len(kept), (x, peak, len(kept))
 
 
 @pytest.mark.parametrize("d", [9, -12, 0, 1])
@@ -359,7 +390,7 @@ def _stream_readers():
     """What every reader of the discriminant stream returns at sizes that
     cross many blocks of the smallest SEGMENT, and the edges of the growing
     first blocks, failed searches included."""
-    from quatrig import rigidity
+    from quatrig import geometry, rigidity
 
     def outcome(search):
         try:
@@ -377,6 +408,7 @@ def _stream_readers():
         "distinguish": [outcome(lambda: rigidity.distinguish_quaternions(b1, b2, delta_max))
                         for b1, b2 in zip(algebras, algebras[1:]) for delta_max in (5, 3000)],
         "limit_pair": [rigidity.limit_pair(m) for m in (2, 3, 5, 7, 11, 13)],
+        "geodesics": geometry.geodesic_census(parse_ram_set("2,3"), 3000),
         "splitting": [splitting_density(v, x) for v in places for x in (100, 1009, 3000)],
         "inert": [census.smallest_inert_stats(x) for x in (3, 64, 1008, 3000)],
         "count": [fundamental_discriminant_count(x) for x in (1, 3, 8, 63, 64, 1008, 1009, 3000)],
@@ -448,14 +480,15 @@ def test_fundamental_count_asymptotic():
 
 def test_count_embedding_quads_spec_values():
     b = parse_ram_set("2,inf")
-    assert count_embedding_quads(b, 24) == 7  # {-3,-4,-8,-11,-19,-20,-24}
+    assert census_embedding_quads(b, [24]).counts[0] == 7  # {-3,-4,-8,-11,-19,-20,-24}
     deltas = fundamental_discriminants(24)
     from quatrig.census import _embeds_mask
 
     got = sorted(int(d) for d in deltas[_embeds_mask(b, deltas)])
     assert got == [-24, -20, -19, -11, -8, -4, -3]
-    assert count_embedding_quads(parse_ram_set(""), 24) == fundamental_discriminant_count(24)
-    assert count_embedding_quads(b, 24, not_totally_complex=True) == 0
+    assert (census_embedding_quads(parse_ram_set(""), [24]).counts[0]
+            == fundamental_discriminant_count(24))
+    assert census_embedding_quads(b, [24], not_totally_complex=True).counts[0] == 0
 
 
 def _embeds_by_filter(places, delta):
@@ -656,7 +689,7 @@ def test_embed_count_vs_lower_bound():
 
     b = parse_ram_set("2,inf")
     x = 10 ** 5
-    ratio = count_embedding_quads(b, x) / x
+    ratio = census_embedding_quads(b, [x]).counts[0] / x
     assert ratio >= embed_quads_lower_bound(b).value - 0.002
 
 
@@ -667,7 +700,7 @@ def test_embed_count_within_band_of_fundamental_count():
     fund = fundamental_discriminant_count(x)
     for text in ("2,inf", "2,3", "3,5"):
         b = parse_ram_set(text)
-        ratio = count_embedding_quads(b, x) / fund
+        ratio = census_embedding_quads(b, [x]).counts[0] / fund
         lower = float(embed_quads_lower_bound(b).coefficient)
         assert lower - 0.02 <= ratio <= 1.0, text
 

@@ -373,14 +373,13 @@ def test_memory_budget_stops_the_sizes_that_ran_out_and_admits_the_rest(capsys, 
             assert main(argv) == 2
             assert what in capsys.readouterr().err
 
-    # the largest sizes that must still run get past their checks
-    monkeypatch.setattr(census, "primes_upto", admitted)
-    with pytest.raises(Admitted):
-        census.fundamental_discriminants(4 * 10 ** 8)
-    # the residue-class count: 80 bytes per unit of isqrt(x) admit y <= 31,250,000,
+    # the largest sizes that must still run get past their checks.  The
+    # residue-class count: 80 bytes per unit of isqrt(x) admit y <= 31,250,000,
     # and it lists the primes to y, a sieve to sqrt(x), before anything else
     assert census.fundamental_discriminant_count(10 ** 9) == 607927069
     monkeypatch.setattr(census, "prime_list", admitted)
+    with pytest.raises(Admitted):  # the block walk lists its odd prime squares
+        census.fundamental_discriminants(4 * 10 ** 8)
     with pytest.raises(Admitted):
         census.fundamental_discriminant_count(31250001 ** 2 - 1)
     with pytest.raises(arith.SieveBudgetError):
